@@ -2,6 +2,8 @@
 RNNs trained by SGD, plus Monte-Carlo verification of the random-matrix,
 linearization, and truncation bounds behind the analysis."""
 
+# the one version string: the harness stamps artifacts with it and
+# pyproject.toml reads it; it is set before the submodule imports below
 __version__ = "0.1.0"
 
 from .existence import (ComparatorParams, ConditioningError, GramInverses,

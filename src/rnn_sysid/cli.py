@@ -2,12 +2,14 @@
 
     sysid train|verify|existence|sweep --config path.json [--out dir] [--seed n]
     sysid verify --lemma spectral --m 1024 --trials 20 --seed 0 --out report.json
+    sysid verify --lemma all --m 1024 --out reports   # reports/report_<name>.json
 
 The config file is a single JSON document; see the README for the schema.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .harness import ConfigError, run_experiment
@@ -60,9 +62,11 @@ def main(argv=None):
             line = "%-14s pass_fraction=%.3f %s" % (
                 name, report.pass_fraction, "PASS" if report.passed else "FAIL")
             print(line)
-            if args.out:
-                report.save(args.out if len(lemmas) == 1
-                            else args.out.replace(".json", f"_{name}.json"))
+            if args.out and len(lemmas) == 1:
+                report.save(args.out)
+            elif args.out:
+                os.makedirs(args.out, exist_ok=True)
+                report.save(os.path.join(args.out, f"report_{name}.json"))
             code = code or (0 if report.passed else 1)
         return code
     if not args.config:

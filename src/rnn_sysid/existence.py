@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import frob
 from .losses import sequence_loss
-from .student import RescaledView, forward_rescaled
+from .student import RescaledView, _lag_ladder, forward_rescaled
 from .teacher import impulse_response
 
 
@@ -41,6 +41,8 @@ class GramInverses:
     horizon: int
     cond_max: float
     resid_max: float
+    L: np.ndarray   # L[a] = B W0^a, horizon x d_y x m
+    R: np.ndarray   # R[b] = (W0^b A0)^T, horizon x d x m
 
 
 @dataclass
@@ -58,16 +60,6 @@ class ComparatorParams:
     meta: dict = field(default_factory=dict)
 
 
-def _propagated(W0, A0, B, horizon):
-    """L[a] = B W0^a (d_y x m) and R[b] = W0^b A0 (m x d)."""
-    L = [B]
-    R = [A0]
-    for _ in range(horizon - 1):
-        L.append(L[-1] @ W0)
-        R.append(W0 @ R[-1])
-    return L, R
-
-
 def _validated_inverse(Gram, tag):
     cond = float(np.linalg.cond(Gram))
     if not np.isfinite(cond) or cond > 1e8:
@@ -82,7 +74,8 @@ def _validated_inverse(Gram, tag):
 
 
 def gram_inverses(W0, A0, B, T_max):
-    L, R = _propagated(W0, A0, B, T_max)
+    L = _lag_ladder(W0.T, B.T, 1.0, T_max - 1)
+    R = _lag_ladder(W0, A0, 1.0, T_max - 1)
     P1, P2 = [], []
     cond_max = 0.0
     resid_max = 0.0
@@ -92,12 +85,12 @@ def gram_inverses(W0, A0, B, T_max):
         cond_max = max(cond_max, c)
         resid_max = max(resid_max, r)
     for b in range(T_max):
-        P, c, r = _validated_inverse(R[b].T @ R[b], f"P2[{b}]")
+        P, c, r = _validated_inverse(R[b] @ R[b].T, f"P2[{b}]")
         P2.append(P)
         cond_max = max(cond_max, c)
         resid_max = max(resid_max, r)
     return GramInverses(P1=P1, P2=P2, horizon=int(T_max),
-                        cond_max=cond_max, resid_max=resid_max)
+                        cond_max=cond_max, resid_max=resid_max, L=L, R=R)
 
 
 def construct_comparator(W0, A0, B, teacher, rho, T_max, b=None):
@@ -110,8 +103,8 @@ def construct_comparator(W0, A0, B, teacher, rho, T_max, b=None):
     m = W0.shape[0]
     if b is None:
         b = math.sqrt(math.log(T_max * math.e))
-    L, R = _propagated(W0, A0, B, T_max)
     grams = gram_inverses(W0, A0, B, T_max)
+    L, R = grams.L, grams.R
     ir = impulse_response(teacher, T_max)  # G C^k D, k = 0..T_max-1
 
     A_star = A0 + L[0].T @ (grams.P1[0] @ (ir[0] - B @ A0))
@@ -123,7 +116,7 @@ def construct_comparator(W0, A0, B, teacher, rho, T_max, b=None):
         for a in range(t0):
             bb = t0 - 1 - a
             core = grams.P1[a] @ M @ grams.P2[bb]
-            factors.append((coef, L[a].T, core, R[bb].T))
+            factors.append((coef, L[a].T, core, R[bb]))
 
     if m <= MAX_DENSE_M:
         dW = np.zeros((m, m))

@@ -2,6 +2,7 @@
 
 Directional derivatives (JVPs) run a tangent copy of the forward
 recurrence; full loss gradients use the reverse-mode adjoint recursion.
+Forward, tangent and adjoint are each one call to `linalg.recurrence`.
 Literal power-series sums exist only as small-scale test oracles.
 """
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionError, frob
+from .linalg import DimensionError, recurrence
 from .losses import eval_loss
 
 
@@ -25,57 +26,43 @@ class GradientPair:
         return self.grad_W / self.meta["rho"]
 
 
-def _states(view, rho, x):
-    T = x.shape[0]
-    m = view.W.shape[0]
-    G = np.zeros((T + 1, m))  # G[0] = g_0 = 0
-    for t in range(T):
-        G[t + 1] = rho * (view.W @ G[t]) + view.A @ x[t]
-    return G
-
-
 def jvp_f_wrt_W(view, B, rho, x, t, Z):
     """Directional derivative of f_t w.r.t. W in direction Z (m x m).
 
-    Tangent recurrence u_s = rho W u_{s-1} + rho Z g_{s-1}; result B u_t.
+    Row t-1 of `jvp_f_all_t` on the first t inputs.
     """
-    x = np.asarray(x, dtype=float)
     if Z.shape != view.W.shape:
         raise DimensionError(f"direction must be {view.W.shape}, got {Z.shape}")
-    G = _states(view, rho, x)
-    u = np.zeros(view.W.shape[0])
-    for s in range(t):
-        u = rho * (view.W @ u) + rho * (Z @ G[s])
-    return B @ u
+    x = np.asarray(x, dtype=float)
+    if not 1 <= t <= len(x):
+        raise DimensionError(f"t must lie in 1..{len(x)}, got {t}")
+    return jvp_f_all_t(view, B, rho, x[:t], Z_W=Z)[t - 1]
 
 
 def jvp_f_wrt_A(view, B, rho, x, t, Z):
     """Directional derivative of f_t w.r.t. A in direction Z (m x d)."""
-    x = np.asarray(x, dtype=float)
     if Z.shape != view.A.shape:
         raise DimensionError(f"direction must be {view.A.shape}, got {Z.shape}")
-    u = np.zeros(view.W.shape[0])
-    for s in range(t):
-        u = rho * (view.W @ u) + Z @ x[s]
-    return B @ u
+    x = np.asarray(x, dtype=float)
+    if not 1 <= t <= len(x):
+        raise DimensionError(f"t must lie in 1..{len(x)}, got {t}")
+    return jvp_f_all_t(view, B, rho, x[:t], Z_A=Z)[t - 1]
 
 
 def jvp_f_all_t(view, B, rho, x, Z_W=None, Z_A=None):
-    """JVP of every f_t in one pass; either direction may be None (zero)."""
+    """JVP of every f_t in one pass; either direction may be None (zero).
+
+    Tangent recurrence u_t = rho W u_{t-1} + rho Z_W g_{t-1} + Z_A x_t,
+    result B u_t; its drive is formed for all t at once.
+    """
     x = np.asarray(x, dtype=float)
-    T = x.shape[0]
-    m = view.W.shape[0]
-    G = _states(view, rho, x)
-    out = np.empty((T, B.shape[0]))
-    u = np.zeros(m)
-    for t in range(T):
-        u = rho * (view.W @ u)
-        if Z_W is not None:
-            u = u + rho * (Z_W @ G[t])
-        if Z_A is not None:
-            u = u + Z_A @ x[t]
-        out[t] = B @ u
-    return out
+    G = recurrence(x @ view.A.T, view.W.T, rho)
+    drive = np.zeros_like(G)
+    if Z_A is not None:
+        drive += x @ Z_A.T
+    if Z_W is not None:
+        drive[1:] += rho * (G[:-1] @ Z_W.T)
+    return recurrence(drive, view.W.T, rho) @ B.T
 
 
 def loss_gradients_bptt(view, B, rho, x, y, loss):
@@ -87,24 +74,19 @@ def loss_gradients_bptt(view, B, rho, x, y, loss):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     T = x.shape[0]
-    m = view.W.shape[0]
-    G = _states(view, rho, x)
-    R = np.empty((T, B.shape[0]))
+    G = recurrence(x @ view.A.T, view.W.T, rho)
+    F = G @ B.T
+    R = np.empty_like(F)
     total = 0.0
     for t in range(T):
-        v, g = eval_loss(loss, y[t], B @ G[t + 1])
+        v, R[t] = eval_loss(loss, y[t], F[t])
         total += v
-        R[t] = g
-    Lam = np.zeros((T, m))
-    lam = np.zeros(m)
-    for t in range(T - 1, -1, -1):
-        lam = (B.T @ R[t]) / T + rho * (view.W.T @ lam)
-        Lam[t] = lam
-    grad_W = rho * (Lam[1:].T @ G[1:T]) if T > 1 else np.zeros((m, m))
-    grad_A = Lam.T @ x
+    # the adjoint runs backward in time: a forward recurrence with M = W
+    # on the reversed drive
+    Lam = recurrence((R @ B)[::-1] / T, view.W, rho)[::-1]
     return GradientPair(
-        grad_W=grad_W,
-        grad_A=grad_A,
+        grad_W=rho * (Lam[1:].T @ G[:-1]),
+        grad_A=Lam.T @ x,
         meta={"rho": rho, "loss": loss.kind, "seq_loss": total / T},
     )
 

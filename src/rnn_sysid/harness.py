@@ -11,10 +11,10 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import __version__
 from .existence import construct_comparator, save_comparator, verify_existence
 from .linalg import fit_loglog_slope
 from .losses import make_loss
@@ -23,8 +23,6 @@ from .student import init_student
 from .teacher import generate_dataset, load_dataset, random_stable_system
 from .trainer import running_average, sgd_train
 from .verify import run_lemma
-
-VERSION = "0.1.0"
 
 _KIND_FIELDS = {
     "train": {"kind", "seed", "out_dir", "teacher", "dataset_path", "data",
@@ -57,7 +55,8 @@ def _validate(cfg):
 
 
 def _stamp(cfg, seed):
-    return {"config_hash": config_hash(cfg), "seed": seed, "version": VERSION}
+    return {"config_hash": config_hash(cfg), "seed": seed,
+            "version": __version__}
 
 
 def _write_json(path, doc):
@@ -233,23 +232,14 @@ def _run_existence(cfg, out, seed):
 
 
 def _run_sweep(cfg, out, seed):
-    cells = [(m, s) for m in cfg.get("m_grid", [256])
-             for s in cfg.get("seeds", [seed])]
-    threads = max(1, int(os.environ.get("SYSID_THREADS", "1")))
-
-    def do_cell(cell):
-        m, s = cell
-        cell_dir = os.path.join(out, f"cell_m{m}_s{s}")
-        summary, _ = _train_cell(cfg, cell_dir, s, m_override=m)
-        summary = {"m": m, "seed": s, **summary}
-        _write_json(os.path.join(cell_dir, "summary.json"), summary)
-        return summary
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(do_cell, cells))
-    else:
-        rows = [do_cell(c) for c in cells]
+    rows = []
+    for m in cfg.get("m_grid", [256]):
+        for s in cfg.get("seeds", [seed]):
+            cell_dir = os.path.join(out, f"cell_m{m}_s{s}")
+            summary, _ = _train_cell(cfg, cell_dir, s, m_override=m)
+            summary = {"m": m, "seed": s, **summary}
+            _write_json(os.path.join(cell_dir, "summary.json"), summary)
+            rows.append(summary)
     rows.sort(key=lambda r: (r["m"], r["seed"]))
     return rows
 

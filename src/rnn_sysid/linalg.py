@@ -1,5 +1,11 @@
 """Dense linear algebra helpers shared across the package.
 
+`recurrence` and `causal_fir` are the two primitives behind every
+forward, tangent, adjoint and lag-ladder evaluation of the series
+f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0}: the first walks a transition
+matrix over time (or over lag), the second sums per-lag transfer
+matrices against an input sequence.
+
 Operator norms are computed by power iteration on M^T M so that the same
 code path works for explicit matrices and for implicitly defined matrix
 powers (which are never formed densely).
@@ -10,6 +16,35 @@ import numpy as np
 
 class DimensionError(ValueError):
     """Shape mismatch between operands."""
+
+
+def recurrence(U, M, scale=1.0):
+    """Stacked rows g_t = scale * g_{t-1} @ M + U[t], with g_{-1} = 0.
+
+    A row U[t] is either one state vector (T x m input) or a k x m block
+    (T x k x m input).  Column-vector recurrences h_t = W h_{t-1} + u_t
+    are the row form with M = W^T; the adjoint of one is a call with M = W
+    on the time-reversed drive.  A block row driven by U = [M0, 0, ...]
+    gives the lag ladder M0, scale M0 M, scale^2 M0 M^2, ...
+    """
+    G = np.array(U, dtype=float, order="C")
+    for t in range(1, len(G)):
+        G[t] += scale * (G[t - 1] @ M)
+    return G
+
+
+def causal_fir(K, x):
+    """F_t = sum_{j <= t} x_{t-j} @ K[j] over the lags K[0..tau].
+
+    K is (tau+1) x d x d_y (K[j] is the transpose of the lag-j transfer
+    matrix N_j, so F_t = sum_j N_j x_{t-j}); x is T x d.  Lags at or past
+    T are never reached.
+    """
+    T = x.shape[0]
+    F = np.zeros((T, K.shape[2]))
+    for j in range(min(len(K), T)):
+        F[j:] += x[:T - j] @ K[j]
+    return F
 
 
 def spectral_radius(M):
@@ -55,13 +90,18 @@ def operator_norm(M, iters=200, tol=1e-10, seed=0):
 
 def operator_norm_fast(M):
     """2-norm via Lanczos (scipy svds) for large matrices, exact SVD cost
-    avoided; falls back to power iteration below the crossover size."""
+    avoided; falls back to power iteration below the crossover size.
+
+    ARPACK starts from a seeded vector, so the result is the same in every
+    process (its default start vector is drawn from OS entropy).
+    """
     M = np.asarray(M)
     if min(M.shape) < 1024:
         return operator_norm(M)
     from scipy.sparse.linalg import svds
 
-    return float(svds(M, k=1, return_singular_vectors=False)[0])
+    v0 = np.random.default_rng(0).normal(size=min(M.shape))
+    return float(svds(M, k=1, v0=v0, return_singular_vectors=False)[0])
 
 
 def matrix_power_opnorm(W, k, scale=1.0, iters=8, block=4, seed=0, dtype=None):

@@ -4,7 +4,10 @@ Hidden recurrence h_t = W~ h_{t-1} + A x_t with readout f~_t = B h_t.
 Most analysis-facing code works in the rescaled parameterization
 W = W~ / rho, where f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0}; the rescaled
 recurrence g_t = rho W g_{t-1} + A x_t evaluates the same series without
-explicit matrix powers.
+explicit matrix powers.  Every forward here is a call to
+`linalg.recurrence`: over time for the full series and its tangent, over
+lag for the ladders rho^j W^j A whose per-lag transfer matrices
+`linalg.causal_fir` sums against the inputs in the truncated forwards.
 """
 
 import json
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionError, frob
+from .linalg import DimensionError, causal_fir, frob, recurrence
 from .teacher import ParameterError
 
 
@@ -91,42 +94,24 @@ def _check_inputs(x, d):
 def forward(rnn, x):
     """Exact recurrence in the raw parameterization; returns (hidden, outputs)."""
     x = _check_inputs(x, rnn.d)
-    T = x.shape[0]
-    H = np.empty((T, rnn.m))
-    F = np.empty((T, rnn.d_y))
-    h = np.zeros(rnn.m)
-    for t in range(T):
-        h = rnn.W_tilde @ h + rnn.A @ x[t]
-        H[t] = h
-        F[t] = rnn.B @ h
-    return H, F
+    H = recurrence(x @ rnn.A.T, rnn.W_tilde.T)
+    return H, H @ rnn.B.T
 
 
-def forward_rescaled(view, B, rho, x, return_states=False):
+def forward_rescaled(view, B, rho, x):
     """f_t(W, A) via the rescaled recurrence g_t = rho W g_{t-1} + A x_t."""
     x = _check_inputs(x, view.A.shape[1])
-    T = x.shape[0]
-    m = view.W.shape[0]
-    G = np.empty((T, m))
-    F = np.empty((T, B.shape[0]))
-    g = np.zeros(m)
-    for t in range(T):
-        g = rho * (view.W @ g) + view.A @ x[t]
-        G[t] = g
-        F[t] = B @ g
-    if return_states:
-        return G, F
-    return F
+    return recurrence(x @ view.A.T, view.W.T, rho) @ B.T
 
 
 def _lag_ladder(W, A, rho, tau):
-    """M_j = rho^j W^j A for j = 0..tau, built by repeated multiplication."""
-    ladder = [A]
-    M = A
-    for _ in range(tau):
-        M = rho * (W @ M)
-        ladder.append(M)
-    return ladder
+    """(rho^j W^j A)^T for j = 0..tau, stacked as a (tau+1) x d x m array.
+
+    With W -> W^T and A -> B^T the same ladder gives rho^j B W^j.
+    """
+    U = np.zeros((tau + 1,) + A.T.shape)
+    U[:1] = A.T
+    return recurrence(U, W.T, rho)
 
 
 def truncated_forward(view, B, rho, x, tau):
@@ -134,14 +119,8 @@ def truncated_forward(view, B, rho, x, tau):
     if tau < 0:
         raise ParameterError("tau must be >= 0")
     x = _check_inputs(x, view.A.shape[1])
-    T = x.shape[0]
-    ladder = _lag_ladder(view.W, view.A, rho, min(tau, T - 1))
-    N = [B @ M for M in ladder]  # d_y x d per lag
-    F = np.zeros((T, B.shape[0]))
-    for t in range(1, T + 1):
-        for j in range(min(tau, t - 1) + 1):
-            F[t - 1] += N[j] @ x[t - 1 - j]
-    return F
+    ladder = _lag_ladder(view.W, view.A, rho, min(tau, x.shape[0] - 1))
+    return causal_fir(ladder @ B.T, x)
 
 
 def linearized_forward(W0, A0, W, A, B, rho, x, tau=None):
@@ -152,40 +131,24 @@ def linearized_forward(W0, A0, W, A, B, rho, x, tau=None):
     """
     x = _check_inputs(x, A0.shape[1])
     dW = W - W0
-    dA = A - A0
-    T = x.shape[0]
-    m = W0.shape[0]
     if tau is None:
-        # u_t carries both directional terms through the same recurrence:
-        # u_t = rho W0 u_{t-1} + rho dW g_{t-1} + dA x_t, f^lin = B (g_t + u_t)
-        F = np.empty((T, B.shape[0]))
-        g = np.zeros(m)
-        u = np.zeros(m)
-        for t in range(T):
-            u = rho * (W0 @ u) + rho * (dW @ g) + dA @ x[t]
-            g = rho * (W0 @ g) + A0 @ x[t]
-            F[t] = B @ (g + u)
-        return F
+        # g + u, with u the tangent of g along (dW, A - A0), obeys
+        # (g + u)_t = rho W0 (g + u)_{t-1} + rho dW g_{t-1} + A x_t
+        G0 = recurrence(x @ A0.T, W0.T, rho)
+        drive = x @ A.T
+        drive[1:] += rho * (G0[:-1] @ dW.T)
+        return recurrence(drive, W0.T, rho) @ B.T
     if tau < 0:
         raise ParameterError("tau must be >= 0")
-    # truncated variant via per-lag ladders:
-    #   M_j = rho^j W0^j A0, MA_j the same with dA in place of A0,
-    #   S_j = rho W0 S_{j-1} + rho dW M_{j-1}  (W-directional term at lag j)
-    tau_eff = min(tau, T - 1)
-    M = A0
-    MA = dA
-    S = np.zeros((m, A0.shape[1]))
-    N = [B @ (M + MA + S)]
-    for _ in range(tau_eff):
-        S = rho * (W0 @ S) + rho * (dW @ M)
-        M = rho * (W0 @ M)
-        MA = rho * (W0 @ MA)
-        N.append(B @ (M + MA + S))
-    F = np.zeros((T, B.shape[0]))
-    for t in range(1, T + 1):
-        for j in range(min(tau, t - 1) + 1):
-            F[t - 1] += N[j] @ x[t - 1 - j]
-    return F
+    # per-lag ladders: [M0_j | M_j] = rho^j W0^j [A0 | A], and the
+    # W-directional term S_j = rho W0 S_{j-1} + rho dW M0_{j-1}
+    m, d = A0.shape
+    ladder = _lag_ladder(W0, np.hstack([A0, A]), rho, min(tau, x.shape[0] - 1))
+    M0 = ladder[:-1, :d]
+    drive = np.zeros((len(ladder), d, m))
+    drive[1:] = rho * (M0.reshape(-1, m) @ dW.T).reshape(M0.shape)
+    S = recurrence(drive, W0.T, rho)
+    return causal_fir((ladder[:, d:] + S) @ B.T, x)
 
 
 # ---------------------------------------------------------------------------

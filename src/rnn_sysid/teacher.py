@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionError, operator_norm, spectral_radius
+from .linalg import (DimensionError, operator_norm, recurrence,
+                     spectral_radius)
 
 INPUT_SPECS = ("iid_gaussian_unit", "iid_uniform_sphere")
 
@@ -109,25 +110,16 @@ def simulate(sys, inputs):
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[1] != sys.d:
         raise DimensionError(f"inputs must be T x {sys.d}, got {x.shape}")
-    T = x.shape[0]
-    P = np.empty((T, sys.d_p))
-    Y = np.empty((T, sys.d_y))
-    p = np.zeros(sys.d_p)
-    for t in range(T):
-        p = sys.C @ p + sys.D @ x[t]
-        P[t] = p
-        Y[t] = sys.G @ p
-    return P, Y
+    P = recurrence(x @ sys.D.T, sys.C.T)
+    return P, P @ sys.G.T
 
 
 def impulse_response(sys, nlag):
-    """Per-lag transfer matrices G C^k D for k = 0..nlag-1."""
-    out = []
-    M = sys.D.copy()
-    for _ in range(nlag):
-        out.append(sys.G @ M)
-        M = sys.C @ M
-    return out
+    """Per-lag transfer matrices G C^k D for k = 0..nlag-1 (nlag x d_y x d)."""
+    U = np.zeros((nlag, sys.d, sys.d_p))
+    U[:1] = sys.D.T
+    # row k of the ladder is (C^k D)^T
+    return (recurrence(U, sys.C.T) @ sys.G.T).transpose(0, 2, 1)
 
 
 @dataclass

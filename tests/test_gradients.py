@@ -5,6 +5,7 @@ from rnn_sysid.gradients import (brute_forward_powers, brute_jvp_A,
                                  brute_jvp_W, finite_difference_check,
                                  jvp_f_all_t, jvp_f_wrt_A, jvp_f_wrt_W,
                                  loss_gradients_bptt)
+from rnn_sysid.linalg import DimensionError
 from rnn_sysid.losses import make_loss, sequence_loss
 from rnn_sysid.student import (forward_rescaled, init_student, rescaled_view)
 
@@ -60,6 +61,15 @@ def test_jvp_first_step_W_is_zero():
     Z = rng.normal(size=view.W.shape)
     np.testing.assert_allclose(jvp_f_wrt_W(view, rnn.B, rnn.rho, x, 1, Z), 0.0,
                                atol=1e-14)
+
+
+@pytest.mark.parametrize("t", [0, -1, 8])
+def test_single_t_jvp_rejects_t_outside_sequence(t):
+    rnn, view, x, _, rng = _setup(T=7)
+    with pytest.raises(DimensionError):
+        jvp_f_wrt_W(view, rnn.B, rnn.rho, x, t, rng.normal(size=view.W.shape))
+    with pytest.raises(DimensionError):
+        jvp_f_wrt_A(view, rnn.B, rnn.rho, x, t, rng.normal(size=view.A.shape))
 
 
 def test_bptt_duality_with_jvp():

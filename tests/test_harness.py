@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import rnn_sysid
 from rnn_sysid.cli import main
 from rnn_sysid.harness import (ConfigError, config_hash, generalization_gap,
                                run_experiment)
@@ -157,6 +158,25 @@ def test_cli_direct_lemma(capsys):
     out = capsys.readouterr().out
     assert "tail" in out and ("PASS" in out or "FAIL" in out)
     assert code in (0, 1)
+
+
+def test_cli_all_lemmas_write_one_report_each(tmp_path, capsys):
+    out = tmp_path / "reports"
+    main(["verify", "--lemma", "all", "--m", "64", "--trials", "1",
+          "--out", str(out)])
+    names = ("concentration", "linearization", "spectral", "tail",
+             "truncation")
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["report_%s.json" % n for n in names]
+    for n in names:
+        doc = json.loads((out / ("report_%s.json" % n)).read_text())
+        assert doc["lemma_id"] == n
+
+
+def test_artifacts_stamped_with_package_version(tmp_path):
+    run_experiment(TRAIN_CFG, out_dir=str(tmp_path / "t"))
+    summary = json.loads((tmp_path / "t" / "summary.json").read_text())
+    assert summary["_meta"]["version"] == rnn_sysid.__version__
 
 
 def test_cli_missing_config_errors():

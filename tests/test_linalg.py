@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from rnn_sysid.linalg import (DimensionError, fit_loglog_slope, frob,
-                              haar_orthogonal, matrix_power_opnorm,
-                              operator_norm, spectral_radius)
+from rnn_sysid.linalg import (DimensionError, causal_fir, fit_loglog_slope,
+                              frob, haar_orthogonal, matrix_power_opnorm,
+                              operator_norm, operator_norm_fast, recurrence,
+                              spectral_radius)
 
 
 def test_spectral_radius_diagonal():
@@ -62,3 +67,61 @@ def test_fit_loglog_slope_recovers_power_law():
 def test_fit_loglog_slope_rejects_nonpositive():
     with pytest.raises(ValueError):
         fit_loglog_slope([1.0, 2.0], [0.0, 1.0])
+
+
+def test_recurrence_vector_rows_match_step_loop():
+    rng = np.random.default_rng(4)
+    M = rng.normal(size=(6, 6))
+    U = rng.normal(size=(5, 6))
+    g = np.zeros(6)
+    for t in range(5):
+        g = 0.7 * (g @ M) + U[t]
+        np.testing.assert_allclose(recurrence(U, M, 0.7)[t], g, rtol=1e-13)
+
+
+def test_recurrence_block_rows_give_lag_ladder():
+    rng = np.random.default_rng(5)
+    M = rng.normal(size=(6, 6))
+    U = np.zeros((4, 2, 6))
+    U[0] = rng.normal(size=(2, 6))
+    ladder = recurrence(U, M, 0.5)
+    for j in range(4):
+        np.testing.assert_allclose(
+            ladder[j], 0.5**j * U[0] @ np.linalg.matrix_power(M, j),
+            rtol=1e-12)
+
+
+def test_causal_fir_matches_literal_sum():
+    rng = np.random.default_rng(6)
+    K = rng.normal(size=(3, 2, 4))   # lags 0..2
+    x = rng.normal(size=(6, 2))
+    F = causal_fir(K, x)
+    for t in range(6):
+        expect = sum(x[t - j] @ K[j] for j in range(min(2, t) + 1))
+        np.testing.assert_allclose(F[t], expect, rtol=1e-13)
+    # lags past the sequence length are never reached
+    np.testing.assert_allclose(causal_fir(K, x[:2]), F[:2], rtol=1e-13)
+
+
+_NORM_SCRIPT = """
+import numpy as np
+from rnn_sysid.linalg import operator_norm_fast
+M = np.random.default_rng(0).normal(size=(1024, 1024))
+print(repr(operator_norm_fast(M)))
+"""
+
+
+def test_operator_norm_fast_same_in_every_process():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    outs = [subprocess.run([sys.executable, "-c", _NORM_SCRIPT], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=300).stdout
+            for _ in range(2)]
+    assert outs[0] == outs[1]
+    sigma = float(outs[0])
+    exact = np.linalg.svd(np.random.default_rng(0).normal(size=(1024, 1024)),
+                          compute_uv=False)[0]
+    assert sigma == pytest.approx(exact, rel=1e-9)

@@ -98,6 +98,32 @@ def test_linearized_truncated_matches_full_when_tau_large():
     np.testing.assert_allclose(full, trunc, atol=1e-11)
 
 
+@pytest.mark.parametrize("tau", [1, 3])
+def test_truncated_forwards_match_per_lag_sums(tau):
+    rnn, view, x = _setup(m=24, T=8)
+    rng = np.random.default_rng(9)
+    W = view.W0 + 0.02 * rng.normal(size=view.W0.shape)
+    A = view.A0 + 0.02 * rng.normal(size=view.A0.shape)
+    dW = W - view.W0
+    rho, B = rnn.rho, rnn.B
+    P0 = [np.linalg.matrix_power(view.W0, j) for j in range(tau + 1)]
+    # lag-j transfer matrices of f^tau and of its linearization at (W0, A0)
+    N = [rho**j * B @ P0[j] @ view.A0 for j in range(tau + 1)]
+    N_lin = [rho**j * B @ (P0[j] @ A + sum((P0[i] @ dW @ P0[j - 1 - i]
+                                            for i in range(j)),
+                                           np.zeros_like(dW)) @ view.A0)
+             for j in range(tau + 1)]
+    F = truncated_forward(view, B, rho, x, tau)
+    F_lin = linearized_forward(view.W0, view.A0, W, A, B, rho, x, tau=tau)
+    for t in range(len(x)):
+        lags = range(min(tau, t) + 1)
+        np.testing.assert_allclose(F[t], sum(N[j] @ x[t - j] for j in lags),
+                                   atol=1e-12)
+        np.testing.assert_allclose(F_lin[t],
+                                   sum(N_lin[j] @ x[t - j] for j in lags),
+                                   atol=1e-12)
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rnn, view, x = _setup()
     rnn.step = 17

@@ -87,3 +87,12 @@ def test_pass_fraction_is_worst_asserted_check():
     fractions = [rep.checks[n]["pass_fraction"]
                  for n in ("single", "double", "monotone")]
     assert rep.pass_fraction == min(fractions)
+
+
+def test_all_checks_skipped_is_not_a_pass():
+    # an empty omega grid leaves both asserted checks without instances
+    rep = verify_linearization(m=16, omega_grid=(), trials=1, seed=0)
+    assert rep.checks["bound"]["status"] == "skipped"
+    assert rep.checks["slope"]["status"] == "skipped"
+    assert rep.passed is False
+    assert np.isfinite(rep.pass_fraction)
