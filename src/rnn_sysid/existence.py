@@ -3,15 +3,16 @@
 For each lag t0 the teacher's transfer matrix is G C^{t0} D and the
 student's is rho^{t0} B W^{t0} A.  The construction corrects A for lag 0
 and spreads a correction for each lag t0 >= 1 over the t0 index pairs
-(a, b) with a + b = t0 - 1:
+(a, b) with a + b = t0 - 1, which together form one block product
 
-  dW term(a, b) = rho^{-t0}/t0 * (B W0^a)^T P1[a] M_t0 P2[b] (W0^b A0)^T,
+  W* - W0 = Lcat^T Core Rcat,  Lcat = [B W0^a]_a,  Rcat = [(W0^b A0)^T]_b,
+  Core[a, b] = rho^{-t0}/t0 * P1[a] M_t0 P2[b] if t0 = a + b + 1 < T_max else 0,
   M_t0 = G C^{t0} D - rho^{t0} B W0^{t0} A0,
 
-where P1[a] and P2[b] invert the small Gram matrices of B W0^a and
-W0^b A0.  Each matched pair reproduces M_t0 exactly through the
-linearization; the unmatched cross terms vanish at rate log m / sqrt(m)
-by the concentration bounds.
+of rank <= (T_max - 1) min(d, d_y), where P1[a] and P2[b] invert the small
+Gram matrices of B W0^a and W0^b A0.  Each matched pair reproduces M_t0
+exactly through the linearization; the unmatched cross terms vanish at
+rate log m / sqrt(m) by the concentration bounds.
 """
 
 import json
@@ -31,9 +32,6 @@ class ConditioningError(RuntimeError):
     pass
 
 
-MAX_DENSE_M = 4096
-
-
 @dataclass
 class GramInverses:
     P1: list   # P1[a] inverts B W0^a (W0^a)^T B^T, a = 0..horizon-1
@@ -49,7 +47,9 @@ class GramInverses:
 class ComparatorParams:
     W_star: np.ndarray
     A_star: np.ndarray
-    factors: list            # (coef, left m x d_y, core d_y x d, right d x m)
+    left: np.ndarray         # Lcat, (T_max-1) d_y x m
+    core: np.ndarray         # (T_max-1) d_y x (T_max-1) d
+    right: np.ndarray        # Rcat, (T_max-1) d x m
     dist_W: float
     dist_A: float
     distance_bound: float
@@ -97,8 +97,9 @@ def construct_comparator(W0, A0, B, teacher, rho, T_max, b=None):
     """Build (W*, A*) for lags 0..T_max-1 of the teacher's response.
 
     Requires rho > rho_C so the rho^{-t0} weights stay summable against
-    the teacher's decay.  The W* update is kept as a list of rank-<=
-    min(d, d_y) factors; the dense matrix is materialized for m <= 4096.
+    the teacher's decay.  The W* correction is kept as its factors
+    (left, core, right) = (Lcat, Core, Rcat) and materialized once as
+    W0 + left^T (core right), with dist_W = ||left^T core right||_F.
     """
     m = W0.shape[0]
     if b is None:
@@ -109,29 +110,27 @@ def construct_comparator(W0, A0, B, teacher, rho, T_max, b=None):
 
     A_star = A0 + L[0].T @ (grams.P1[0] @ (ir[0] - B @ A0))
 
-    factors = []
+    n = T_max - 1
+    left = L[:n].reshape(-1, m)
+    right = R[:n].reshape(-1, m)
+    core = np.zeros((n, B.shape[0], n, A0.shape[1]))
     for t0 in range(1, T_max):
         M = ir[t0] - rho**t0 * (L[t0] @ A0)
         coef = rho ** (-t0) / t0
         for a in range(t0):
-            bb = t0 - 1 - a
-            core = grams.P1[a] @ M @ grams.P2[bb]
-            factors.append((coef, L[a].T, core, R[bb]))
+            core[a, :, t0 - 1 - a] = coef * (grams.P1[a] @ M @ grams.P2[t0 - 1 - a])
+    core = core.reshape(len(left), len(right))
 
-    if m <= MAX_DENSE_M:
-        dW = np.zeros((m, m))
-        for coef, left, core, right in factors:
-            dW += coef * (left @ core @ right)
-        W_star = W0 + dW
-        dist_W = frob(dW)
-    else:
-        W_star = None
-        dist_W = float("nan")
+    W_star = left.T @ (core @ right)
+    dist_W = frob(W_star)
+    W_star += W0
 
-    comp = ComparatorParams(
+    return ComparatorParams(
         W_star=W_star,
         A_star=A_star,
-        factors=factors,
+        left=left,
+        core=core,
+        right=right,
         dist_W=dist_W,
         dist_A=frob(A_star - A0),
         distance_bound=2.0 * teacher.c_rho * b * T_max**2 / math.sqrt(m),
@@ -141,12 +140,14 @@ def construct_comparator(W0, A0, B, teacher, rho, T_max, b=None):
         meta={"cond_max": grams.cond_max, "resid_max": grams.resid_max,
               "rho_C": teacher.rho_C},
     )
-    return comp
 
 
-def comparator_rank_profile(comp, W0):
-    """Singular values of W* - W0, for the low-rank structure check."""
-    return np.linalg.svd(comp.W_star - W0, compute_uv=False)
+def comparator_rank_profile(comp):
+    """Singular values of W* - W0 = left^T core right: with QR factors
+    left^T = Q1 R1 and right^T = Q2 R2, those of the small R1 core R2^T."""
+    R1 = np.linalg.qr(comp.left.T, mode="r")
+    R2 = np.linalg.qr(comp.right.T, mode="r")
+    return np.linalg.svd(R1 @ comp.core @ R2.T, compute_uv=False)
 
 
 def verify_existence(comp, teacher, dataset, loss, W0, A0, B):
@@ -157,8 +158,6 @@ def verify_existence(comp, teacher, dataset, loss, W0, A0, B):
     construction covers.  Also reports the averaged loss gap to the
     teacher's own outputs and the two claimed bound values.
     """
-    if comp.W_star is None:
-        raise ValueError("dense W* not materialized at this m")
     view = RescaledView(W=comp.W_star, A=comp.A_star, W0=W0, A0=A0)
     T_eval = min(dataset.T, comp.T_max)
     fit_error = 0.0

@@ -142,7 +142,12 @@ def matrix_power_opnorm(W, k, scale=1.0, iters=8, block=4, seed=0, dtype=None):
 
 
 def frob(M):
-    return float(np.linalg.norm(M, "fro"))
+    """Frobenius norm of a matrix.
+
+    A plain numpy reduction, not a BLAS dot, so the value is the same at
+    every BLAS thread count.
+    """
+    return float(np.sqrt(np.einsum("ij,ij->", M, M)))
 
 
 def haar_orthogonal(n, rng):

@@ -98,7 +98,9 @@ def random_stable_system(d_p, d, d_y, rho_C, seed, cert_horizon=200):
     sys.opnorm_D = operator_norm(D)
     sys.opnorm_G = operator_norm(G)
     sys.c_rho, ok = stability_certificate(sys, cert_horizon)
-    assert ok
+    if not ok:
+        raise ParameterError(
+            f"spectral radius of C exceeds rho_C = {rho_C} (seed {seed})")
     return sys
 
 
@@ -261,7 +263,12 @@ def save_dataset(ds, sys, path):
 
 
 def load_dataset(path):
-    """Returns (dataset, system) from a directory written by save_dataset."""
+    """Returns (dataset, system) from a directory written by save_dataset.
+
+    Raises IOError when data.csv does not hold every (i, t) row exactly
+    once with all its fields, or when the stored system does not hash to
+    meta.json's system_hash.
+    """
     with open(os.path.join(path, "meta.json")) as f:
         meta = json.load(f)
     sys = StableLinearSystem(
@@ -271,19 +278,33 @@ def load_dataset(path):
         rho_C=float(meta["rho_C"]),
         c_rho=float(meta["c_rho"]),
     )
+    if sys.system_hash() != meta["system_hash"]:
+        raise IOError(f"{path}: stored system does not match its system_hash")
     T, K, d, d_y = meta["T"], meta["K"], meta["d"], meta["d_y"]
     X = np.empty((K, T, d))
     Yc = np.empty((K, T, d_y))
     Yo = np.empty((K, T, d_y))
+    seen = np.zeros((K, T), dtype=int)
     with open(os.path.join(path, "data.csv"), newline="") as f:
         r = csv.reader(f)
         next(r)
         for row in r:
+            if len(row) != 2 + d + 2 * d_y:
+                raise IOError(f"{path}: data.csv row {row[:2]} has {len(row)} "
+                              f"fields, expected {2 + d + 2 * d_y}")
             i, t = int(row[0]), int(row[1])
+            if not (0 <= i < K and 0 <= t < T):
+                raise IOError(f"{path}: row (i={i}, t={t}) outside K={K}, T={T}")
+            seen[i, t] += 1
             vals = [float(v) for v in row[2:]]
             X[i, t] = vals[:d]
             Yo[i, t] = vals[d : d + d_y]
             Yc[i, t] = vals[d + d_y :]
+    if np.any(seen != 1):
+        raise IOError(
+            f"{path}: data.csv lacks {np.sum(seen == 0)} (i, t) rows "
+            f"(first {np.argwhere(seen == 0)[:5].tolist()}) and repeats "
+            f"{np.sum(seen > 1)} (first {np.argwhere(seen > 1)[:5].tolist()})")
     ds = SequenceDataset(
         inputs=X,
         clean_outputs=Yc,

@@ -1,8 +1,8 @@
 """Plain SGD over sequences: sample one sequence per step, update (W~, A).
 
 B stays frozen.  Gradients are taken in the rescaled parameterization and
-mapped back to W~ with the exact 1/rho chain factor, so updating W~ by
-eta * grad_W~ equals updating W by eta * grad_W.
+mapped back to W~ with the exact 1/rho chain factor, grad_W~ = grad_W / rho,
+so updating W~ by eta * grad_W~ moves W = W~ / rho by (eta / rho^2) * grad_W.
 """
 
 import json

@@ -275,6 +275,29 @@ def verify_concentration(m=4096, tau=8, d=4, d_y=2, trials=20, seed=0,
 # geometric tails of the rescaled series
 
 
+def tail_norms(W, A0, B, Q, Q2, Z, rho, tau_grid):
+    """The single and double tails of `verify_tail`, capped at N = len(Z) - 1.
+
+    Reversed-drive recurrences give every H[t] = sum_{s >= t} (rho W)^{s-t}
+    A0 Z_s at once (and likewise with Q), and the ladder P[j] = rho^j B W^j
+    shifts each to its lag.  The double tail is the Q2-tangent of
+    P[tau-1] rho H[tau]: one tangent recurrence for each factor.
+    """
+    P = _lag_ladder(W.T, B.T, rho, max(tau_grid))
+    HQ = recurrence((Z @ Q.T)[::-1], W.T, rho)[::-1]
+    H = recurrence((Z @ A0.T)[::-1], W.T, rho)[::-1]
+    drive = np.zeros_like(H)
+    drive[:-1] = rho * (H[1:] @ Q2.T)
+    dH = recurrence(drive[::-1], W.T, rho)[::-1]
+    drive = np.zeros_like(P)
+    drive[1:] = rho * (P[:-1] @ Q2)
+    dP = recurrence(drive, W, rho)
+    singles = [np.linalg.norm(P[tau] @ HQ[tau]) for tau in tau_grid]
+    doubles = [np.linalg.norm(rho * (dP[j] @ H[j + 1] + P[j] @ dH[j + 1]))
+               for j in (max(tau, 1) - 1 for tau in tau_grid)]
+    return singles, doubles
+
+
 def verify_tail(m=256, tau_grid=(1, 2, 4, 8, 16, 30), trials=20, seed=0,
                 rho_0=0.9, d=4, d_y=2, threshold=DEFAULT_THRESHOLD):
     """Tail sums of the rescaled series against the explicit 4- and
@@ -305,40 +328,17 @@ def verify_tail(m=256, tau_grid=(1, 2, 4, 8, 16, 30), trials=20, seed=0,
         Q2 /= operator_norm(Q2)
         Z = np.array([_unit_vec(rng, d) for _ in range(N + 1)])
 
-        # single tail: backward Horner from the cap gives every
-        # H[tau] = sum_{t >= tau} (rho W)^{t - tau} Q Z_t at once; the
-        # B-side ladder rho^tau B W^tau then shifts each to lag tau
-        H = recurrence((Z @ Q.T)[::-1], W.T, rho)[::-1]
-        BW = _lag_ladder(W.T, B.T, rho, max(tau_grid))
-        singles = {tau: np.linalg.norm(BW[tau] @ H[tau]) for tau in tau_grid}
-
-        # double tail: term-by-term with interleaved Horner accumulators
-        doubles = {}
-        vecs = {}
-        for t0 in range(2, N + 1):
-            a = A0 @ Z[t0]
-            c = np.zeros(m)
-            wa = a
-            for _ in range(t0 - 1):
-                c = W @ c + Q2 @ wa
-                wa = W @ wa
-            vecs[t0] = rho**t0 * (B @ c)
-        for tau in tau_grid:
-            s = np.zeros(d_y)
-            for t0 in range(max(2, tau), N + 1):
-                s += vecs[t0]
-            doubles[tau] = np.linalg.norm(s)
-
+        singles, doubles = tail_norms(W, A0, B, Q, Q2, Z, rho, tau_grid)
         prev_s, prev_d = np.inf, np.inf
-        for tau in tau_grid:
+        for tau, single, double in zip(tau_grid, singles, doubles):
             b1 = 4.0 * np.sqrt(m) * tau * rho_0**tau / (1.0 - rho_0) ** 2
             b2 = 32.0 * np.sqrt(m) * tau**2 * rho_0**tau / (1.0 - rho_0) ** 3
-            flags["single"].append(singles[tau] <= b1)
-            flags["double"].append(doubles[tau] <= b2)
-            loose_max = max(loose_max, singles[tau] / b1, doubles[tau] / b2)
-            flags["monotone"].append(singles[tau] <= prev_s * (1 + 1e-12)
-                                     and doubles[tau] <= prev_d * (1 + 1e-12))
-            prev_s, prev_d = singles[tau], doubles[tau]
+            flags["single"].append(single <= b1)
+            flags["double"].append(double <= b2)
+            loose_max = max(loose_max, single / b1, double / b2)
+            flags["monotone"].append(single <= prev_s * (1 + 1e-12)
+                                     and double <= prev_d * (1 + 1e-12))
+            prev_s, prev_d = single, double
 
     report = LemmaReport(
         lemma_id="tail", m=int(m), trials=int(trials), seed=int(seed),

@@ -6,6 +6,7 @@ import pytest
 from rnn_sysid.existence import (ConditioningError, comparator_rank_profile,
                                  construct_comparator, gram_inverses,
                                  save_comparator, verify_existence)
+from rnn_sysid.harness import run_experiment
 from rnn_sysid.losses import make_loss
 from rnn_sysid.student import RescaledView, linearized_forward, truncated_forward
 from rnn_sysid.teacher import (generate_dataset, impulse_response,
@@ -74,7 +75,7 @@ def test_rank_profile_low_rank():
     W0, A0, B = _init(256, 3, 2, seed=2)
     T_max = 6
     comp = construct_comparator(W0, A0, B, TEACHER, 0.9, T_max)
-    sv = comparator_rank_profile(comp, W0)
+    sv = comparator_rank_profile(comp)
     rank_cap = T_max * min(TEACHER.d, TEACHER.d_y)
     assert np.all(sv[rank_cap:] <= 1e-10 * sv[0])
 
@@ -104,3 +105,27 @@ def test_fit_error_shrinks_with_m():
         report = verify_existence(comp, TEACHER, ds, loss, W0, A0, B)
         errs.append(report["fit_error"])
     assert errs[1] < errs[0]
+
+
+def test_rank_profile_matches_dense_svd():
+    # the factored profile agrees with the SVD of the materialized W* - W0
+    W0, A0, B = _init(256, 3, 2, seed=2)
+    T_max = 6
+    comp = construct_comparator(W0, A0, B, TEACHER, 0.9, T_max)
+    dense = np.linalg.svd(comp.W_star - W0, compute_uv=False)
+    sv = comparator_rank_profile(comp)
+    rank = (T_max - 1) * min(TEACHER.d, TEACHER.d_y)
+    np.testing.assert_allclose(sv[:rank], dense[:rank], rtol=1e-10,
+                               atol=1e-12 * dense[0])
+    assert np.all(dense[rank:] <= 1e-10 * dense[0])
+
+
+def test_existence_run_past_4096(tmp_path):
+    # every width builds a dense W*; there is no cap on m
+    cfg = {"kind": "existence", "seed": 0,
+           "teacher": {"d_p": 3, "d": 2, "d_y": 2, "rho_C": 0.8, "seed": 7},
+           "m_grid": [4100], "T_max": 4, "rho": 0.9, "probe": {"K": 1}}
+    code, _ = run_experiment(cfg, out_dir=str(tmp_path / "big"))
+    assert code == 0
+    summary = json.loads((tmp_path / "big" / "summary.json").read_text())
+    assert np.isfinite(summary["rows"][0]["fit_error"])

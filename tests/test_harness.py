@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,3 +184,34 @@ def test_artifacts_stamped_with_package_version(tmp_path):
 
 def test_cli_missing_config_errors():
     assert main(["train"]) == 2
+
+
+_THREADS_SCRIPT = """
+import sys
+from rnn_sysid.harness import run_experiment
+run_experiment({
+    "kind": "train", "seed": 5,
+    "teacher": {"d_p": 4, "d": 2, "d_y": 2, "rho_C": 0.8, "seed": 0},
+    "data": {"T": 16, "K": 16},
+    "student": {"m": 128, "rho_mode": "practical", "rho": 0.9},
+    "loss": {"kind": "square"},
+    "train": {"K_steps": 200, "holdout": True, "checkpoint_every": 100},
+}, out_dir=sys.argv[1])
+"""
+
+
+def test_trace_same_at_every_blas_thread_count(tmp_path):
+    # the determinism config, run once per BLAS thread count
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        subprocess.run([sys.executable, "-c", _THREADS_SCRIPT,
+                        str(tmp_path / threads)],
+                       env=env, check=True, timeout=300)
+    for rel in ("trace.jsonl", "summary.json",
+                "checkpoints/step_000200/W_tilde.bin"):
+        assert ((tmp_path / "1" / rel).read_bytes()
+                == (tmp_path / "2" / rel).read_bytes()), rel

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from rnn_sysid import teacher
 from rnn_sysid.teacher import (ParameterError, generate_dataset,
                                impulse_response, load_dataset,
                                random_stable_system, save_dataset, simulate,
@@ -90,3 +93,40 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
     np.testing.assert_array_equal(ds.clean_outputs, ds2.clean_outputs)
     np.testing.assert_array_equal(sys.C, sys2.C)
     assert ds.system_hash == ds2.system_hash == sys2.system_hash()
+
+
+def _saved_dataset(path):
+    sys = _sys(seed=9)
+    ds = generate_dataset(sys, "iid_gaussian_unit", 0.1, 9, 5, seed=4)
+    save_dataset(ds, sys, path)
+    return path
+
+
+def test_load_dataset_rejects_truncated_csv(tmp_path):
+    path = _saved_dataset(tmp_path / "ds")
+    csv_path = path / "data.csv"
+    lines = csv_path.read_text().splitlines(keepends=True)
+    csv_path.write_text("".join(lines[:-3]))
+    with pytest.raises(IOError, match=r"lacks 3 \(i, t\) rows"):
+        load_dataset(path)
+    # cut inside the last row: its final output field is gone
+    head, _ = "".join(lines).rstrip().rsplit(",", 1)
+    csv_path.write_text(head + "\n")
+    with pytest.raises(IOError, match="fields"):
+        load_dataset(path)
+
+
+def test_load_dataset_rejects_edited_system(tmp_path):
+    path = _saved_dataset(tmp_path / "ds")
+    meta = json.loads((path / "meta.json").read_text())
+    meta["system"]["C"][0][0] = "%.17g" % (float(meta["system"]["C"][0][0]) + 1e-3)
+    (path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(IOError, match="system_hash"):
+        load_dataset(path)
+
+
+def test_random_stable_system_raises_when_certificate_fails(monkeypatch):
+    monkeypatch.setattr(teacher, "stability_certificate",
+                        lambda sys, horizon: (1.0, False))
+    with pytest.raises(ParameterError):
+        random_stable_system(4, 3, 2, 0.8, 0)

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from rnn_sysid.verify import (LemmaReport, run_lemma, verify_concentration,
-                              verify_linearization, verify_spectral,
-                              verify_tail, verify_truncation)
+from rnn_sysid.verify import (LemmaReport, run_lemma, tail_norms,
+                              verify_concentration, verify_linearization,
+                              verify_spectral, verify_tail, verify_truncation)
 
 
 def test_report_save_roundtrip(tmp_path):
@@ -96,3 +96,24 @@ def test_all_checks_skipped_is_not_a_pass():
     assert rep.checks["slope"]["status"] == "skipped"
     assert rep.passed is False
     assert np.isfinite(rep.pass_fraction)
+
+
+def test_tail_norms_match_literal_sums():
+    # reference: the two tail series summed term by term with explicit powers
+    m, d, d_y, rho, N = 64, 3, 2, 0.85, 20
+    tau_grid = (1, 2, 5, 9)
+    rng = np.random.default_rng(0)
+    W = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, m))
+    A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, d))
+    B = rng.normal(0.0, np.sqrt(1.0 / d_y), size=(d_y, m))
+    Q = rng.normal(size=(m, d))
+    Q2 = rng.normal(size=(m, m)) / np.sqrt(m)
+    Z = rng.normal(size=(N + 1, d))
+    Wp = [np.linalg.matrix_power(W, k) for k in range(N + 1)]
+    singles, doubles = tail_norms(W, A0, B, Q, Q2, Z, rho, tau_grid)
+    for tau, single, double in zip(tau_grid, singles, doubles):
+        s1 = sum(rho**t * B @ Wp[t] @ Q @ Z[t] for t in range(tau, N + 1))
+        s2 = sum(rho**t0 * B @ Wp[t1 - 1] @ Q2 @ Wp[t0 - t1 - 1] @ A0 @ Z[t0]
+                 for t0 in range(max(tau, 2), N + 1) for t1 in range(1, t0))
+        assert single == pytest.approx(np.linalg.norm(s1), rel=1e-12)
+        assert double == pytest.approx(np.linalg.norm(s2), rel=1e-12)
