@@ -35,7 +35,8 @@ def build_parser():
     pv.add_argument("--lemma", choices=sorted(ALL_LEMMAS) + ["all"],
                     help="run one lemma check directly, without a config")
     pv.add_argument("--m", type=int, help="width for direct lemma runs")
-    pv.add_argument("--trials", type=int, default=20)
+    pv.add_argument("--trials", type=int,
+                    help="trials per lemma (default: the lemma's own)")
     return parser
 
 
@@ -55,10 +56,8 @@ def main(argv=None):
         lemmas = sorted(ALL_LEMMAS) if args.lemma == "all" else [args.lemma]
         code = 0
         for name in lemmas:
-            kwargs = {"trials": args.trials, "seed": args.seed or 0}
-            if args.m:
-                kwargs["m"] = args.m
-            report = run_lemma(name, **kwargs)
+            report = run_lemma(name, m=args.m, trials=args.trials,
+                               seed=args.seed)
             line = "%-14s pass_fraction=%.3f %s" % (
                 name, report.pass_fraction, "PASS" if report.passed else "FAIL")
             print(line)

@@ -1,13 +1,17 @@
 """Config-driven experiment runner.
 
 A single JSON config describes one of four experiment kinds (train,
-verify, existence, sweep).  Every artifact embeds the config hash, the
-seed, and the package version, and re-running a config reproduces all
-numeric outputs bit-exactly.
+verify, existence, sweep).  `SCHEMA` holds every field each kind accepts
+and its default; `resolve_config` checks a config against it at every
+depth and fills it in.  Every artifact embeds the config hash, the seed,
+and the package version, and re-running a config reproduces all numeric
+outputs bit-exactly.
 """
 
+import copy
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -18,25 +22,51 @@ from . import __version__
 from .existence import construct_comparator, save_comparator, verify_existence
 from .linalg import fit_loglog_slope
 from .losses import make_loss
-from .schedule import theory_schedule
+from .schedule import MULTIPLIER_FIELDS, theory_schedule
 from .student import init_student
 from .teacher import generate_dataset, load_dataset, random_stable_system
 from .trainer import running_average, sgd_train
-from .verify import run_lemma
-
-_KIND_FIELDS = {
-    "train": {"kind", "seed", "out_dir", "teacher", "dataset_path", "data",
-              "student", "loss", "train", "schedule"},
-    "verify": {"kind", "seed", "out_dir", "lemmas", "m", "trials", "lemma_params"},
-    "existence": {"kind", "seed", "out_dir", "teacher", "m_grid", "seeds",
-                  "T_max", "rho", "probe"},
-    "sweep": {"kind", "seed", "out_dir", "m_grid", "seeds", "teacher", "data",
-              "student", "loss", "train", "schedule"},
-}
+from .verify import ALL_LEMMAS, run_lemma
 
 
 class ConfigError(ValueError):
     pass
+
+
+class Only(frozenset):
+    """A mapping field whose keys must come from this set; none is filled in."""
+
+
+# Every config field and its default.  A dict is a section: it accepts its
+# own keys only and fills in the missing ones.  A None default is worked
+# out at run time: `seeds` is [seed], `_derive` sets train.eta and
+# train.K_steps from m or the theory schedule, `out_dir` comes from the
+# config hash, and verify's `m` and `trials` are left to each verifier.
+# Sections are named after the keyword arguments of the function they
+# feed, given in the comments.
+TEACHER = {"d_p": 4, "d": 2, "d_y": 2, "rho_C": 0.8, "seed": 0}  # random_stable_system
+DATA = {"input_spec": "iid_gaussian_unit", "noise_sigma": 0.0,    # generate_dataset
+        "T": 20, "K": 64}
+LOSS = {"kind": "square", "delta": 1.0}                           # make_loss
+SCHEDULE = {"epsilon": 0.05, "delta": math.exp(-1.0), "l0": 1.0,  # theory_schedule
+            "multipliers": Only(MULTIPLIER_FIELDS)}
+STUDENT = {"rho_mode": "practical", "rho": 0.9, "rho_0": 0.9}
+TRAIN = {"K_steps": None, "eta": None, "holdout": False, "checkpoint_every": 500}
+TRAINING = {"teacher": TEACHER, "data": DATA, "student": STUDENT, "loss": LOSS,
+            "train": TRAIN, "schedule": SCHEDULE}
+COMMON = {"kind": None, "seed": 0, "out_dir": None}
+
+SCHEMA = {
+    "train": {**COMMON, **TRAINING, "dataset_path": None,
+              "student": {"m": 512, **STUDENT}},
+    "sweep": {**COMMON, **TRAINING, "m_grid": [256], "seeds": None},
+    "existence": {**COMMON, "teacher": TEACHER, "m_grid": [256, 1024],
+                  "seeds": None, "T_max": 12, "rho": 0.9,
+                  "probe": {"K": 4}},                             # generate_dataset
+    "verify": {**COMMON, "lemmas": "all", "m": None, "trials": None,
+               "lemma_params": {name: Only(inspect.signature(fn).parameters)
+                                for name, fn in ALL_LEMMAS.items()}},
+}
 
 
 def config_hash(cfg):
@@ -44,14 +74,93 @@ def config_hash(cfg):
     return hashlib.sha256(blob).hexdigest()
 
 
-def _validate(cfg):
-    kind = cfg.get("kind")
-    if kind not in _KIND_FIELDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    unknown = set(cfg) - _KIND_FIELDS[kind]
+def _fill(spec, section, path):
+    """`section` checked against `spec`, with every missing field filled in."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path[:-1] or 'config'} must be a JSON object, "
+                          f"got {section!r}")
+    unknown = [path + key for key in section if key not in spec]
     if unknown:
-        raise ConfigError(f"unknown config fields for {kind}: {sorted(unknown)}")
-    return kind
+        raise ConfigError(f"unknown config field {', '.join(unknown)}")
+    if isinstance(spec, Only):
+        return dict(section)
+    filled = {}
+    for key, sub in spec.items():
+        if isinstance(sub, (dict, Only)):
+            filled[key] = _fill(sub, section[key] if key in section else {},
+                                f"{path}{key}.")
+        else:
+            filled[key] = section[key] if key in section else copy.deepcopy(sub)
+    return filled
+
+
+def resolve_config(config, seed_override=None):
+    """`config` checked against SCHEMA at every depth, defaults filled in.
+
+    Raises ConfigError naming the dotted path of an unknown field.  The
+    defaults that need the teacher or the width are left to `_derive`.
+    """
+    kind = config.get("kind")
+    if kind not in SCHEMA:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    c = _fill(SCHEMA[kind], config, "")
+    if seed_override is not None:
+        c["seed"] = seed_override
+    c["seed"] = int(c["seed"])
+    if "seeds" in c and c["seeds"] is None:
+        c["seeds"] = [c["seed"]]
+    if kind == "train" and c["dataset_path"] is not None:
+        beside = [key for key in ("teacher", "data") if key in config]
+        if beside:
+            raise ConfigError(f"{' and '.join(beside)} beside dataset_path: "
+                              "the saved dataset fixes the teacher and data")
+        del c["teacher"], c["data"]
+    if kind == "verify":
+        if c["lemmas"] == "all":
+            c["lemmas"] = list(ALL_LEMMAS)
+        bad = ([c["lemmas"]] if isinstance(c["lemmas"], str) else
+               [name for name in c["lemmas"] if name not in ALL_LEMMAS])
+        if bad:
+            raise ConfigError(f"unknown lemmas {bad}; choose from "
+                              f"{list(ALL_LEMMAS)} or 'all'")
+    return c
+
+
+def _derive(c, sys, m):
+    """One train cell of `c` at width m, derived defaults filled in.
+
+    Returns (config, theory schedule or None).  train.eta defaults to
+    1e-2/m and train.K_steps to 2000 in practical mode, and both to the
+    schedule's values in theory mode, where student.rho is the schedule's.
+    A theory schedule outside its regime asks for an astronomically long
+    run, so it is refused unless train.K_steps is given.
+    """
+    student = {**c["student"], "m": int(m)}
+    train = dict(c["train"])
+    mode = student["rho_mode"]
+    sched = None
+    if mode == "theory":
+        sched = theory_schedule(**c["schedule"], rho_0=student["rho_0"],
+                                c_rho=sys.c_rho, m=student["m"])
+        if sched.outside_theory_regime and train["K_steps"] is None:
+            raise ConfigError(
+                f"student.rho_mode 'theory' at m={m} is outside the theory "
+                f"regime (m_star = {sched.m_star:.3g}): its schedule asks for "
+                f"K = {sched.K:.3g} steps at eta = {sched.eta:.3g}; set "
+                "train.K_steps to run it anyway")
+        student["rho"] = sched.rho
+        derived = {"eta": sched.eta, "K_steps": sched.K}
+    elif mode == "practical":
+        student["rho"] = float(student["rho"])
+        derived = {"eta": 1e-2 / student["m"], "K_steps": 2000}
+    else:
+        raise ConfigError(f"unknown student.rho_mode {mode!r}")
+    for key, value in derived.items():
+        if train[key] is None:
+            train[key] = value
+    train["eta"] = float(train["eta"])
+    train["K_steps"] = int(train["K_steps"])
+    return {**c, "student": student, "train": train}, sched
 
 
 def _stamp(cfg, seed):
@@ -65,70 +174,31 @@ def _write_json(path, doc):
         f.write("\n")
 
 
-def _resolve_student(cfg, d, d_y, c_rho, m_override=None):
-    """Returns (m, rho, eta, K_steps, schedule_or_none)."""
-    student = cfg.get("student", {})
-    train = cfg.get("train", {})
-    m = int(m_override if m_override is not None else student.get("m", 512))
-    mode = student.get("rho_mode", "practical")
-    sched = None
-    if mode == "theory":
-        sc = cfg.get("schedule", {})
-        sched = theory_schedule(
-            sc.get("epsilon", 0.05), sc.get("delta", math.exp(-1.0)),
-            student.get("rho_0", 0.9), c_rho, m,
-            l0=sc.get("l0", 1.0), multipliers=sc.get("multipliers"))
-        rho = sched.rho
-        eta = train.get("eta", sched.eta)
-        K_steps = int(train.get("K_steps", sched.K))
-    elif mode == "practical":
-        rho = float(student.get("rho", 0.9))
-        eta = float(train["eta"]) if "eta" in train else 1e-2 / m
-        K_steps = int(train.get("K_steps", 2000))
-    else:
-        raise ConfigError(f"unknown rho_mode {mode!r}")
-    return m, rho, eta, K_steps, sched
-
-
-def _train_cell(cfg, out, seed, m_override=None):
-    teacher_cfg = cfg.get("teacher", {})
-    data_cfg = cfg.get("data", {})
-    if "dataset_path" in cfg:
-        dataset, sys = load_dataset(cfg["dataset_path"])
-    else:
-        sys = random_stable_system(
-            teacher_cfg.get("d_p", 4), teacher_cfg.get("d", 2),
-            teacher_cfg.get("d_y", 2), teacher_cfg.get("rho_C", 0.8),
-            teacher_cfg.get("seed", 0))
-        dataset = generate_dataset(
-            sys, data_cfg.get("input_spec", "iid_gaussian_unit"),
-            data_cfg.get("noise_sigma", 0.0), data_cfg.get("T", 20),
-            data_cfg.get("K", 64), seed)
-    loss_cfg = cfg.get("loss", {})
-    loss = make_loss(loss_cfg.get("kind", "square"),
-                     delta=loss_cfg.get("delta", 1.0), d_y=sys.d_y)
-    m, rho, eta, K_steps, sched = _resolve_student(
-        cfg, sys.d, sys.d_y, sys.c_rho, m_override=m_override)
-    train_cfg = cfg.get("train", {})
+def _train_cell(c, sched, sys, dataset, out, seed):
+    """Trains one cell of a derived config; returns (summary, trace)."""
+    if dataset is None:
+        dataset = generate_dataset(sys, **c["data"], seed=seed)
+    loss = make_loss(**c["loss"], d_y=sys.d_y)
+    student, train = c["student"], c["train"]
     holdout = None
-    if train_cfg.get("holdout", False):
-        holdout = generate_dataset(
-            sys, data_cfg.get("input_spec", "iid_gaussian_unit"),
-            data_cfg.get("noise_sigma", 0.0), data_cfg.get("T", 20),
-            data_cfg.get("K", 64), seed + 10_000)
-    rnn = init_student(m, sys.d, sys.d_y, rho, seed + 1)
+    if train["holdout"]:
+        # drawn like the training set, whether that was generated or loaded
+        holdout = generate_dataset(sys, dataset.input_spec, dataset.noise_sigma,
+                                   dataset.T, dataset.K, seed + 10_000)
+    rnn = init_student(student["m"], sys.d, sys.d_y, student["rho"], seed + 1)
     os.makedirs(out, exist_ok=True)
     trace = sgd_train(
-        rnn, dataset, loss, eta, K_steps, seed,
+        rnn, dataset, loss, train["eta"], train["K_steps"], seed,
         trace_path=os.path.join(out, "trace.jsonl"),
-        checkpoint_every=train_cfg.get("checkpoint_every", 500),
+        checkpoint_every=train["checkpoint_every"],
         checkpoint_dir=os.path.join(out, "checkpoints"),
         holdout=holdout)
     losses = trace.losses()
     window = max(1, min(len(losses) // 4, 500))
     avg = running_average(losses, window)
     summary = {
-        "m": m, "rho": rho, "eta": eta, "K_steps": K_steps,
+        "m": student["m"], "rho": student["rho"], "eta": train["eta"],
+        "K_steps": train["K_steps"],
         "loss_kind": loss.kind,
         "initial_avg_loss": float(avg[window - 1] if len(avg) >= window else avg[0]),
         "final_avg_loss": float(avg[-1]),
@@ -173,20 +243,12 @@ def generalization_gap(trace, train_dataset, holdout_dataset, loss, n_points=20)
     return {"ks": ks, "gaps": gaps, "exponent": exponent}
 
 
-def _run_verify(cfg, out, seed):
-    lemmas = cfg.get("lemmas", "all")
-    if lemmas == "all":
-        lemmas = ["spectral", "concentration", "tail", "linearization",
-                  "truncation"]
-    params = cfg.get("lemma_params", {})
+def _run_verify(c, out):
     all_pass = True
     results = {}
-    for name in lemmas:
-        kwargs = {"trials": cfg.get("trials", 20), "seed": seed}
-        if "m" in cfg:
-            kwargs["m"] = cfg["m"]
-        kwargs.update(params.get(name, {}))
-        report = run_lemma(name, **kwargs)
+    for name in c["lemmas"]:
+        report = run_lemma(name, **{"m": c["m"], "trials": c["trials"],
+                                    "seed": c["seed"], **c["lemma_params"][name]})
         report.save(os.path.join(out, f"report_{name}.json"))
         results[name] = {"passed": report.passed,
                          "pass_fraction": report.pass_fraction}
@@ -194,26 +256,21 @@ def _run_verify(cfg, out, seed):
     return results, all_pass
 
 
-def _run_existence(cfg, out, seed):
-    teacher_cfg = cfg.get("teacher", {})
-    sys = random_stable_system(
-        teacher_cfg.get("d_p", 4), teacher_cfg.get("d", 2),
-        teacher_cfg.get("d_y", 2), teacher_cfg.get("rho_C", 0.8),
-        teacher_cfg.get("seed", 0))
-    T_max = int(cfg.get("T_max", 12))
-    rho = float(cfg.get("rho", 0.9))
-    probe = cfg.get("probe", {})
-    loss = make_loss("square", d_y=sys.d_y)
+def _run_existence(c, out):
+    sys = random_stable_system(**c["teacher"])
+    T_max = int(c["T_max"])
+    rho = float(c["rho"])
+    loss = make_loss(**LOSS, d_y=sys.d_y)
     rows = []
-    for m in cfg.get("m_grid", [256, 1024]):
-        for s in cfg.get("seeds", [seed]):
+    for m in c["m_grid"]:
+        for s in c["seeds"]:
             rng = np.random.default_rng([int(s), m])
             W0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, m))
             A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, sys.d))
             B = rng.normal(0.0, np.sqrt(1.0 / sys.d_y), size=(sys.d_y, m))
-            dataset = generate_dataset(
-                sys, "iid_gaussian_unit", 0.0, T_max,
-                probe.get("K", 4), s + 500)
+            # probe sequences of length T_max, drawn like the default data
+            dataset = generate_dataset(sys, **{**DATA, "T": T_max, **c["probe"]},
+                                       seed=s + 500)
             comp = construct_comparator(W0, A0, B, sys, rho, T_max)
             report = verify_existence(comp, sys, dataset, loss, W0, A0, B)
             cell = os.path.join(out, f"cell_m{m}_s{s}")
@@ -231,12 +288,14 @@ def _run_existence(cfg, out, seed):
     return {"rows": rows, "fit_error_slope_vs_m": slope, "distances_ok": ok}, ok
 
 
-def _run_sweep(cfg, out, seed):
+def _run_sweep(c, cells, sys, out):
+    """Trains every (m, seed) cell; `cells` maps m to its derived config."""
     rows = []
-    for m in cfg.get("m_grid", [256]):
-        for s in cfg.get("seeds", [seed]):
+    for m in c["m_grid"]:
+        for s in c["seeds"]:
             cell_dir = os.path.join(out, f"cell_m{m}_s{s}")
-            summary, _ = _train_cell(cfg, cell_dir, s, m_override=m)
+            cell, sched = cells[m]
+            summary, _ = _train_cell(cell, sched, sys, None, cell_dir, s)
             summary = {"m": m, "seed": s, **summary}
             _write_json(os.path.join(cell_dir, "summary.json"), summary)
             rows.append(summary)
@@ -249,37 +308,51 @@ _SWEEP_COLUMNS = ["m", "seed", "rho", "eta", "K_steps", "loss_kind",
                   "dW_frob_final", "dA_frob_final", "aborted"]
 
 
+def _begin(out, cfg, c, stamp):
+    """Writes the config as given (config.json) and as resolved."""
+    os.makedirs(out, exist_ok=True)
+    _write_json(os.path.join(out, "config.json"), {**cfg, "_meta": stamp})
+    _write_json(os.path.join(out, "resolved_config.json"), {**c, "out_dir": out})
+
+
 def run_experiment(config, out_dir=None, seed_override=None):
     """Execute one experiment; returns (exit_code, artifact_dir)."""
     cfg = dict(config)
-    kind = _validate(cfg)
-    seed = int(seed_override if seed_override is not None else cfg.get("seed", 0))
-    out = out_dir or cfg.get("out_dir") or os.path.join(
+    c = resolve_config(cfg, seed_override)
+    kind, seed = c["kind"], c["seed"]
+    out = out_dir or c["out_dir"] or os.path.join(
         "runs", kind + "_" + config_hash(cfg)[:12])
-    os.makedirs(out, exist_ok=True)
     stamp = _stamp(cfg, seed)
-    _write_json(os.path.join(out, "config.json"), {**cfg, "_meta": stamp})
 
     if kind == "train":
-        summary, _ = _train_cell(cfg, out, seed)
+        if c["dataset_path"] is None:
+            dataset, sys = None, random_stable_system(**c["teacher"])
+        else:
+            dataset, sys = load_dataset(c["dataset_path"])
+        c, sched = _derive(c, sys, c["student"]["m"])
+        _begin(out, cfg, c, stamp)
+        summary, _ = _train_cell(c, sched, sys, dataset, out, seed)
         _write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})
         return (1 if summary["aborted"] else 0), out
+    if kind == "sweep":
+        sys = random_stable_system(**c["teacher"])
+        cells = {m: _derive(c, sys, m) for m in c["m_grid"]}
+        _begin(out, cfg, c, stamp)
+        rows = _run_sweep(c, cells, sys, out)
+        with open(os.path.join(out, "summary.csv"), "w", newline="") as f:
+            w = csv.DictWriter(f, fieldnames=_SWEEP_COLUMNS, extrasaction="ignore")
+            w.writeheader()
+            for row in rows:
+                w.writerow(row)
+        _write_json(os.path.join(out, "summary.json"), {"cells": len(rows),
+                                                        "_meta": stamp})
+        return 0, out
+    _begin(out, cfg, c, stamp)
     if kind == "verify":
-        results, ok = _run_verify(cfg, out, seed)
+        results, ok = _run_verify(c, out)
         _write_json(os.path.join(out, "summary.json"),
                     {"results": results, "all_passed": ok, "_meta": stamp})
         return (0 if ok else 1), out
-    if kind == "existence":
-        summary, ok = _run_existence(cfg, out, seed)
-        _write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})
-        return (0 if ok else 1), out
-    # sweep
-    rows = _run_sweep(cfg, out, seed)
-    with open(os.path.join(out, "summary.csv"), "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=_SWEEP_COLUMNS, extrasaction="ignore")
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
-    _write_json(os.path.join(out, "summary.json"), {"cells": len(rows),
-                                                    "_meta": stamp})
-    return 0, out
+    summary, ok = _run_existence(c, out)
+    _write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})
+    return (0 if ok else 1), out

@@ -16,7 +16,7 @@ class ScheduleError(RuntimeError):
     pass
 
 
-_MULTIPLIER_FIELDS = ("T_max", "eta", "K", "m_star", "nu")
+MULTIPLIER_FIELDS = ("T_max", "eta", "K", "m_star", "nu")
 
 
 @dataclass
@@ -83,9 +83,9 @@ def theory_schedule(epsilon, delta, rho_0, c_rho, m, l0=1.0, multipliers=None):
         raise ParameterError(f"rho_0 must be in (0, 1), got {rho_0}")
     if m < 2:
         raise ParameterError("m must be >= 2")
-    mult = {k: 1.0 for k in _MULTIPLIER_FIELDS}
+    mult = {k: 1.0 for k in MULTIPLIER_FIELDS}
     if multipliers:
-        unknown = set(multipliers) - set(_MULTIPLIER_FIELDS)
+        unknown = set(multipliers) - set(MULTIPLIER_FIELDS)
         if unknown:
             raise ParameterError(f"unknown multiplier fields {sorted(unknown)}")
         mult.update(multipliers)

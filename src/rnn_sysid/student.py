@@ -191,16 +191,30 @@ def save_checkpoint(rnn, view, path):
 
 
 def load_checkpoint(path):
-    """Returns (rnn, view) with anchors restored from the saved blobs."""
+    """Returns (rnn, view) with anchors restored from the saved blobs.
+
+    Raises IOError unless the header has format_version 1 and every blob
+    has the shape its m, d and d_y imply and that many values.
+    """
     with open(os.path.join(path, "checkpoint.json")) as f:
         header = json.load(f)
+    version = header.get("format_version")
+    if version != 1:
+        raise IOError(f"{path}: checkpoint format_version {version!r}, expected 1")
+    m, d, d_y = header["m"], header["d"], header["d_y"]
+    shapes = {"W_tilde": [m, m], "A": [m, d], "B": [d_y, m],
+              "W0": [m, m], "A0": [m, d]}
     mats = {}
     for name in _BLOBS:
         spec = header["blobs"][name]
+        if spec["shape"] != shapes[name]:
+            raise IOError(f"{path}: blob {name} has shape {spec['shape']}, "
+                          f"expected {shapes[name]} for m={m}, d={d}, d_y={d_y}")
+        rows, cols = shapes[name]
         M = np.fromfile(os.path.join(path, spec["file"]), dtype="<f8")
-        if M.size != spec["length"]:
-            raise IOError(f"blob {name} has {M.size} values, expected {spec['length']}")
-        mats[name] = M.reshape(spec["shape"])
+        if M.size != rows * cols:
+            raise IOError(f"blob {name} has {M.size} values, expected {rows * cols}")
+        mats[name] = M.reshape(rows, cols)
     rho = float(header["rho"])
     rnn = StudentRNN(
         W_tilde=mats["W_tilde"],

@@ -502,6 +502,7 @@ ALL_LEMMAS = {
 
 
 def run_lemma(name, **kwargs):
+    """Runs one lemma check; a keyword given as None takes its default."""
     if name not in ALL_LEMMAS:
         raise ValueError(f"unknown lemma {name!r}; choose from {sorted(ALL_LEMMAS)}")
-    return ALL_LEMMAS[name](**kwargs)
+    return ALL_LEMMAS[name](**{k: v for k, v in kwargs.items() if v is not None})

@@ -27,6 +27,8 @@ from rnn_sysid.trainer import running_average, sgd_train
 from rnn_sysid.verify import (verify_concentration, verify_linearization,
                               verify_spectral, verify_truncation)
 
+pytestmark = pytest.mark.acceptance
+
 
 def _verdict(name, ok, detail=""):
     print("\n[%s] %s %s" % ("PASS" if ok else "FAIL", name, detail))

@@ -1,5 +1,8 @@
+import inspect
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -7,13 +10,16 @@ import numpy as np
 import pytest
 
 import rnn_sysid
+from rnn_sysid import harness
 from rnn_sysid.cli import main
 from rnn_sysid.harness import (ConfigError, config_hash, generalization_gap,
                                run_experiment)
 from rnn_sysid.losses import make_loss
 from rnn_sysid.student import init_student
-from rnn_sysid.teacher import generate_dataset, random_stable_system
+from rnn_sysid.teacher import (generate_dataset, random_stable_system,
+                               save_dataset)
 from rnn_sysid.trainer import sgd_train
+from rnn_sysid.verify import ALL_LEMMAS, verify_tail
 
 TRAIN_CFG = {
     "kind": "train",
@@ -38,9 +44,209 @@ def test_unknown_kind_rejected():
         run_experiment({"kind": "bench"})
 
 
-def test_unknown_field_rejected():
-    with pytest.raises(ConfigError):
-        run_experiment({"kind": "train", "learning_rate": 0.1})
+_UNKNOWN_FIELDS = [
+    ({"kind": "train", "learning_rate": 0.1}, "learning_rate"),
+    ({"kind": "train", "train": {"Ksteps": 5}}, "train.Ksteps"),
+    ({"kind": "train", "loss": {"knd": "l1"}}, "loss.knd"),
+    ({"kind": "sweep", "student": {"rho_mod": "theory"}}, "student.rho_mod"),
+    ({"kind": "existence", "probe": {"k": 2}}, "probe.k"),
+    ({"kind": "verify", "lemma_params": {"spectrl": {"m": 64}}},
+     "lemma_params.spectrl"),
+    # fields this kind has no use for
+    ({"kind": "sweep", "student": {"m": 64}}, "student.m"),
+    ({"kind": "verify", "lemma_params": {"tail": {"tau": 3}}},
+     "lemma_params.tail.tau"),
+    ({"kind": "train", "schedule": {"multipliers": {"etta": 2.0}}},
+     "schedule.multipliers.etta"),
+]
+
+
+@pytest.mark.parametrize("cfg, path", _UNKNOWN_FIELDS,
+                         ids=[path for _, path in _UNKNOWN_FIELDS])
+def test_unknown_field_rejected(cfg, path, tmp_path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        run_experiment(cfg, out_dir=str(tmp_path / "r"))
+    assert not (tmp_path / "r").exists()
+
+
+def test_section_must_be_an_object(tmp_path):
+    with pytest.raises(ConfigError, match="train must be a JSON object"):
+        run_experiment({"kind": "train", "train": 5},
+                       out_dir=str(tmp_path / "r"))
+
+
+class _Started(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise _Started()
+
+
+def _resolved(cfg, tmp_path, monkeypatch):
+    """resolved_config.json of `cfg`, stopping where training would start."""
+    monkeypatch.setattr(harness, "sgd_train", _refuse)
+    with pytest.raises(_Started):
+        run_experiment(cfg, out_dir=str(tmp_path / "r"))
+    return json.loads((tmp_path / "r" / "resolved_config.json").read_text())
+
+
+def test_resolved_config_of_the_readme_example(tmp_path, monkeypatch):
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")).read()
+    example = readme.split("A train config looks like:")[1]
+    cfg = json.loads(example.split("```json")[1].split("```")[0])
+    resolved = _resolved(cfg, tmp_path, monkeypatch)
+    assert resolved["train"]["eta"] == 1e-2 / 512
+    assert resolved["train"]["checkpoint_every"] == 500
+    assert resolved["student"] == {**cfg["student"], "rho_0": 0.9}
+    echo = json.loads((tmp_path / "r" / "config.json").read_text())
+    echo.pop("_meta")
+    assert echo == cfg
+
+
+def test_resolved_config_fills_the_derived_defaults(tmp_path, monkeypatch):
+    resolved = _resolved({"kind": "train", "data": {"T": 4, "K": 2}},
+                         tmp_path, monkeypatch)
+    assert resolved["student"]["m"] == 512
+    assert resolved["train"]["K_steps"] == 2000
+    assert resolved["train"]["eta"] == 1e-2 / 512
+    assert resolved["seed"] == 0 and resolved["out_dir"] == str(tmp_path / "r")
+
+
+def test_empty_sections_match_written_out_defaults(tmp_path):
+    # m and K_steps are kept small here; their defaults are checked through
+    # resolved_config.json above
+    empty = {"kind": "train", "teacher": {}, "data": {},
+             "student": {"m": 24}, "loss": {}, "train": {"K_steps": 30},
+             "schedule": {}}
+    written = {
+        "kind": "train", "seed": 0, "out_dir": None, "dataset_path": None,
+        "teacher": {"d_p": 4, "d": 2, "d_y": 2, "rho_C": 0.8, "seed": 0},
+        "data": {"input_spec": "iid_gaussian_unit", "noise_sigma": 0.0,
+                 "T": 20, "K": 64},
+        "student": {"m": 24, "rho_mode": "practical", "rho": 0.9,
+                    "rho_0": 0.9},
+        "loss": {"kind": "square", "delta": 1.0},
+        "train": {"K_steps": 30, "eta": 1e-2 / 24, "holdout": False,
+                  "checkpoint_every": 500},
+        "schedule": {"epsilon": 0.05, "delta": math.exp(-1.0), "l0": 1.0,
+                     "multipliers": {}},
+    }
+    docs = {}
+    for name, cfg in (("empty", empty), ("written", written)):
+        run_experiment(cfg, out_dir=str(tmp_path / name))
+        docs[name] = {f: (tmp_path / name / f).read_bytes()
+                      for f in ("summary.json", "trace.jsonl")}
+        resolved = json.loads(
+            (tmp_path / name / "resolved_config.json").read_text())
+        assert resolved.pop("out_dir") == str(tmp_path / name)
+        docs[name]["resolved"] = resolved
+    # the config hash in _meta differs, as the two configs are not equal
+    a, b = (docs[n]["summary.json"].decode() for n in ("empty", "written"))
+    assert a.replace(config_hash(empty), "") == \
+        b.replace(config_hash(written), "")
+    assert docs["empty"]["trace.jsonl"] == docs["written"]["trace.jsonl"]
+    assert docs["empty"]["resolved"] == docs["written"]["resolved"]
+    assert docs["written"]["resolved"] == {
+        k: v for k, v in written.items() if k != "out_dir"}
+
+
+def test_resolved_config_reruns_the_run(tmp_path):
+    run_experiment(TRAIN_CFG, out_dir=str(tmp_path / "a"))
+    resolved = json.loads((tmp_path / "a" / "resolved_config.json").read_text())
+    run_experiment(resolved, out_dir=str(tmp_path / "b"))
+    assert (tmp_path / "a" / "trace.jsonl").read_bytes() == \
+        (tmp_path / "b" / "trace.jsonl").read_bytes()
+    again = json.loads((tmp_path / "b" / "resolved_config.json").read_text())
+    assert again == {**resolved, "out_dir": str(tmp_path / "b")}
+
+
+def test_theory_run_outside_its_regime_is_refused(tmp_path, monkeypatch):
+    # at m=512 the theory schedule asks for ~4.5e39 steps
+    monkeypatch.setattr(harness, "generate_dataset", _refuse)
+    monkeypatch.setattr(harness, "sgd_train", _refuse)
+    with pytest.raises(ConfigError, match="train.K_steps"):
+        run_experiment({"kind": "train", "student": {"rho_mode": "theory"}},
+                       out_dir=str(tmp_path / "r"))
+    assert not (tmp_path / "r").exists()
+
+
+def test_theory_run_with_explicit_steps_goes_ahead(tmp_path):
+    cfg = {"kind": "train", "data": {"T": 6, "K": 2},
+           "student": {"m": 16, "rho_mode": "theory"},
+           "train": {"K_steps": 3}}
+    code, out = run_experiment(cfg, out_dir=str(tmp_path / "t"))
+    summary = json.loads((tmp_path / "t" / "summary.json").read_text())
+    assert code == 0 and summary["K_steps"] == 3
+    assert summary["schedule"]["outside_theory_regime"]
+    assert summary["eta"] == summary["schedule"]["eta"]
+    assert summary["rho"] == summary["schedule"]["rho"]
+
+
+def _saved_dataset(path):
+    sys_ = random_stable_system(3, 2, 2, 0.8, 0)
+    ds = generate_dataset(sys_, "iid_uniform_sphere", 0.1, 12, 5, seed=4)
+    save_dataset(ds, sys_, str(path))
+    return ds
+
+
+def test_holdout_follows_dataset_path(tmp_path, monkeypatch):
+    _saved_dataset(tmp_path / "ds")
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(inspect.signature(generate_dataset).bind(
+            *args, **kwargs).arguments)
+        return generate_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "generate_dataset", recording)
+    cfg = {"kind": "train", "seed": 2, "dataset_path": str(tmp_path / "ds"),
+           "student": {"m": 16}, "train": {"K_steps": 20, "holdout": True}}
+    code, _ = run_experiment(cfg, out_dir=str(tmp_path / "t"))
+    assert code == 0
+    assert len(calls) == 1
+    drawn = {k: v for k, v in calls[0].items() if k != "sys"}
+    assert drawn == {"input_spec": "iid_uniform_sphere", "noise_sigma": 0.1,
+                     "T": 12, "K": 5, "seed": 2 + 10_000}
+    resolved = json.loads((tmp_path / "t" / "resolved_config.json").read_text())
+    assert "teacher" not in resolved and "data" not in resolved
+
+
+@pytest.mark.parametrize("section", ["teacher", "data"])
+def test_section_beside_dataset_path_rejected(section, tmp_path):
+    _saved_dataset(tmp_path / "ds")
+    with pytest.raises(ConfigError, match="dataset_path"):
+        run_experiment({"kind": "train", "dataset_path": str(tmp_path / "ds"),
+                        section: {}}, out_dir=str(tmp_path / "r"))
+
+
+def _recording_lemma(monkeypatch):
+    seen = []
+
+    def tail(**kwargs):
+        seen.append(kwargs)
+        return verify_tail(m=16, trials=1, tau_grid=(1, 2))
+
+    monkeypatch.setitem(ALL_LEMMAS, "tail", tail)
+    return seen
+
+
+def test_verify_passes_trials_and_m_only_when_given(tmp_path, monkeypatch):
+    seen = _recording_lemma(monkeypatch)
+    run_experiment({"kind": "verify", "lemmas": ["tail"]},
+                   out_dir=str(tmp_path / "a"))
+    run_experiment({"kind": "verify", "lemmas": ["tail"], "m": 8, "trials": 2,
+                    "lemma_params": {"tail": {"trials": 3}}},
+                   out_dir=str(tmp_path / "b"))
+    assert seen == [{"seed": 0}, {"m": 8, "trials": 3, "seed": 0}]
+
+
+def test_cli_direct_lemma_passes_trials_only_when_given(monkeypatch, capsys):
+    seen = _recording_lemma(monkeypatch)
+    main(["verify", "--lemma", "tail", "--m", "8"])
+    main(["verify", "--lemma", "tail", "--trials", "2", "--seed", "5"])
+    assert seen == [{"m": 8}, {"trials": 2, "seed": 5}]
 
 
 def test_train_kind_writes_artifacts(tmp_path):

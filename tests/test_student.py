@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,36 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     np.testing.assert_array_equal(view.W0, view2.W0)
     assert rnn2.step == 17
     assert view2.dist_W == pytest.approx(view.dist_W)
+
+
+def _edit_header(path, edit):
+    header = json.loads((path / "checkpoint.json").read_text())
+    edit(header)
+    (path / "checkpoint.json").write_text(json.dumps(header))
+
+
+def test_checkpoint_blob_shape_must_match_header(tmp_path):
+    rnn, view, _ = _setup(m=8, d=3, d_y=2)
+    save_checkpoint(rnn, view, tmp_path / "ck")
+    # B is d_y x m; read as m x d_y it would give a student with d_y == m
+    _edit_header(tmp_path / "ck",
+                 lambda h: h["blobs"]["B"].update(shape=[8, 2]))
+    with pytest.raises(IOError, match="blob B has shape"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_format_version_checked(tmp_path):
+    rnn, view, _ = _setup(m=8)
+    save_checkpoint(rnn, view, tmp_path / "ck")
+    _edit_header(tmp_path / "ck", lambda h: h.update(format_version=2))
+    with pytest.raises(IOError, match="format_version"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_blob_must_hold_every_value(tmp_path):
+    rnn, view, _ = _setup(m=8)
+    save_checkpoint(rnn, view, tmp_path / "ck")
+    blob = tmp_path / "ck" / "A.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    with pytest.raises(IOError, match="blob A has 23 values, expected 24"):
+        load_checkpoint(tmp_path / "ck")
