@@ -15,9 +15,9 @@ from .linalg import (DimensionError, fit_loglog_slope, frob,
                      matrix_power_opnorm, operator_norm, spectral_radius)
 from .losses import LossFunction, eval_loss, make_loss, sequence_loss
 from .schedule import ScheduleError, TheorySchedule, theory_schedule
-from .student import (RescaledView, StudentRNN, forward, forward_rescaled,
-                      init_student, linearized_forward, load_checkpoint,
-                      rescaled_view, save_checkpoint, truncated_forward)
+from .student import (StudentRNN, forward_rescaled, init_student,
+                      linearized_forward, load_checkpoint, save_checkpoint,
+                      truncated_forward)
 from .teacher import (ParameterError, SequenceDataset, StableLinearSystem,
                       generate_dataset, load_dataset, random_stable_system,
                       save_dataset, simulate, stability_certificate)

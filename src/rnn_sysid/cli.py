@@ -5,6 +5,9 @@
     sysid verify --lemma all --m 1024 --out reports   # reports/report_<name>.json
 
 The config file is a single JSON document; see the README for the schema.
+`--lemma`, `--m` and `--trials` run a lemma directly and are refused
+beside `--config`, whose `lemmas`, `m` and `trials` fields they would
+otherwise be mistaken for.
 """
 
 import argparse
@@ -71,6 +74,12 @@ def main(argv=None):
     if not args.config:
         print("error: --config is required (or --lemma for verify)",
               file=sys.stderr)
+        return 2
+    beside = ["--" + flag for flag in ("lemma", "m", "trials")
+              if getattr(args, flag, None) is not None]
+    if beside:
+        print(f"error: {', '.join(beside)} cannot be used with --config; "
+              "set them in the config", file=sys.stderr)
         return 2
     cfg = _load_config(args.config, args.command)
     code, out = run_experiment(cfg, out_dir=args.out, seed_override=args.seed)

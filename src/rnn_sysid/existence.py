@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import frob
 from .losses import sequence_loss
-from .student import RescaledView, _lag_ladder, forward_rescaled
+from .student import _lag_ladder, forward_rescaled
 from .teacher import impulse_response
 
 
@@ -158,13 +158,12 @@ def verify_existence(comp, teacher, dataset, loss, W0, A0, B):
     construction covers.  Also reports the averaged loss gap to the
     teacher's own outputs and the two claimed bound values.
     """
-    view = RescaledView(W=comp.W_star, A=comp.A_star, W0=W0, A0=A0)
     T_eval = min(dataset.T, comp.T_max)
     fit_error = 0.0
     gap = 0.0
     for i in range(dataset.K):
         x = dataset.inputs[i][:T_eval]
-        F = forward_rescaled(view, B, comp.rho, x)
+        F = forward_rescaled(comp.W_star, comp.A_star, B, comp.rho, x)
         ytil = dataset.clean_outputs[i][:T_eval]
         yobs = dataset.observed_outputs[i][:T_eval]
         fit_error = max(fit_error, float(np.max(np.linalg.norm(F - ytil, axis=1))))

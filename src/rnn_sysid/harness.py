@@ -74,6 +74,21 @@ def config_hash(cfg):
     return hashlib.sha256(blob).hexdigest()
 
 
+# The JSON type a value must have, by the type of its field's default
+# (a None default is worked out at run time and checked there).  bool is
+# a subclass of int in Python, so int and float fields refuse it apart.
+_JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string"),
+               list: ((list,), "a list")}
+
+
+def _check_type(value, default, name):
+    types, what = _JSON_TYPES[type(default)]
+    if not isinstance(value, types) or (isinstance(value, bool)
+                                        and not isinstance(default, bool)):
+        raise ConfigError(f"config field {name} must be {what}, got {value!r}")
+
+
 def _fill(spec, section, path):
     """`section` checked against `spec`, with every missing field filled in."""
     if not isinstance(section, dict):
@@ -89,16 +104,22 @@ def _fill(spec, section, path):
         if isinstance(sub, (dict, Only)):
             filled[key] = _fill(sub, section[key] if key in section else {},
                                 f"{path}{key}.")
+        elif key not in section:
+            filled[key] = copy.deepcopy(sub)
         else:
-            filled[key] = section[key] if key in section else copy.deepcopy(sub)
+            # `lemmas` is a name or a list of names: resolve_config checks it
+            if sub is not None and key != "lemmas":
+                _check_type(section[key], sub, path + key)
+            filled[key] = section[key]
     return filled
 
 
 def resolve_config(config, seed_override=None):
     """`config` checked against SCHEMA at every depth, defaults filled in.
 
-    Raises ConfigError naming the dotted path of an unknown field.  The
-    defaults that need the teacher or the width are left to `_derive`.
+    Raises ConfigError naming the dotted path of an unknown field or of a
+    value whose JSON type differs from its default's.  The defaults that
+    need the teacher or the width are left to `_derive`.
     """
     kind = config.get("kind")
     if kind not in SCHEMA:

@@ -1,10 +1,10 @@
 """Over-parameterized linear RNN student.
 
-Hidden recurrence h_t = W~ h_{t-1} + A x_t with readout f~_t = B h_t.
-Most analysis-facing code works in the rescaled parameterization
-W = W~ / rho, where f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0}; the rescaled
-recurrence g_t = rho W g_{t-1} + A x_t evaluates the same series without
-explicit matrix powers.  Every forward here is a call to
+The trained recurrence h_t = W~ h_{t-1} + A x_t with readout f_t = B h_t
+is held in the rescaled parameterization W = W~ / rho, where
+f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0}: W is the one parameter matrix,
+and the recurrence g_t = rho W g_{t-1} + A x_t evaluates the same series
+without explicit matrix powers.  Every forward here is a call to
 `linalg.recurrence`: over time for the full series and its tangent, over
 lag for the ladders rho^j W^j A whose per-lag transfer matrices
 `linalg.causal_fir` sums against the inputs in the truncated forwards.
@@ -12,26 +12,30 @@ lag for the ladders rho^j W^j A whose per-lag transfer matrices
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, causal_fir, frob, recurrence
+from .linalg import DimensionError, causal_fir, recurrence
 from .teacher import ParameterError
 
 
 @dataclass
 class StudentRNN:
-    W_tilde: np.ndarray   # m x m
-    A: np.ndarray         # m x d
-    B: np.ndarray         # d_y x m, frozen after init
+    """Trained (W, A), frozen B, and the initialization anchors (W0, A0)."""
+
+    W: np.ndarray    # m x m, rescaled: the recurrence matrix is rho W
+    A: np.ndarray    # m x d
+    B: np.ndarray    # d_y x m, frozen after init
     rho: float
+    W0: np.ndarray   # W and A at initialization
+    A0: np.ndarray
     seed: int = 0
     step: int = 0
 
     @property
     def m(self):
-        return self.W_tilde.shape[0]
+        return self.W.shape[0]
 
     @property
     def d(self):
@@ -42,46 +46,22 @@ class StudentRNN:
         return self.B.shape[0]
 
 
-@dataclass
-class RescaledView:
-    """W = W_tilde / rho plus the frozen initialization anchors.
-
-    dist_W / dist_A cache the Frobenius distances to the anchors; they are
-    refreshed by set_params so radius queries are O(1).
-    """
-
-    W: np.ndarray
-    A: np.ndarray
-    W0: np.ndarray = None
-    A0: np.ndarray = None
-    dist_W: float = 0.0
-    dist_A: float = 0.0
-
-    def set_params(self, W, A):
-        self.W = W
-        self.A = A
-        self.dist_W = frob(W - self.W0)
-        self.dist_A = frob(A - self.A0)
-
-
 def init_student(m, d, d_y, rho, seed):
-    """W~ ~ N(0, rho/m), A ~ N(0, 1/m), B ~ N(0, 1/d_y), all i.i.d."""
+    """W~ ~ N(0, rho/m), A ~ N(0, 1/m), B ~ N(0, 1/d_y), all i.i.d.
+
+    The student holds W = W~ / rho, with W0 = W and A0 = A as anchors.
+    """
     if not (0.0 < rho < 1.0):
         raise ParameterError(f"rho must lie in (0, 1), got {rho}")
     if m < 1 or d < 1 or d_y < 1:
         raise DimensionError("dimensions must be positive")
     rng = np.random.default_rng(seed)
-    W_tilde = rng.normal(0.0, np.sqrt(rho / m), size=(m, m))
+    W = rng.normal(0.0, np.sqrt(rho / m), size=(m, m))
+    W /= rho
     A = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, d))
     B = rng.normal(0.0, np.sqrt(1.0 / d_y), size=(d_y, m))
-    return StudentRNN(W_tilde=W_tilde, A=A, B=B, rho=float(rho), seed=int(seed))
-
-
-def rescaled_view(rnn):
-    view = RescaledView(W=rnn.W_tilde / rnn.rho, A=rnn.A.copy())
-    view.W0 = view.W.copy()
-    view.A0 = view.A.copy()
-    return view
+    return StudentRNN(W=W, A=A, B=B, rho=float(rho), W0=W.copy(), A0=A.copy(),
+                      seed=int(seed))
 
 
 def _check_inputs(x, d):
@@ -91,17 +71,10 @@ def _check_inputs(x, d):
     return x
 
 
-def forward(rnn, x):
-    """Exact recurrence in the raw parameterization; returns (hidden, outputs)."""
-    x = _check_inputs(x, rnn.d)
-    H = recurrence(x @ rnn.A.T, rnn.W_tilde.T)
-    return H, H @ rnn.B.T
-
-
-def forward_rescaled(view, B, rho, x):
+def forward_rescaled(W, A, B, rho, x):
     """f_t(W, A) via the rescaled recurrence g_t = rho W g_{t-1} + A x_t."""
-    x = _check_inputs(x, view.A.shape[1])
-    return recurrence(x @ view.A.T, view.W.T, rho) @ B.T
+    x = _check_inputs(x, A.shape[1])
+    return recurrence(x @ A.T, W.T, rho) @ B.T
 
 
 def _lag_ladder(W, A, rho, tau):
@@ -114,12 +87,12 @@ def _lag_ladder(W, A, rho, tau):
     return recurrence(U, W.T, rho)
 
 
-def truncated_forward(view, B, rho, x, tau):
+def truncated_forward(W, A, B, rho, x, tau):
     """f_t^tau: the rescaled series cut after lag tau (missing inputs are 0)."""
     if tau < 0:
         raise ParameterError("tau must be >= 0")
-    x = _check_inputs(x, view.A.shape[1])
-    ladder = _lag_ladder(view.W, view.A, rho, min(tau, x.shape[0] - 1))
+    x = _check_inputs(x, A.shape[1])
+    ladder = _lag_ladder(W, A, rho, min(tau, x.shape[0] - 1))
     return causal_fir(ladder @ B.T, x)
 
 
@@ -154,20 +127,14 @@ def linearized_forward(W0, A0, W, A, B, rho, x, tau=None):
 # ---------------------------------------------------------------------------
 # checkpoint serialization: checkpoint.json + one .bin blob per matrix
 
-_BLOBS = ("W_tilde", "A", "B", "W0", "A0")
+FORMAT_VERSION = 2
+_BLOBS = ("W", "A", "B", "W0", "A0")
 
 
-def save_checkpoint(rnn, view, path):
+def save_checkpoint(rnn, path):
     os.makedirs(path, exist_ok=True)
-    mats = {
-        "W_tilde": rnn.W_tilde,
-        "A": rnn.A,
-        "B": rnn.B,
-        "W0": view.W0,
-        "A0": view.A0,
-    }
     header = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "m": rnn.m,
         "d": rnn.d,
         "d_y": rnn.d_y,
@@ -177,7 +144,7 @@ def save_checkpoint(rnn, view, path):
         "blobs": {},
     }
     for name in _BLOBS:
-        M = np.ascontiguousarray(mats[name], dtype="<f8")
+        M = np.ascontiguousarray(getattr(rnn, name), dtype="<f8")
         fname = name + ".bin"
         header["blobs"][name] = {
             "file": fname,
@@ -191,18 +158,19 @@ def save_checkpoint(rnn, view, path):
 
 
 def load_checkpoint(path):
-    """Returns (rnn, view) with anchors restored from the saved blobs.
+    """The saved student, anchors included.
 
-    Raises IOError unless the header has format_version 1 and every blob
+    Raises IOError unless the header has format_version 2 and every blob
     has the shape its m, d and d_y imply and that many values.
     """
     with open(os.path.join(path, "checkpoint.json")) as f:
         header = json.load(f)
     version = header.get("format_version")
-    if version != 1:
-        raise IOError(f"{path}: checkpoint format_version {version!r}, expected 1")
+    if version != FORMAT_VERSION:
+        raise IOError(f"{path}: checkpoint format_version {version!r}, "
+                      f"expected {FORMAT_VERSION}")
     m, d, d_y = header["m"], header["d"], header["d_y"]
-    shapes = {"W_tilde": [m, m], "A": [m, d], "B": [d_y, m],
+    shapes = {"W": [m, m], "A": [m, d], "B": [d_y, m],
               "W0": [m, m], "A0": [m, d]}
     mats = {}
     for name in _BLOBS:
@@ -215,17 +183,5 @@ def load_checkpoint(path):
         if M.size != rows * cols:
             raise IOError(f"blob {name} has {M.size} values, expected {rows * cols}")
         mats[name] = M.reshape(rows, cols)
-    rho = float(header["rho"])
-    rnn = StudentRNN(
-        W_tilde=mats["W_tilde"],
-        A=mats["A"],
-        B=mats["B"],
-        rho=rho,
-        seed=int(header["seed"]),
-        step=int(header["step"]),
-    )
-    view = RescaledView(W=rnn.W_tilde / rho, A=rnn.A.copy())
-    view.W0 = mats["W0"]
-    view.A0 = mats["A0"]
-    view.set_params(view.W, view.A)
-    return rnn, view
+    return StudentRNN(rho=float(header["rho"]), seed=int(header["seed"]),
+                      step=int(header["step"]), **mats)

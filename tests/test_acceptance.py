@@ -19,8 +19,7 @@ from rnn_sysid.gradients import (brute_jvp_A, brute_jvp_W,
 from rnn_sysid.harness import generalization_gap, run_experiment
 from rnn_sysid.linalg import fit_loglog_slope
 from rnn_sysid.losses import make_loss, sequence_loss
-from rnn_sysid.student import (forward, forward_rescaled, init_student,
-                               rescaled_view)
+from rnn_sysid.student import forward_rescaled, init_student
 from rnn_sysid.teacher import (generate_dataset, impulse_response,
                                random_stable_system, simulate)
 from rnn_sysid.trainer import running_average, sgd_train
@@ -39,42 +38,37 @@ def test_01_gradient_correctness():
     # adjoint vs explicit sums at m=48, T=6, then vs finite differences
     # at m=64, T=8 for the smooth losses
     rnn = init_student(48, 3, 2, 0.9, 0)
-    view = rescaled_view(rnn)
+    args = (rnn.W, rnn.A, rnn.B, rnn.rho)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(6, 3)) / np.sqrt(3)
     worst = 0.0
     for t in (1, 3, 6):
-        Zw = rng.normal(size=view.W.shape)
-        Za = rng.normal(size=view.A.shape)
+        Zw = rng.normal(size=rnn.W.shape)
+        Za = rng.normal(size=rnn.A.shape)
         for fast, slow in [
-            (jvp_f_wrt_W(view, rnn.B, rnn.rho, x, t, Zw),
-             brute_jvp_W(view, rnn.B, rnn.rho, x, t, Zw)),
-            (jvp_f_wrt_A(view, rnn.B, rnn.rho, x, t, Za),
-             brute_jvp_A(view, rnn.B, rnn.rho, x, t, Za)),
+            (jvp_f_wrt_W(*args, x, t, Zw), brute_jvp_W(*args, x, t, Zw)),
+            (jvp_f_wrt_A(*args, x, t, Za), brute_jvp_A(*args, x, t, Za)),
         ]:
             denom = max(np.linalg.norm(slow), 1e-300)
             worst = max(worst, np.linalg.norm(fast - slow) / denom)
     adjoint_ok = worst <= 1e-9
 
     rnn = init_student(64, 3, 2, 0.9, 2)
-    view = rescaled_view(rnn)
     x = rng.normal(size=(8, 3)) / np.sqrt(3)
     y = rng.normal(size=(8, 2))
     worst_fd = 0.0
     for kind in ("square", "huber"):
         loss = make_loss(kind, d_y=2)
-        pair = loss_gradients_bptt(view, rnn.B, rnn.rho, x, y, loss)
+        pair = loss_gradients_bptt(rnn.W, rnn.A, rnn.B, rnn.rho, x, y, loss)
         for params, grad, setter in [
-            (view.W, pair.grad_W, lambda W: (W, view.A)),
-            (view.A, pair.grad_A, lambda A: (view.W, A)),
+            (rnn.W, pair.grad_W, lambda W: (W, rnn.A)),
+            (rnn.A, pair.grad_A, lambda A: (rnn.W, A)),
         ]:
             Z = rng.normal(size=params.shape)
             Z /= np.linalg.norm(Z)
 
             def scalar(p, setter=setter):
-                probe = rescaled_view(rnn)
-                probe.set_params(*setter(p))
-                F = forward_rescaled(probe, rnn.B, rnn.rho, x)
+                F = forward_rescaled(*setter(p), rnn.B, rnn.rho, x)
                 return sequence_loss(loss, y, F)
 
             rep = finite_difference_check(scalar, params, Z,
@@ -100,20 +94,17 @@ def test_02_forward_identities():
                     / max(np.max(np.abs(y)), 1e-300))
 
         rnn = init_student(40, 3, 2, 0.9, seed)
-        view = rescaled_view(rnn)
-        _, F_raw = forward(rnn, x)
-        F = forward_rescaled(view, rnn.B, rnn.rho, x)
+        F = forward_rescaled(rnn.W, rnn.A, rnn.B, rnn.rho, x)
         powers = [np.eye(40)]
         for _ in range(11):
-            powers.append(view.W @ powers[-1])
+            powers.append(rnn.W @ powers[-1])
         F_sum = np.zeros_like(F)
         for t in range(1, 13):
             for t0 in range(t):
                 F_sum[t - 1] += rnn.rho**t0 * (
-                    rnn.B @ powers[t0] @ view.A @ x[t - 1 - t0])
+                    rnn.B @ powers[t0] @ rnn.A @ x[t - 1 - t0])
         scale = max(np.max(np.abs(F_sum)), 1e-300)
-        worst = max(worst, np.max(np.abs(F - F_sum)) / scale,
-                    np.max(np.abs(F_raw - F_sum)) / scale)
+        worst = max(worst, np.max(np.abs(F - F_sum)) / scale)
     _verdict("2 forward identities", worst <= 1e-9,
              "max relerr %.2e over 20 seeds (<=1e-9)" % worst)
 
@@ -248,7 +239,7 @@ def test_10_determinism(tmp_path):
     run_experiment(cfg, out_dir=str(tmp_path / "b"))
     same = True
     for rel in ("summary.json", "trace.jsonl", "config.json",
-                "checkpoints/step_000200/W_tilde.bin",
+                "checkpoints/step_000200/W.bin",
                 "checkpoints/step_000200/checkpoint.json"):
         same = same and ((tmp_path / "a" / rel).read_bytes()
                          == (tmp_path / "b" / rel).read_bytes())

@@ -8,7 +8,7 @@ from rnn_sysid.existence import (ConditioningError, comparator_rank_profile,
                                  save_comparator, verify_existence)
 from rnn_sysid.harness import run_experiment
 from rnn_sysid.losses import make_loss
-from rnn_sysid.student import RescaledView, linearized_forward, truncated_forward
+from rnn_sysid.student import linearized_forward, truncated_forward
 from rnn_sysid.teacher import (generate_dataset, impulse_response,
                                random_stable_system)
 

@@ -7,85 +7,89 @@ from rnn_sysid.gradients import (brute_forward_powers, brute_jvp_A,
                                  loss_gradients_bptt)
 from rnn_sysid.linalg import DimensionError
 from rnn_sysid.losses import make_loss, sequence_loss
-from rnn_sysid.student import (forward_rescaled, init_student, rescaled_view)
+from rnn_sysid.student import forward_rescaled, init_student
 
 
 def _setup(m=32, d=3, d_y=2, rho=0.9, seed=0, T=7):
     rnn = init_student(m, d, d_y, rho, seed)
-    view = rescaled_view(rnn)
     rng = np.random.default_rng(seed + 50)
     x = rng.normal(size=(T, d)) / np.sqrt(d)
     y = rng.normal(size=(T, d_y))
-    return rnn, view, x, y, rng
+    return rnn, x, y, rng
+
+
+def _args(rnn):
+    """The (W, A, B, rho) that every forward and derivative takes first."""
+    return rnn.W, rnn.A, rnn.B, rnn.rho
 
 
 def test_forward_recurrence_matches_power_series():
-    rnn, view, x, _, _ = _setup()
-    F = forward_rescaled(view, rnn.B, rnn.rho, x)
-    np.testing.assert_allclose(F, brute_forward_powers(view, rnn.B, rnn.rho, x),
+    rnn, x, _, _ = _setup()
+    F = forward_rescaled(*_args(rnn), x)
+    np.testing.assert_allclose(F, brute_forward_powers(*_args(rnn), x),
                                atol=1e-12)
 
 
 def test_jvp_W_matches_brute_sum():
-    rnn, view, x, _, rng = _setup()
-    Z = rng.normal(size=view.W.shape)
+    rnn, x, _, rng = _setup()
+    Z = rng.normal(size=rnn.W.shape)
     for t in (1, 2, 4, 7):
-        fast = jvp_f_wrt_W(view, rnn.B, rnn.rho, x, t, Z)
-        slow = brute_jvp_W(view, rnn.B, rnn.rho, x, t, Z)
+        fast = jvp_f_wrt_W(*_args(rnn), x, t, Z)
+        slow = brute_jvp_W(*_args(rnn), x, t, Z)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
 def test_jvp_A_matches_brute_sum():
-    rnn, view, x, _, rng = _setup()
-    Z = rng.normal(size=view.A.shape)
+    rnn, x, _, rng = _setup()
+    Z = rng.normal(size=rnn.A.shape)
     for t in (1, 3, 6):
-        fast = jvp_f_wrt_A(view, rnn.B, rnn.rho, x, t, Z)
-        slow = brute_jvp_A(view, rnn.B, rnn.rho, x, t, Z)
+        fast = jvp_f_wrt_A(*_args(rnn), x, t, Z)
+        slow = brute_jvp_A(*_args(rnn), x, t, Z)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
 def test_jvp_all_t_consistent_with_single_t():
-    rnn, view, x, _, rng = _setup()
-    Z_W = rng.normal(size=view.W.shape)
-    Z_A = rng.normal(size=view.A.shape)
-    out = jvp_f_all_t(view, rnn.B, rnn.rho, x, Z_W=Z_W, Z_A=Z_A)
+    rnn, x, _, rng = _setup()
+    Z_W = rng.normal(size=rnn.W.shape)
+    Z_A = rng.normal(size=rnn.A.shape)
+    out = jvp_f_all_t(*_args(rnn), x, Z_W=Z_W, Z_A=Z_A)
     for t in (1, 4, 7):
-        single = (jvp_f_wrt_W(view, rnn.B, rnn.rho, x, t, Z_W)
-                  + jvp_f_wrt_A(view, rnn.B, rnn.rho, x, t, Z_A))
+        single = (jvp_f_wrt_W(*_args(rnn), x, t, Z_W)
+                  + jvp_f_wrt_A(*_args(rnn), x, t, Z_A))
         np.testing.assert_allclose(out[t - 1], single, atol=1e-12)
 
 
 def test_jvp_first_step_W_is_zero():
     # f_1 = B A x_1 does not depend on W
-    rnn, view, x, _, rng = _setup()
-    Z = rng.normal(size=view.W.shape)
-    np.testing.assert_allclose(jvp_f_wrt_W(view, rnn.B, rnn.rho, x, 1, Z), 0.0,
+    rnn, x, _, rng = _setup()
+    Z = rng.normal(size=rnn.W.shape)
+    np.testing.assert_allclose(jvp_f_wrt_W(*_args(rnn), x, 1, Z), 0.0,
                                atol=1e-14)
 
 
 @pytest.mark.parametrize("t", [0, -1, 8])
 def test_single_t_jvp_rejects_t_outside_sequence(t):
-    rnn, view, x, _, rng = _setup(T=7)
+    rnn, x, _, rng = _setup(T=7)
     with pytest.raises(DimensionError):
-        jvp_f_wrt_W(view, rnn.B, rnn.rho, x, t, rng.normal(size=view.W.shape))
+        jvp_f_wrt_W(*_args(rnn), x, t, rng.normal(size=rnn.W.shape))
     with pytest.raises(DimensionError):
-        jvp_f_wrt_A(view, rnn.B, rnn.rho, x, t, rng.normal(size=view.A.shape))
+        jvp_f_wrt_A(*_args(rnn), x, t, rng.normal(size=rnn.A.shape))
 
 
 def test_bptt_duality_with_jvp():
     # <grad, Z> must equal the JVP of the loss along Z, for both blocks
-    rnn, view, x, y, rng = _setup()
+    rnn, x, y, rng = _setup()
     loss = make_loss("square", d_y=rnn.d_y)
-    pair = loss_gradients_bptt(view, rnn.B, rnn.rho, x, y, loss)
-    F = forward_rescaled(view, rnn.B, rnn.rho, x)
+    pair = loss_gradients_bptt(*_args(rnn), x, y, loss)
+    F = forward_rescaled(*_args(rnn), x)
     R = F - y  # residuals = dL/df for the square loss
-    for Z, block in [(rng.normal(size=view.W.shape), "W"),
-                     (rng.normal(size=view.A.shape), "A")]:
+    for Z, block in [(rng.normal(size=rnn.W.shape), "W"),
+                     (rng.normal(size=rnn.A.shape), "A")]:
         if block == "W":
-            df = jvp_f_all_t(view, rnn.B, rnn.rho, x, Z_W=Z)
+            df = jvp_f_all_t(*_args(rnn), x, Z_W=Z)
             inner = float(np.sum(pair.grad_W * Z))
         else:
-            df = jvp_f_all_t(view, rnn.B, rnn.rho, x, Z_A=Z)
+            df = jvp_f_all_t(*_args(rnn), x, Z_A=Z)
             inner = float(np.sum(pair.grad_A * Z))
         expect = float(np.sum(R * df)) / len(x)
         assert inner == pytest.approx(expect, rel=1e-10, abs=1e-12)
@@ -93,39 +97,30 @@ def test_bptt_duality_with_jvp():
 
 @pytest.mark.parametrize("kind", ["square", "huber", "logistic"])
 def test_bptt_matches_finite_differences(kind):
-    rnn, view, x, y, rng = _setup(m=24, T=6)
+    rnn, x, y, rng = _setup(m=24, T=6)
     if kind == "logistic":
         y = np.sign(y) + (y == 0)
     loss = make_loss(kind, d_y=rnn.d_y)
-    pair = loss_gradients_bptt(view, rnn.B, rnn.rho, x, y, loss)
+    pair = loss_gradients_bptt(*_args(rnn), x, y, loss)
 
-    Z = rng.normal(size=view.W.shape)
+    Z = rng.normal(size=rnn.W.shape)
     Z /= np.linalg.norm(Z)
 
     def f_of_W(W):
-        probe = rescaled_view(rnn)
-        probe.set_params(W, view.A)
-        return sequence_loss(loss, y, forward_rescaled(probe, rnn.B, rnn.rho, x))
+        F = forward_rescaled(W, rnn.A, rnn.B, rnn.rho, x)
+        return sequence_loss(loss, y, F)
 
-    rep = finite_difference_check(f_of_W, view.W, Z,
+    rep = finite_difference_check(f_of_W, rnn.W, Z,
                                   float(np.sum(pair.grad_W * Z)))
     assert rep["min_relerr"] < 1e-6
 
-    Za = rng.normal(size=view.A.shape)
+    Za = rng.normal(size=rnn.A.shape)
     Za /= np.linalg.norm(Za)
 
     def f_of_A(A):
-        probe = rescaled_view(rnn)
-        probe.set_params(view.W, A)
-        return sequence_loss(loss, y, forward_rescaled(probe, rnn.B, rnn.rho, x))
+        F = forward_rescaled(rnn.W, A, rnn.B, rnn.rho, x)
+        return sequence_loss(loss, y, F)
 
-    rep = finite_difference_check(f_of_A, view.A, Za,
+    rep = finite_difference_check(f_of_A, rnn.A, Za,
                                   float(np.sum(pair.grad_A * Za)))
     assert rep["min_relerr"] < 1e-6
-
-
-def test_grad_W_tilde_chain_rule():
-    rnn, view, x, y, _ = _setup()
-    loss = make_loss("square", d_y=rnn.d_y)
-    pair = loss_gradients_bptt(view, rnn.B, rnn.rho, x, y, loss)
-    np.testing.assert_allclose(pair.grad_W_tilde, pair.grad_W / rnn.rho)

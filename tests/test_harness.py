@@ -69,6 +69,30 @@ def test_unknown_field_rejected(cfg, path, tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+# values of the wrong JSON type; tiny runs, so a config that is not
+# refused finishes quickly instead of training
+_TINY = {"kind": "train", "student": {"m": 8}, "data": {"T": 4, "K": 2}}
+_WRONG_TYPES = [
+    ({"train": {"K_steps": 2, "holdout": "false"}}, "train.holdout"),
+    ({"data": {"T": "20", "K": 2}, "train": {"K_steps": 2}}, "data.T"),
+    ({"train": {"K_steps": 2, "checkpoint_every": True}},
+     "train.checkpoint_every"),
+]
+
+
+@pytest.mark.parametrize("fields, path", _WRONG_TYPES,
+                         ids=[path for _, path in _WRONG_TYPES])
+def test_wrong_value_type_rejected(fields, path, tmp_path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        run_experiment({**_TINY, **fields}, out_dir=str(tmp_path / "r"))
+    assert not (tmp_path / "r").exists()
+
+
+def test_integer_accepted_for_a_float_field():
+    c = harness.resolve_config({"kind": "train", "data": {"noise_sigma": 0}})
+    assert c["data"]["noise_sigma"] == 0
+
+
 def test_section_must_be_an_object(tmp_path):
     with pytest.raises(ConfigError, match="train must be a JSON object"):
         run_experiment({"kind": "train", "train": 5},
@@ -362,6 +386,17 @@ def test_cli_kind_mismatch(tmp_path):
         main(["sweep", "--config", str(cfg_path)])
 
 
+def test_cli_refuses_direct_flags_beside_config(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"kind": "verify", "lemmas": ["tail"],
+                                    "m": 32, "trials": 2}))
+    code = main(["verify", "--config", str(cfg_path), "--m", "16",
+                 "--trials", "1", "--out", str(tmp_path / "v")])
+    assert code == 2
+    assert "--m, --trials" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
 def test_cli_direct_lemma(capsys):
     code = main(["verify", "--lemma", "tail", "--m", "64", "--trials", "2"])
     out = capsys.readouterr().out
@@ -418,6 +453,6 @@ def test_trace_same_at_every_blas_thread_count(tmp_path):
                         str(tmp_path / threads)],
                        env=env, check=True, timeout=300)
     for rel in ("trace.jsonl", "summary.json",
-                "checkpoints/step_000200/W_tilde.bin"):
+                "checkpoints/step_000200/W.bin"):
         assert ((tmp_path / "1" / rel).read_bytes()
                 == (tmp_path / "2" / rel).read_bytes()), rel

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from rnn_sysid.gradients import loss_gradients_bptt
+from rnn_sysid.linalg import frob
 from rnn_sysid.losses import make_loss
 from rnn_sysid.student import init_student
 from rnn_sysid.teacher import ParameterError, generate_dataset, random_stable_system
@@ -29,10 +31,32 @@ def test_eta_zero_keeps_parameters():
     _, ds = _problem()
     loss = make_loss("square", d_y=2)
     rnn = init_student(32, 2, 2, 0.9, 3)
-    W_before = rnn.W_tilde.copy()
+    W_before = rnn.W.copy()
     trace = sgd_train(rnn, ds, loss, 0.0, 20, seed=0)
-    np.testing.assert_array_equal(rnn.W_tilde, W_before)
+    np.testing.assert_array_equal(rnn.W, W_before)
     assert trace.records[-1]["dW_frob"] == 0.0
+
+
+def test_sgd_step_is_the_rescaled_gradient_step():
+    # one step on W~ = rho W with step size eta moves W by
+    # (eta / rho^2) grad_W and A by eta grad_A, both taken at the old iterate
+    _, ds = _problem()
+    loss = make_loss("square", d_y=2)
+    rnn = init_student(32, 2, 2, 0.9, 3)
+    W, A = rnn.W.copy(), rnn.A.copy()
+    eta = 0.05
+    trace = sgd_train(rnn, ds, loss, eta, 1, seed=4)
+    i = trace.records[0]["i"]
+    pair = loss_gradients_bptt(W, A, rnn.B, rnn.rho, ds.inputs[i],
+                               ds.observed_outputs[i], loss)
+    np.testing.assert_allclose(rnn.W, W - eta / rnn.rho**2 * pair.grad_W,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rnn.A, A - eta * pair.grad_A, rtol=1e-12, atol=0)
+    assert not np.array_equal(rnn.W, W)
+    # the trace carries the norms of the gradients the step took
+    assert trace.records[0]["grad_W_frob"] == frob(pair.grad_W)
+    assert trace.records[0]["grad_A_frob"] == frob(pair.grad_A)
+    assert trace.records[0]["grad_W_frob"] > 0.0
 
 
 def test_same_seed_same_trace():

@@ -82,6 +82,12 @@ def test_run_lemma_dispatch():
         run_lemma("nonexistent")
 
 
+def test_spectral_has_a_default_width():
+    # every verifier has one, so the default verify config can run
+    rep = run_lemma("spectral", trials=1)
+    assert rep.lemma_id == "spectral" and rep.m == 1024
+
+
 def test_pass_fraction_is_worst_asserted_check():
     rep = verify_tail(m=64, trials=3, seed=0)
     fractions = [rep.checks[n]["pass_fraction"]
