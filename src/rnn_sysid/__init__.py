@@ -8,16 +8,14 @@ __version__ = "0.1.0"
 
 from .existence import (ComparatorParams, ConditioningError, GramInverses,
                         construct_comparator, gram_inverses, verify_existence)
-from .gradients import (GradientPair, finite_difference_check, jvp_f_wrt_A,
-                        jvp_f_wrt_W, loss_gradients_bptt)
+from .gradients import GradientPair, jvp_f_all_t, loss_gradients_bptt
 from .harness import generalization_gap, run_experiment
 from .linalg import (DimensionError, fit_loglog_slope, frob,
                      matrix_power_opnorm, operator_norm, spectral_radius)
 from .losses import LossFunction, eval_loss, make_loss, sequence_loss
 from .schedule import ScheduleError, TheorySchedule, theory_schedule
 from .student import (StudentRNN, forward_rescaled, init_student,
-                      linearized_forward, load_checkpoint, save_checkpoint,
-                      truncated_forward)
+                      linearized_forward, load_checkpoint, save_checkpoint)
 from .teacher import (ParameterError, SequenceDataset, StableLinearSystem,
                       generate_dataset, load_dataset, random_stable_system,
                       save_dataset, simulate, stability_certificate)

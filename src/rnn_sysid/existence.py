@@ -142,14 +142,6 @@ def construct_comparator(W0, A0, B, teacher, rho, T_max, b=None):
     )
 
 
-def comparator_rank_profile(comp):
-    """Singular values of W* - W0 = left^T core right: with QR factors
-    left^T = Q1 R1 and right^T = Q2 R2, those of the small R1 core R2^T."""
-    R1 = np.linalg.qr(comp.left.T, mode="r")
-    R2 = np.linalg.qr(comp.right.T, mode="r")
-    return np.linalg.svd(R1 @ comp.core @ R2.T, compute_uv=False)
-
-
 def verify_existence(comp, teacher, dataset, loss, W0, A0, B):
     """Evaluate the comparator on real sequences.
 

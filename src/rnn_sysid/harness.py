@@ -33,8 +33,8 @@ class ConfigError(ValueError):
     pass
 
 
-class Only(frozenset):
-    """A mapping field whose keys must come from this set; none is filled in."""
+class Only(dict):
+    """A mapping field: keys and value types as in these defaults, none filled in."""
 
 
 # Every config field and its default.  A dict is a section: it accepts its
@@ -49,7 +49,7 @@ DATA = {"input_spec": "iid_gaussian_unit", "noise_sigma": 0.0,    # generate_dat
         "T": 20, "K": 64}
 LOSS = {"kind": "square", "delta": 1.0}                           # make_loss
 SCHEDULE = {"epsilon": 0.05, "delta": math.exp(-1.0), "l0": 1.0,  # theory_schedule
-            "multipliers": Only(MULTIPLIER_FIELDS)}
+            "multipliers": Only(dict.fromkeys(MULTIPLIER_FIELDS, 1.0))}
 STUDENT = {"rho_mode": "practical", "rho": 0.9, "rho_0": 0.9}
 TRAIN = {"K_steps": None, "eta": None, "holdout": False, "checkpoint_every": 500}
 TRAINING = {"teacher": TEACHER, "data": DATA, "student": STUDENT, "loss": LOSS,
@@ -64,8 +64,10 @@ SCHEMA = {
                   "seeds": None, "T_max": 12, "rho": 0.9,
                   "probe": {"K": 4}},                             # generate_dataset
     "verify": {**COMMON, "lemmas": "all", "m": None, "trials": None,
-               "lemma_params": {name: Only(inspect.signature(fn).parameters)
-                                for name, fn in ALL_LEMMAS.items()}},
+               "lemma_params": {
+                   name: Only({key: p.default for key, p in
+                               inspect.signature(fn).parameters.items()})
+                   for name, fn in ALL_LEMMAS.items()}},
 }
 
 
@@ -79,7 +81,7 @@ def config_hash(cfg):
 # a subclass of int in Python, so int and float fields refuse it apart.
 _JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
                float: ((int, float), "a number"), str: ((str,), "a string"),
-               list: ((list,), "a list")}
+               list: ((list,), "a list"), tuple: ((list,), "a list")}
 
 
 def _check_type(value, default, name):
@@ -98,10 +100,12 @@ def _fill(spec, section, path):
     if unknown:
         raise ConfigError(f"unknown config field {', '.join(unknown)}")
     if isinstance(spec, Only):
+        for key, value in section.items():
+            _check_type(value, spec[key], path + key)
         return dict(section)
     filled = {}
     for key, sub in spec.items():
-        if isinstance(sub, (dict, Only)):
+        if isinstance(sub, dict):
             filled[key] = _fill(sub, section[key] if key in section else {},
                                 f"{path}{key}.")
         elif key not in section:

@@ -34,16 +34,16 @@ def recurrence(U, M, scale=1.0):
 
 
 def causal_fir(K, x):
-    """F_t = sum_{j <= t} x_{t-j} @ K[j] over the lags K[0..tau].
+    """F[j]_t = sum_{i <= min(j, t)} x_{t-i} @ K[i]: the sum cut after lag j.
 
-    K is (tau+1) x d x d_y (K[j] is the transpose of the lag-j transfer
-    matrix N_j, so F_t = sum_j N_j x_{t-j}); x is T x d.  Lags at or past
-    T are never reached.
+    K is (tau+1) x d x d_y (K[i] is the transpose of the lag-i transfer
+    matrix N_i, so F[j]_t = sum_{i <= j} N_i x_{t-i}); x is T x d.  Lags
+    at or past T are never reached, so F holds min(tau+1, T) of the sums.
     """
     T = x.shape[0]
-    F = np.zeros((T, K.shape[2]))
-    for j in range(min(len(K), T)):
-        F[j:] += x[:T - j] @ K[j]
+    F = np.zeros((min(len(K), T), T, K.shape[2]))
+    for j in range(len(F)):
+        F[j:, j:] += x[:T - j] @ K[j]
     return F
 
 
@@ -104,24 +104,28 @@ def operator_norm_fast(M):
     return float(svds(M, k=1, v0=v0, return_singular_vectors=False)[0])
 
 
-def matrix_power_opnorm(W, k, scale=1.0, iters=8, block=4, seed=0, dtype=None):
+def power_dtype(m):
+    """The dtype `matrix_power_opnorm` iterates in at width m."""
+    return np.float32 if m >= 2048 else np.float64
+
+
+def matrix_power_opnorm(W, k, scale=1.0, iters=8, block=4, seed=0):
     """Estimate ||(scale * W)^k||_2 without forming the matrix power.
 
     Blocked subspace iteration; each pass applies W (or W^T) k times to a
     small block of vectors, cost O(iters * k * m^2 * block).  The estimate
     is a lower bound that converges quickly; `iters=8` gives 3+ digits on
-    the matrices used here.  For m >= 2048 the iteration runs in float32
-    by default (the round-off is orders of magnitude below the iteration's
-    own convergence slack).
+    the matrices used here.  It runs in `power_dtype(m)`, float32 from
+    m = 2048 up (the round-off is orders of magnitude below the
+    iteration's own convergence slack); W already in it is not copied.
     """
-    W = np.asarray(W, dtype=float)
+    W = np.asarray(W)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {W.shape}")
     if k == 0:
         return 1.0
     m = W.shape[0]
-    if dtype is None:
-        dtype = np.float32 if m >= 2048 else np.float64
+    dtype = power_dtype(m)
     W = W.astype(dtype, copy=False)
     block = min(block, m)
     rng = np.random.default_rng(seed)

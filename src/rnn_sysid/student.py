@@ -5,9 +5,9 @@ is held in the rescaled parameterization W = W~ / rho, where
 f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0}: W is the one parameter matrix,
 and the recurrence g_t = rho W g_{t-1} + A x_t evaluates the same series
 without explicit matrix powers.  Every forward here is a call to
-`linalg.recurrence`: over time for the full series and its tangent, over
-lag for the ladders rho^j W^j A whose per-lag transfer matrices
-`linalg.causal_fir` sums against the inputs in the truncated forwards.
+`linalg.recurrence`: over time for the full series and its linearization,
+over lag for the ladders rho^j W^j A whose per-lag transfer matrices
+`linalg.causal_fir` sums against the inputs for every truncation lag.
 """
 
 import json
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gradients import jvp_f_all_t
 from .linalg import DimensionError, causal_fir, recurrence
 from .teacher import ParameterError
 
@@ -87,41 +88,30 @@ def _lag_ladder(W, A, rho, tau):
     return recurrence(U, W.T, rho)
 
 
-def truncated_forward(W, A, B, rho, x, tau):
-    """f_t^tau: the rescaled series cut after lag tau (missing inputs are 0)."""
-    if tau < 0:
-        raise ParameterError("tau must be >= 0")
-    x = _check_inputs(x, A.shape[1])
-    ladder = _lag_ladder(W, A, rho, min(tau, x.shape[0] - 1))
-    return causal_fir(ladder @ B.T, x)
+def linearized_forward(W0, A0, W, A, B, rho, x, taus=None):
+    """First-order expansion of f_t around (W0, A0), or of f_t^tau per tau.
 
-
-def linearized_forward(W0, A0, W, A, B, rho, x, tau=None):
-    """First-order expansion of f_t (or f_t^tau) around (W0, A0).
-
-    The directional terms are evaluated with tangent recurrences, so no
-    m x m gradient is ever materialized.
+    f is linear in A, so the full expansion is the JVP at (W0, A0) along
+    (W - W0, A).  With `taus`, one lag ladder to the largest tau gives a
+    len(taus) x T x d_y array; at W = W0, A = A0 it holds f_t^tau itself.
     """
     x = _check_inputs(x, A0.shape[1])
     dW = W - W0
-    if tau is None:
-        # g + u, with u the tangent of g along (dW, A - A0), obeys
-        # (g + u)_t = rho W0 (g + u)_{t-1} + rho dW g_{t-1} + A x_t
-        G0 = recurrence(x @ A0.T, W0.T, rho)
-        drive = x @ A.T
-        drive[1:] += rho * (G0[:-1] @ dW.T)
-        return recurrence(drive, W0.T, rho) @ B.T
-    if tau < 0:
-        raise ParameterError("tau must be >= 0")
+    if taus is None:
+        return jvp_f_all_t(W0, A0, B, rho, x, Z_W=dW, Z_A=A)
+    if min(taus) < 0:
+        raise ParameterError(f"every tau must be >= 0, got {list(taus)}")
     # per-lag ladders: [M0_j | M_j] = rho^j W0^j [A0 | A], and the
     # W-directional term S_j = rho W0 S_{j-1} + rho dW M0_{j-1}
+    T = x.shape[0]
     m, d = A0.shape
-    ladder = _lag_ladder(W0, np.hstack([A0, A]), rho, min(tau, x.shape[0] - 1))
+    ladder = _lag_ladder(W0, np.hstack([A0, A]), rho, min(max(taus), T - 1))
     M0 = ladder[:-1, :d]
     drive = np.zeros((len(ladder), d, m))
     drive[1:] = rho * (M0.reshape(-1, m) @ dW.T).reshape(M0.shape)
     S = recurrence(drive, W0.T, rho)
-    return causal_fir((ladder[:, d:] + S) @ B.T, x)
+    F = causal_fir((ladder[:, d:] + S) @ B.T, x)
+    return F[[min(tau, T - 1) for tau in taus]]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (fit_loglog_slope, frob, matrix_power_opnorm,
-                     operator_norm, operator_norm_fast, recurrence)
+                     operator_norm, operator_norm_fast, power_dtype,
+                     recurrence)
 from .schedule import rho_1_of_m, theory_schedule
 from .student import _lag_ladder, forward_rescaled, linearized_forward
 
@@ -127,6 +128,7 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8,
     for r in range(trials):
         rng = np.random.default_rng([int(seed), r])
         W0 = sample_W0(rng, m)
+        Wp = W0.astype(power_dtype(m), copy=False)  # cast once per matrix
         norms = {}
         for k in ks_all:
             if k == 1:
@@ -140,7 +142,7 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8,
                     iters = max(3, power_iters - 2)
                 else:
                     iters = 2
-                norms[k] = matrix_power_opnorm(W0, k, iters=iters, block=8,
+                norms[k] = matrix_power_opnorm(Wp, k, iters=iters, block=8,
                                                seed=int(1000 + r))
         trial_c_ok = True
         for k in ks_ab:
@@ -157,14 +159,16 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8,
             neg_flags.append(2.0 ** k * norms[k] > 2.0 * np.sqrt(k))
         per_trial_c.append(trial_c_ok)
         # perturbed matrix on the boundary of the omega_0 ball
+        del Wp  # not held while W is built: that is the trial's peak memory
         W = W0 + omega_0 * _unit_frob(rng, (m, m))
         s1 = rho * operator_norm_fast(W)
+        Wp = W.astype(power_dtype(m), copy=False)
         for t in ks_c:
             bound = 2.0 * np.sqrt(t) * rho_0**t
             if s1**t <= bound:  # submultiplicative upper bound, never false-passes
                 flags["d"].append(True)
             else:
-                est = matrix_power_opnorm(W, t, scale=rho, iters=power_iters,
+                est = matrix_power_opnorm(Wp, t, scale=rho, iters=power_iters,
                                           seed=int(2000 + r))
                 flags["d"].append(est <= bound)
 
@@ -442,9 +446,9 @@ def verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20, 24, 28, 32),
         A = A0 + omega * _unit_frob(rng, (m, d))
         x = rng.normal(size=(T, d)) / np.sqrt(d)
         Flin = linearized_forward(W0, A0, W, A, B, rho_0, x)
+        Ftaus = linearized_forward(W0, A0, W, A, B, rho_0, x, taus=tau_grid)
         errs = []
-        for tau in tau_grid:
-            Ftau = linearized_forward(W0, A0, W, A, B, rho_0, x, tau=tau)
+        for tau, Ftau in zip(tau_grid, Ftaus):
             err = float(np.max(np.linalg.norm(Flin - Ftau, axis=1)))
             errs.append(err)
             bound = 8.0 * np.sqrt(m) * tau * rho_0**tau / (1.0 - rho_0) ** 3
@@ -460,7 +464,7 @@ def verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20, 24, 28, 32),
         x_app = rng.normal(size=(T_app, d)) / np.sqrt(d)
         Fl = linearized_forward(W0, A0, W, A, B, sched.rho, x_app)
         Ft = linearized_forward(W0, A0, W, A, B, sched.rho, x_app,
-                                tau=sched.T_max)
+                                taus=[sched.T_max])[0]
         err_app = float(np.max(np.linalg.norm(Fl - Ft, axis=1)))
         flags["app"].append(err_app <= sched.epsilon / sched.b)
 

@@ -1,0 +1,87 @@
+"""Reference implementations the tests compare the package against.
+
+Central finite differences, literal power-series sums of the rescaled
+series f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0} and of its directional
+derivatives, and the spectrum of a factored comparator.  They share no
+code with the recurrences under test.
+"""
+
+import numpy as np
+
+
+def finite_difference_check(scalar_fn, params, direction, analytic,
+                            h_grid=(1e-3, 1e-4, 1e-5)):
+    """Central differences of scalar_fn along `direction` vs `analytic`.
+
+    scalar_fn maps a parameter array (same shape as params) to a float.
+    Returns a report dict with per-h relative errors and their minimum.
+    """
+    params = np.asarray(params, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    rows = []
+    for h in h_grid:
+        fp = scalar_fn(params + h * direction)
+        fm = scalar_fn(params - h * direction)
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise FloatingPointError("non-finite function value in finite differences")
+        numeric = (fp - fm) / (2.0 * h)
+        denom = max(abs(analytic), abs(numeric), 1e-300)
+        relerr = abs(numeric - analytic) / denom
+        rows.append({"h": h, "numeric": numeric, "analytic": analytic,
+                     "relerr": relerr})
+    return {"rows": rows, "min_relerr": min(r["relerr"] for r in rows)}
+
+
+# literal-sum oracles, O(T^2 m^3); keep m <= 64, T <= 8
+
+def brute_jvp_W(W, A, B, rho, x, t, Z):
+    """Triple sum: sum over t0 and i+j = t-t0-1 of rho^{t-t0} B W^i Z W^j A x_t0.
+
+    Indexing convention W^0 = I; validated against finite differences.
+    """
+    x = np.asarray(x, dtype=float)
+    m = W.shape[0]
+    powers = [np.eye(m)]
+    for _ in range(t):
+        powers.append(W @ powers[-1])
+    out = np.zeros(B.shape[0])
+    for t0 in range(1, t):  # input time, 1-indexed
+        lag = t - t0        # number of W factors in the chain, >= 1
+        for i in range(lag):
+            j = lag - 1 - i
+            out += rho**lag * (B @ powers[i] @ Z @ powers[j] @ A @ x[t0 - 1])
+    return out
+
+
+def brute_jvp_A(W, A, B, rho, x, t, Z):
+    x = np.asarray(x, dtype=float)
+    m = W.shape[0]
+    out = np.zeros(B.shape[0])
+    P = np.eye(m)
+    for j in range(t):
+        out += rho**j * (B @ P @ Z @ x[t - 1 - j])
+        P = W @ P
+    return out
+
+
+def brute_forward_powers(W, A, B, rho, x):
+    """f_t by explicitly powered matrices (closed-form series oracle)."""
+    x = np.asarray(x, dtype=float)
+    T = x.shape[0]
+    m = W.shape[0]
+    powers = [np.eye(m)]
+    for _ in range(T):
+        powers.append(W @ powers[-1])
+    F = np.zeros((T, B.shape[0]))
+    for t in range(1, T + 1):
+        for t0 in range(t):
+            F[t - 1] += rho**t0 * (B @ powers[t0] @ A @ x[t - 1 - t0])
+    return F
+
+
+def comparator_rank_profile(comp):
+    """Singular values of W* - W0 = left^T core right: with QR factors
+    left^T = Q1 R1 and right^T = Q2 R2, those of the small R1 core R2^T."""
+    R1 = np.linalg.qr(comp.left.T, mode="r")
+    R2 = np.linalg.qr(comp.right.T, mode="r")
+    return np.linalg.svd(R1 @ comp.core @ R2.T, compute_uv=False)

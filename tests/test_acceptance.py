@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from rnn_sysid.existence import construct_comparator, verify_existence
-from rnn_sysid.gradients import (brute_jvp_A, brute_jvp_W,
-                                 finite_difference_check, jvp_f_wrt_A,
-                                 jvp_f_wrt_W, loss_gradients_bptt)
+from oracles import brute_jvp_A, brute_jvp_W, finite_difference_check
+from rnn_sysid.gradients import jvp_f_all_t, loss_gradients_bptt
 from rnn_sysid.harness import generalization_gap, run_experiment
 from rnn_sysid.linalg import fit_loglog_slope
 from rnn_sysid.losses import make_loss, sequence_loss
@@ -46,8 +45,10 @@ def test_01_gradient_correctness():
         Zw = rng.normal(size=rnn.W.shape)
         Za = rng.normal(size=rnn.A.shape)
         for fast, slow in [
-            (jvp_f_wrt_W(*args, x, t, Zw), brute_jvp_W(*args, x, t, Zw)),
-            (jvp_f_wrt_A(*args, x, t, Za), brute_jvp_A(*args, x, t, Za)),
+            (jvp_f_all_t(*args, x, Z_W=Zw)[t - 1],
+             brute_jvp_W(*args, x, t, Zw)),
+            (jvp_f_all_t(*args, x, Z_A=Za)[t - 1],
+             brute_jvp_A(*args, x, t, Za)),
         ]:
             denom = max(np.linalg.norm(slow), 1e-300)
             worst = max(worst, np.linalg.norm(fast - slow) / denom)

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from rnn_sysid.existence import (ConditioningError, comparator_rank_profile,
-                                 construct_comparator, gram_inverses,
-                                 save_comparator, verify_existence)
+from oracles import comparator_rank_profile
+from rnn_sysid.existence import (ConditioningError, construct_comparator,
+                                 gram_inverses, save_comparator,
+                                 verify_existence)
 from rnn_sysid.harness import run_experiment
 from rnn_sysid.losses import make_loss
-from rnn_sysid.student import linearized_forward, truncated_forward
+from rnn_sysid.student import linearized_forward
 from rnn_sysid.teacher import (generate_dataset, impulse_response,
                                random_stable_system)
 

@@ -73,18 +73,25 @@ def test_unknown_field_rejected(cfg, path, tmp_path):
 # refused finishes quickly instead of training
 _TINY = {"kind": "train", "student": {"m": 8}, "data": {"T": 4, "K": 2}}
 _WRONG_TYPES = [
-    ({"train": {"K_steps": 2, "holdout": "false"}}, "train.holdout"),
-    ({"data": {"T": "20", "K": 2}, "train": {"K_steps": 2}}, "data.T"),
-    ({"train": {"K_steps": 2, "checkpoint_every": True}},
+    ({**_TINY, "train": {"K_steps": 2, "holdout": "false"}}, "train.holdout"),
+    ({**_TINY, "data": {"T": "20", "K": 2}, "train": {"K_steps": 2}},
+     "data.T"),
+    ({**_TINY, "train": {"K_steps": 2, "checkpoint_every": True}},
      "train.checkpoint_every"),
+    # values of sections that fill nothing in
+    ({"kind": "verify", "lemmas": ["tail"],
+      "lemma_params": {"tail": {"trials": "2"}}}, "lemma_params.tail.trials"),
+    ({**_TINY, "student": {"m": 8, "rho_mode": "theory"},
+      "schedule": {"multipliers": {"eta": "2"}}, "train": {"K_steps": 2}},
+     "schedule.multipliers.eta"),
 ]
 
 
-@pytest.mark.parametrize("fields, path", _WRONG_TYPES,
+@pytest.mark.parametrize("cfg, path", _WRONG_TYPES,
                          ids=[path for _, path in _WRONG_TYPES])
-def test_wrong_value_type_rejected(fields, path, tmp_path):
+def test_wrong_value_type_rejected(cfg, path, tmp_path):
     with pytest.raises(ConfigError, match=re.escape(path)):
-        run_experiment({**_TINY, **fields}, out_dir=str(tmp_path / "r"))
+        run_experiment(cfg, out_dir=str(tmp_path / "r"))
     assert not (tmp_path / "r").exists()
 
 

@@ -44,6 +44,16 @@ def test_matrix_power_opnorm_vs_dense_power():
         assert est == pytest.approx(exact, rel=1e-6)
 
 
+def test_matrix_power_opnorm_same_for_a_float32_copy():
+    # from m = 2048 the iteration runs in float32, so a float32 copy made
+    # once by the caller gives exactly the estimate of the float64 matrix
+    W = np.random.default_rng(7).normal(0.0, 1.0 / np.sqrt(2048),
+                                        size=(2048, 2048))
+    for k in (1, 3):
+        assert (matrix_power_opnorm(W.astype(np.float32), k, iters=2)
+                == matrix_power_opnorm(W, k, iters=2))
+
+
 def test_matrix_power_opnorm_k_zero_is_identity_norm():
     W = np.random.default_rng(2).normal(size=(7, 7))
     assert matrix_power_opnorm(W, 0) == 1.0
@@ -96,11 +106,14 @@ def test_causal_fir_matches_literal_sum():
     K = rng.normal(size=(3, 2, 4))   # lags 0..2
     x = rng.normal(size=(6, 2))
     F = causal_fir(K, x)
-    for t in range(6):
-        expect = sum(x[t - j] @ K[j] for j in range(min(2, t) + 1))
-        np.testing.assert_allclose(F[t], expect, rtol=1e-13)
+    # one running sum per lag: F[tau] is the series cut after lag tau
+    assert F.shape == (3, 6, 4)
+    for tau in range(3):
+        for t in range(6):
+            expect = sum(x[t - j] @ K[j] for j in range(min(tau, t) + 1))
+            np.testing.assert_allclose(F[tau, t], expect, rtol=1e-13)
     # lags past the sequence length are never reached
-    np.testing.assert_allclose(causal_fir(K, x[:2]), F[:2], rtol=1e-13)
+    np.testing.assert_allclose(causal_fir(K, x[:2]), F[:2, :2], rtol=1e-13)
 
 
 _NORM_SCRIPT = """

@@ -5,7 +5,7 @@ import pytest
 
 from rnn_sysid.student import (forward_rescaled, init_student,
                                linearized_forward, load_checkpoint,
-                               save_checkpoint, truncated_forward)
+                               save_checkpoint)
 from rnn_sysid.teacher import ParameterError
 
 
@@ -40,23 +40,30 @@ def test_forward_matches_explicit_powers():
         np.testing.assert_allclose(F[t - 1], expect, atol=1e-10)
 
 
+def _truncated(rnn, x, taus):
+    """f_t^tau for each tau: the linearization at (W, A) in a zero direction."""
+    return linearized_forward(rnn.W, rnn.A, rnn.W, rnn.A, rnn.B, rnn.rho, x,
+                              taus=taus)
+
+
 def test_truncated_equals_full_when_tau_large():
     rnn, x = _setup(T=9)
     F = forward_rescaled(rnn.W, rnn.A, rnn.B, rnn.rho, x)
-    F_tau = truncated_forward(rnn.W, rnn.A, rnn.B, rnn.rho, x, tau=len(x) - 1)
+    F_tau = _truncated(rnn, x, [len(x) - 1])[0]
     np.testing.assert_allclose(F, F_tau, atol=1e-12)
 
 
 def test_truncated_tau_zero_is_memoryless():
     rnn, x = _setup()
-    F0 = truncated_forward(rnn.W, rnn.A, rnn.B, rnn.rho, x, tau=0)
+    F0 = _truncated(rnn, x, [0])[0]
     np.testing.assert_allclose(F0, x @ (rnn.B @ rnn.A).T, atol=1e-14)
 
 
 def test_truncated_rejects_negative_tau():
     rnn, x = _setup()
-    with pytest.raises(ParameterError):
-        truncated_forward(rnn.W, rnn.A, rnn.B, rnn.rho, x, tau=-1)
+    for taus in ([-1], [0, 3, -1]):
+        with pytest.raises(ParameterError):
+            _truncated(rnn, x, taus)
 
 
 def test_linearized_at_anchor_is_exact():
@@ -87,35 +94,40 @@ def test_linearized_truncated_matches_full_when_tau_large():
     W = rnn.W0 + 0.02 * rng.normal(size=rnn.W0.shape)
     A = rnn.A0 + 0.02 * rng.normal(size=rnn.A0.shape)
     full = linearized_forward(rnn.W0, rnn.A0, W, A, rnn.B, rnn.rho, x)
-    trunc = linearized_forward(rnn.W0, rnn.A0, W, A, rnn.B, rnn.rho, x,
-                               tau=len(x) - 1)
-    np.testing.assert_allclose(full, trunc, atol=1e-11)
+    # tau = T - 1 and past it
+    truncs = linearized_forward(rnn.W0, rnn.A0, W, A, rnn.B, rnn.rho, x,
+                                taus=[len(x) - 1, len(x) + 3])
+    for trunc in truncs:
+        np.testing.assert_allclose(full, trunc, atol=1e-11)
 
 
-@pytest.mark.parametrize("tau", [1, 3])
-def test_truncated_forwards_match_per_lag_sums(tau):
+def test_truncated_forwards_match_per_lag_sums():
     rnn, x = _setup(m=24, T=8)
+    T = len(x)
+    taus = [0, 1, 3, T + 2]
     rng = np.random.default_rng(9)
     W = rnn.W0 + 0.02 * rng.normal(size=rnn.W0.shape)
     A = rnn.A0 + 0.02 * rng.normal(size=rnn.A0.shape)
     dW = W - rnn.W0
     rho, B = rnn.rho, rnn.B
-    P0 = [np.linalg.matrix_power(rnn.W0, j) for j in range(tau + 1)]
+    P0 = [np.linalg.matrix_power(rnn.W0, j) for j in range(T)]
     # lag-j transfer matrices of f^tau and of its linearization at (W0, A0)
-    N = [rho**j * B @ P0[j] @ rnn.A0 for j in range(tau + 1)]
+    N = [rho**j * B @ P0[j] @ rnn.A0 for j in range(T)]
     N_lin = [rho**j * B @ (P0[j] @ A + sum((P0[i] @ dW @ P0[j - 1 - i]
                                             for i in range(j)),
                                            np.zeros_like(dW)) @ rnn.A0)
-             for j in range(tau + 1)]
-    F = truncated_forward(rnn.W, rnn.A, B, rho, x, tau)
-    F_lin = linearized_forward(rnn.W0, rnn.A0, W, A, B, rho, x, tau=tau)
-    for t in range(len(x)):
-        lags = range(min(tau, t) + 1)
-        np.testing.assert_allclose(F[t], sum(N[j] @ x[t - j] for j in lags),
-                                   atol=1e-12)
-        np.testing.assert_allclose(F_lin[t],
-                                   sum(N_lin[j] @ x[t - j] for j in lags),
-                                   atol=1e-12)
+             for j in range(T)]
+    Fs = _truncated(rnn, x, taus)
+    F_lins = linearized_forward(rnn.W0, rnn.A0, W, A, B, rho, x, taus=taus)
+    for tau, F, F_lin in zip(taus, Fs, F_lins):
+        for t in range(len(x)):
+            lags = range(min(tau, t) + 1)
+            np.testing.assert_allclose(F[t],
+                                       sum(N[j] @ x[t - j] for j in lags),
+                                       atol=1e-12)
+            np.testing.assert_allclose(F_lin[t],
+                                       sum(N_lin[j] @ x[t - j] for j in lags),
+                                       atol=1e-12)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
