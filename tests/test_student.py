@@ -101,10 +101,12 @@ def test_linearized_truncated_matches_full_when_tau_large():
         np.testing.assert_allclose(full, trunc, atol=1e-11)
 
 
-def test_truncated_forwards_match_per_lag_sums():
+@pytest.mark.parametrize("tau", [1, 3])
+def test_truncated_forwards_match_per_lag_sums(tau):
     rnn, x = _setup(m=24, T=8)
     T = len(x)
-    taus = [0, 1, 3, T + 2]
+    # tau alongside 0 and a tau past T, all served by one ladder
+    taus = [0, tau, T + 2]
     rng = np.random.default_rng(9)
     W = rnn.W0 + 0.02 * rng.normal(size=rnn.W0.shape)
     A = rnn.A0 + 0.02 * rng.normal(size=rnn.A0.shape)
