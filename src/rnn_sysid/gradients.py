@@ -3,9 +3,10 @@
 Directional derivatives (JVPs) run a tangent copy of the forward
 recurrence; full loss gradients use the reverse-mode adjoint recursion.
 Forward, tangent and adjoint are each one call to `linalg.recurrence`.
+The W-gradient has rank <= T-1 and stays as its two T x m factors.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,9 +16,23 @@ from .losses import eval_loss
 
 @dataclass
 class GradientPair:
-    grad_W: np.ndarray   # m x m, rescaled parameterization
+    """Loss gradients; grad_W = rho Lam[1:]^T G[:-1] is kept as its factors."""
+    Lam: np.ndarray      # T x m adjoint states
+    G: np.ndarray        # T x m forward states
+    rho: float
     grad_A: np.ndarray   # m x d
-    meta: dict = field(default_factory=dict)
+    loss: float          # (1/T) sum_t L(y_t, f_t)
+
+    @property
+    def grad_W(self):
+        """The dense m x m gradient w.r.t. the rescaled W; only tests form it."""
+        return self.rho * (self.Lam[1:].T @ self.G[:-1])
+
+    @property
+    def grad_W_frob(self):
+        """||grad_W||_F = rho sqrt(<Lam Lam^T, G G^T>) over T x T Grams."""
+        L, G = self.Lam[1:], self.G[:-1]
+        return self.rho * float(np.sqrt(np.einsum("ij,ij->", L @ L.T, G @ G.T)))
 
 
 def jvp_f_all_t(W, A, B, rho, x, Z_W=None, Z_A=None):
@@ -43,19 +58,10 @@ def loss_gradients_bptt(W, A, B, rho, x, y, loss):
     grad_W = rho sum_t lambda_t g_{t-1}^T, grad_A = sum_t lambda_t x_t^T.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     T = x.shape[0]
     G = recurrence(x @ A.T, W.T, rho)
-    F = G @ B.T
-    R = np.empty_like(F)
-    total = 0.0
-    for t in range(T):
-        v, R[t] = eval_loss(loss, y[t], F[t])
-        total += v
+    total, R = eval_loss(loss, y, G @ B.T)
     # the adjoint runs backward in time: a forward recurrence with M = W
     # on the reversed drive
-    Lam = recurrence((R @ B)[::-1] / T, W, rho)[::-1]
-    grad_W = Lam[1:].T @ G[:-1]
-    grad_W *= rho
-    return GradientPair(grad_W=grad_W, grad_A=Lam.T @ x,
-                        meta={"loss": loss.kind, "seq_loss": total / T})
+    Lam = recurrence((R @ B)[::-1] / T, W, rho)[::-1].copy()
+    return GradientPair(Lam=Lam, G=G, rho=rho, grad_A=Lam.T @ x, loss=total / T)

@@ -2,8 +2,13 @@
 
 B stays frozen.  The student holds the rescaled W = W~ / rho, and the step
 is the one SGD takes on the trained W~ with step size eta: the chain rule
-gives grad_W~ = grad_W / rho, so W moves by (eta / rho^2) * grad_W and A
-by eta * grad_A.
+gives grad_W~ = grad_W / rho, so W moves by eta_W grad_W (eta_W = eta /
+rho^2) and A by eta grad_A.  grad_W = rho Lam[1:]^T G[:-1] has rank <= T-1
+and is never formed: W is updated in place from its factors one row block
+at a time, ||grad_W|| comes from T x T Grams, and ||D||^2 (D = W - W0) is
+carried as ||D||^2 - 2 eta_W <D, grad_W> + eta_W^2 ||grad_W||^2, where
+<D, grad_W> = sum_t lambda_t^T (rho D g_{t-1}) takes rho W g_{t-1} =
+g_t - A x_t from the forward and W0 g_{t-1} from one product with W0.
 """
 
 import json
@@ -22,9 +27,6 @@ from .teacher import ParameterError
 @dataclass
 class TrainTrace:
     records: list = field(default_factory=list)
-    eta: float = 0.0
-    K: int = 0
-    seed: int = 0
     checkpoint_dirs: list = field(default_factory=list)
     aborted: bool = False
 
@@ -52,19 +54,22 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
         raise ParameterError("K must be >= 1")
     rho = rnn.rho
     eta_W = eta / rho**2
-    dW = np.empty_like(rnn.W)   # W - W0, reused every step
+    # W is updated 64 rows at a time through one buffer: a fresh temporary
+    # per block made the update up to three times slower at m = 2048
+    buf = np.empty((min(64, rnn.m), rnn.m))
+    blocks = [(slice(lo, lo + 64), buf[:min(64, rnn.m - lo)])
+              for lo in range(0, rnn.m, 64)]
+    dW_sq = sum(frob(rnn.W[s] - rnn.W0[s]) ** 2 for s, _ in blocks)
     rng = np.random.default_rng(seed)
     holdout_rng = np.random.default_rng([int(seed), 1])
-    trace = TrainTrace(eta=float(eta), K=int(K), seed=int(seed))
+    trace = TrainTrace()
     writer = open(trace_path, "w") if trace_path else None
     try:
         for k in range(K):
             i = int(rng.integers(dataset.K))
-            x = dataset.inputs[i]
-            y = dataset.observed_outputs[i]
+            x, y = dataset.inputs[i], dataset.observed_outputs[i]
             pair = loss_gradients_bptt(rnn.W, rnn.A, rnn.B, rho, x, y, loss)
-            step_loss = pair.meta["seq_loss"]
-            if not np.isfinite(step_loss):
+            if not np.isfinite(pair.loss):
                 trace.aborted = True
                 if checkpoint_dir:
                     path = os.path.join(checkpoint_dir, "abort_%06d" % k)
@@ -72,15 +77,11 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
                     save_checkpoint(rnn, path)
                     trace.checkpoint_dirs.append(path)
                 break
-            rec = {
-                "k": k,
-                "i": i,
-                "loss": step_loss,
-                "dW_frob": frob(np.subtract(rnn.W, rnn.W0, out=dW)),
-                "dA_frob": frob(rnn.A - rnn.A0),
-                "grad_W_frob": frob(pair.grad_W),
-                "grad_A_frob": frob(pair.grad_A),
-            }
+            gW = pair.grad_W_frob
+            rec = {"k": k, "i": i, "loss": pair.loss,
+                   "dW_frob": float(np.sqrt(dW_sq)),
+                   "dA_frob": frob(rnn.A - rnn.A0),
+                   "grad_W_frob": gW, "grad_A_frob": frob(pair.grad_A)}
             if holdout is not None:
                 j = int(holdout_rng.integers(holdout.K))
                 F = forward_rescaled(rnn.W, rnn.A, rnn.B, rho,
@@ -90,10 +91,16 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
             trace.records.append(rec)
             if writer:
                 writer.write(json.dumps(rec) + "\n")
-            pair.grad_W *= eta_W
-            rnn.W -= pair.grad_W
+            Lam, G_prev = pair.Lam[1:], pair.G[:-1]   # lambda_t, g_{t-1}
+            # rho (W - W0) g_{t-1} = (g_t - A x_t) - rho W0 g_{t-1}
+            DG = pair.G[1:] - (x @ rnn.A.T)[1:] - rho * (G_prev @ rnn.W0.T)
+            DgW = float(np.einsum("ij,ij->", Lam, DG))   # <W - W0, grad_W>
+            dW_sq = max(dW_sq - 2.0 * eta_W * DgW + (eta_W * gW) ** 2, 0.0)
+            cL = Lam.T * (-eta_W * rho)
+            for s, out in blocks:
+                np.matmul(cL[s], G_prev, out=out)
+                rnn.W[s] += out
             rnn.A -= eta * pair.grad_A
-            del pair   # so the next step's grad_W does not live beside it
             rnn.step = k + 1
             if checkpoint_dir and checkpoint_every and (k + 1) % checkpoint_every == 0:
                 path = os.path.join(checkpoint_dir, "step_%06d" % (k + 1))
@@ -114,10 +121,7 @@ def averaged_loss(trace):
 
 def running_average(values, window):
     """Trailing-window means; entry k averages the last `window` values up to k."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    c = np.concatenate([[0.0], np.cumsum(values)])
-    for k in range(len(values)):
-        lo = max(0, k + 1 - window)
-        out[k] = (c[k + 1] - c[lo]) / (k + 1 - lo)
-    return out
+    c = np.concatenate([[0.0], np.cumsum(values, dtype=float)])
+    hi = np.arange(1, len(c))
+    lo = np.maximum(0, hi - window)
+    return (c[hi] - c[lo]) / (hi - lo)

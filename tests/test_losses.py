@@ -88,6 +88,20 @@ def test_local_lipschitz_bound():
             assert np.linalg.norm(g) <= loss.l0 * (1 + C) + 1e-12
 
 
+@pytest.mark.parametrize("kind", ["square", "l1", "huber", "logistic"])
+def test_block_call_is_the_sum_of_row_calls(kind):
+    rng = np.random.default_rng(3)
+    loss = make_loss(kind, delta=0.7, d_y=3)
+    Y = rng.normal(size=(20, 3))
+    if kind == "logistic":
+        Y = np.where(Y >= 0, 1.0, -1.0)
+    F = rng.normal(size=(20, 3))
+    v, g = eval_loss(loss, Y, F)
+    rows = [eval_loss(loss, Y[t], F[t]) for t in range(20)]
+    np.testing.assert_allclose(v, sum(r[0] for r in rows), rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(g, np.array([r[1] for r in rows]))
+
+
 def test_sequence_loss_averages():
     loss = make_loss("square")
     Y = np.zeros((4, 2))

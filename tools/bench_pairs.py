@@ -1,0 +1,95 @@
+"""Alternating parent/change benchmark calls, kept as one BENCH_<slug>.json.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR \
+        --workload train_large --seeds 500-509 --out BENCH_sgd_step.json
+
+DIR is a source checkout of each commit, for example made with
+`git archive <commit> | tar -x -C DIR`.  For every seed the script runs
+`perfbench/run.py --workload W --seed S --seconds 20 --trace 0` once in
+each checkout, one process at a time, and alternates which side runs
+first.  Both result documents (the `info` line and the result line) go
+into the output file, which is read first if it exists, so several
+workloads can share one file.  Its `summary` holds, per workload and
+end-to-end metric, each side's median and quartiles, the change's median
+over the parent's, and the pairs the change won (lower is better for
+every metric; ties count for neither side).
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+
+def call(checkout, workload, seed, seconds):
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    lines = out.stdout.strip().splitlines()
+    return {"info": json.loads(lines[-2])["info"], "result": json.loads(lines[-1])}
+
+
+def summarize(pairs):
+    summary = {}
+    for workload in sorted({p["workload"] for p in pairs}):
+        rows = [p for p in pairs if p["workload"] == workload]
+        metrics = {}
+        for name in rows[0]["parent"]["result"]["metrics"]:
+            vals = {side: np.array([p[side]["result"]["metrics"][name]["value"]
+                                    for p in rows])
+                    for side in ("parent", "change")}
+            q = {side: [float(x) for x in np.percentile(v, [25, 50, 75])]
+                 for side, v in vals.items()}
+            metrics[name] = {
+                "parent_q1_median_q3": q["parent"],
+                "change_q1_median_q3": q["change"],
+                "change_over_parent": q["change"][1] / q["parent"][1],
+                "change_wins": int(np.sum(vals["change"] < vals["parent"])),
+                "pairs": len(rows)}
+        summary[workload] = {
+            "seeds": [p["seed"] for p in rows],
+            "failed": {side: sum(p[side]["result"]["failed"] for p in rows)
+                       for side in ("parent", "change")},
+            "attempted": {side: sum(p[side]["result"]["attempted"] for p in rows)
+                          for side in ("parent", "change")},
+            "metrics": metrics}
+    return summary
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True)
+    p.add_argument("--change", required=True)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", required=True, help="first-last, inclusive")
+    p.add_argument("--seconds", type=float, default=20)
+    p.add_argument("--out", required=True)
+    args = p.parse_args()
+    lo, hi = (int(s) for s in args.seeds.split("-"))
+    doc = {"pairs": []}
+    if os.path.exists(args.out):
+        with open(args.out) as f:
+            doc = json.load(f)
+    for n, seed in enumerate(range(lo, hi + 1)):
+        order = ("parent", "change") if n % 2 == 0 else ("change", "parent")
+        pair = {"workload": args.workload, "seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = call(getattr(args, side), args.workload, seed,
+                              args.seconds)
+        doc["pairs"].append(pair)
+        doc["summary"] = summarize(doc["pairs"])
+        with open(args.out, "w") as f:
+            json.dump(doc, f, indent=1, sort_keys=True)
+            f.write("\n")
+        m = pair["change"]["result"]["metrics"]["compute_s"]["value"]
+        b = pair["parent"]["result"]["metrics"]["compute_s"]["value"]
+        print("%s seed %d: compute_s parent %.3f change %.3f"
+              % (args.workload, seed, b, m), flush=True)
+
+
+if __name__ == "__main__":
+    main()
