@@ -112,37 +112,58 @@ def power_dtype(m):
 def matrix_power_opnorm(W, k, scale=1.0, iters=8, block=4, seed=0):
     """Estimate ||(scale * W)^k||_2 without forming the matrix power.
 
-    Blocked subspace iteration; each pass applies W (or W^T) k times to a
-    small block of vectors, cost O(iters * k * m^2 * block).  The estimate
-    is a lower bound that converges quickly; `iters=8` gives 3+ digits on
-    the matrices used here.  It runs in `power_dtype(m)`, float32 from
-    m = 2048 up (the round-off is orders of magnitude below the
-    iteration's own convergence slack); W already in it is not copied.
+    Blocked subspace iteration; each of `iters` rounds applies W k times
+    and W^T k times to a small block of vectors and re-orthonormalizes it,
+    cost O(iters * k * m^2 * block).  The estimate is a lower bound that
+    converges quickly; `iters=8` gives 3+ digits on the matrices used here.
+
+    `k` may be a sequence of powers, with `iters` one count per power or
+    one for all; the result is then a list of estimates.  They start from
+    the same seeded block and iterate together: each step makes one GEMM
+    with W over the side-by-side blocks of every power whose next product
+    is with W, and one with W^T likewise.  A blocked GEMM computes each
+    column alike whatever stands beside it, so each estimate equals its
+    one-power call's; below m^2 * block ~ 1e6 OpenBLAS may take its
+    small-matrix kernel for the lone product only, and the last bits then
+    differ (seen at m <= 256 with block 4).
+
+    It runs in `power_dtype(m)`, float32 from m = 2048 up (the round-off
+    is orders of magnitude below the iteration's own convergence slack);
+    W already in it is not copied.
     """
     W = np.asarray(W)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {W.shape}")
-    if k == 0:
-        return 1.0
+    ks = [int(x) for x in np.atleast_1d(k)]
     m = W.shape[0]
     dtype = power_dtype(m)
     W = W.astype(dtype, copy=False)
     block = min(block, m)
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.normal(size=(m, block)))[0].astype(dtype)
-    Y = Q
-    for _ in range(iters):
-        Y = Q
-        for _ in range(k):
-            Y = scale * (W @ Y)
-        Z = Y
-        for _ in range(k):
-            Z = scale * (W.T @ Z)
-        Q, _ = np.linalg.qr(Z)
-    Y = Q
-    for _ in range(k):
-        Y = scale * (W @ Y)
-    return float(np.linalg.svd(Y, compute_uv=False)[0])
+    est = [1.0] * len(ks)
+    # each power's steps: W k times, W^T k times, QR; iters rounds of that,
+    # then W k times and the SVD
+    its = np.broadcast_to(iters, len(ks))
+    plan = {j: ("W" * kj + "T" * kj + "Q") * its[j] + "W" * kj + "S"
+            for j, kj in enumerate(ks) if kj}
+    Y, pos = dict.fromkeys(plan, Q), dict.fromkeys(plan, 0)
+    while plan:
+        for op, M in (("W", W), ("T", W.T)):
+            due = [j for j in plan if plan[j][pos[j]] == op]
+            if due:
+                out = scale * (M @ np.hstack([Y[j] for j in due]))
+                for n, j in enumerate(due):
+                    Y[j] = out[:, n * block:(n + 1) * block]
+                    pos[j] += 1
+        for j in list(plan):
+            if plan[j][pos[j]] == "Q":
+                Y[j] = np.linalg.qr(Y[j])[0]
+                pos[j] += 1
+            elif plan[j][pos[j]] == "S":
+                est[j] = float(np.linalg.svd(Y.pop(j), compute_uv=False)[0])
+                del plan[j]
+    return est[0] if np.ndim(k) == 0 else est
 
 
 def frob(M):

@@ -54,6 +54,26 @@ def test_matrix_power_opnorm_same_for_a_float32_copy():
                 == matrix_power_opnorm(W, k, iters=2))
 
 
+@pytest.mark.parametrize("m,dtype,block", [(256, np.float64, 8),
+                                           (1024, np.float64, 4),
+                                           (2048, np.float32, 8),
+                                           (2048, np.float32, 4)])
+def test_matrix_power_opnorm_batch_equals_per_power_calls(m, dtype, block):
+    # one GEMM serves every power's block, and a blocked GEMM computes each
+    # column alike whatever its neighbours: each batched estimate is exactly
+    # the single-power one (blocks of 8, as for ||W0^k||, and of 4, as for
+    # the (d) estimates, from m = 512 up)
+    W = np.random.default_rng(8).normal(0.0, 1.0 / np.sqrt(m),
+                                        size=(m, m)).astype(dtype)
+    ks, iters = [2, 0, 1, 5, 3], [6, 4, 3, 2, 5]
+    est = matrix_power_opnorm(W, ks, scale=0.9, iters=iters, block=block,
+                              seed=3)
+    assert est == [matrix_power_opnorm(W, k, scale=0.9, iters=it,
+                                       block=block, seed=3)
+                   for k, it in zip(ks, iters)]
+    assert est[1] == 1.0
+
+
 def test_matrix_power_opnorm_k_zero_is_identity_norm():
     W = np.random.default_rng(2).normal(size=(7, 7))
     assert matrix_power_opnorm(W, 0) == 1.0
@@ -124,17 +144,36 @@ print(repr(operator_norm_fast(M)))
 """
 
 
-def test_operator_norm_fast_same_in_every_process():
-    env = dict(os.environ)
+def _run(script, *args, **env_vars):
+    env = dict(os.environ, **env_vars)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    outs = [subprocess.run([sys.executable, "-c", _NORM_SCRIPT], env=env,
-                           capture_output=True, text=True, check=True,
-                           timeout=300).stdout
-            for _ in range(2)]
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=300).stdout
+
+
+def test_operator_norm_fast_same_in_every_process():
+    outs = [_run(_NORM_SCRIPT) for _ in range(2)]
     assert outs[0] == outs[1]
     sigma = float(outs[0])
     exact = np.linalg.svd(np.random.default_rng(0).normal(size=(1024, 1024)),
                           compute_uv=False)[0]
     assert sigma == pytest.approx(exact, rel=1e-9)
+
+
+_SPECTRAL_SCRIPT = """
+import sys
+from rnn_sysid.verify import verify_spectral
+verify_spectral(m=2048, trials=1, seed=0).save(sys.argv[1])
+"""
+
+
+def test_spectral_report_same_at_every_blas_thread_count(tmp_path):
+    # the batched GEMMs and the float32 svds split work across threads
+    # without changing any sum's order, so the report does not move
+    paths = [tmp_path / f"report_{n}.json" for n in (1, 2)]
+    for n, path in zip((1, 2), paths):
+        _run(_SPECTRAL_SCRIPT, str(path), OPENBLAS_NUM_THREADS=str(n))
+    assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from rnn_sysid.verify import (LemmaReport, run_lemma, tail_norms,
-                              verify_concentration, verify_linearization,
-                              verify_spectral, verify_tail, verify_truncation)
+from rnn_sysid.linalg import operator_norm_fast
+from rnn_sysid.verify import (LemmaReport, _unit_frob, run_lemma, sample_W0,
+                              tail_norms, verify_concentration,
+                              verify_linearization, verify_spectral,
+                              verify_tail, verify_truncation)
 
 
 def test_report_save_roundtrip(tmp_path):
@@ -29,12 +31,33 @@ def test_spectral_small_m():
     assert rep.checks["b"]["pass_fraction"] == 1.0
     # the negative control must actually break the 2 sqrt(k) bound
     assert rep.checks["negative_control_c"]["pass_fraction"] == 1.0
+    # margins: above 1 only where an instance went the wrong way
+    assert rep.checks["a"]["worst_margin"] <= 1.0
+    assert rep.checks["negative_control_c"]["worst_margin"] <= 1.0
+    assert rep.checks["c"]["worst_margin"] == rep.observed["max_ratio_c"]
 
 
 def test_spectral_deterministic():
     r1 = verify_spectral(m=64, trials=3, seed=4)
     r2 = verify_spectral(m=64, trials=3, seed=4)
     assert r1.to_dict() == r2.to_dict()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectral_shortcut_norm_from_float32_is_an_upper_value(seed):
+    # check (d)'s s1 takes ||W|| from the float32 copy of a trial's W,
+    # raised by the band 2 eps sqrt(m): that covers the float64 norm, and
+    # the float32 value lies within the band of it (measured <= 1.2e-7
+    # relative at m = 2048 and 4096, against a band of 1.1e-5 and 1.5e-5)
+    m = 2048
+    rng = np.random.default_rng([seed, 0])
+    W0 = sample_W0(rng, m)
+    W = W0 + (1.0 / 0.9 - 1.0) * _unit_frob(rng, (m, m))
+    band = 2.0 * np.finfo(np.float32).eps * np.sqrt(m)
+    sigma = operator_norm_fast(W.astype(np.float32))
+    exact = operator_norm_fast(W)
+    assert exact <= sigma * (1.0 + band)
+    assert abs(sigma / exact - 1.0) <= band
 
 
 def test_concentration_small_scale():
