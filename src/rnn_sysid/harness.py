@@ -26,7 +26,7 @@ from .schedule import MULTIPLIER_FIELDS, theory_schedule
 from .student import init_student
 from .teacher import generate_dataset, load_dataset, random_stable_system
 from .trainer import running_average, sgd_train
-from .verify import ALL_LEMMAS, run_lemma
+from .verify import ALL_LEMMAS, run_lemma, sample_init
 
 
 class ConfigError(ValueError):
@@ -290,9 +290,7 @@ def _run_existence(c, out):
     for m in c["m_grid"]:
         for s in c["seeds"]:
             rng = np.random.default_rng([int(s), m])
-            W0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, m))
-            A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, sys.d))
-            B = rng.normal(0.0, np.sqrt(1.0 / sys.d_y), size=(sys.d_y, m))
+            W0, A0, B = sample_init(rng, m, sys.d, sys.d_y)
             # probe sequences of length T_max, drawn like the default data
             dataset = generate_dataset(sys, **{**DATA, "T": T_max, **c["probe"]},
                                        seed=s + 500)

@@ -6,9 +6,11 @@ f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0}: the first walks a transition
 matrix over time (or over lag), the second sums per-lag transfer
 matrices against an input sequence.
 
-Operator norms are computed by power iteration on M^T M so that the same
-code path works for explicit matrices and for implicitly defined matrix
-powers (which are never formed densely).
+Operator norms: `operator_norm` is power iteration on M^T M, for the
+small matrices of the teacher and the concentration checks;
+`operator_norm_fast` is scipy's Lanczos `svds` from a seeded start; and
+`matrix_power_opnorm` estimates norms of matrix powers by subspace
+iteration, never forming the power.
 """
 
 import numpy as np
@@ -89,17 +91,14 @@ def operator_norm(M, iters=200, tol=1e-10, seed=0):
 
 
 def operator_norm_fast(M):
-    """2-norm via Lanczos (scipy svds) for large matrices, exact SVD cost
-    avoided; falls back to power iteration below the crossover size.
+    """2-norm via Lanczos (scipy svds), without the cost of a full SVD.
 
     ARPACK starts from a seeded vector, so the result is the same in every
     process (its default start vector is drawn from OS entropy).
     """
-    M = np.asarray(M)
-    if min(M.shape) < 1024:
-        return operator_norm(M)
     from scipy.sparse.linalg import svds
 
+    M = np.asarray(M)
     v0 = np.random.default_rng(0).normal(size=min(M.shape))
     return float(svds(M, k=1, v0=v0, return_singular_vectors=False)[0])
 
@@ -114,8 +113,10 @@ def matrix_power_opnorm(W, k, scale=1.0, iters=8, block=4, seed=0):
 
     Blocked subspace iteration; each of `iters` rounds applies W k times
     and W^T k times to a small block of vectors and re-orthonormalizes it,
-    cost O(iters * k * m^2 * block).  The estimate is a lower bound that
-    converges quickly; `iters=8` gives 3+ digits on the matrices used here.
+    cost O(iters * k * m^2 * block).  The estimate is a lower value: at the
+    counts `verify_spectral` uses (6, 4 and 2 iterations, block 8) it reads
+    ||W0^k|| low by a median of 1.6%, 2.0% and 3.1% at m = 1024 (worst
+    2.7%, 3.7% and 7.2%; 5 draws, k = 2..16, against explicit powers).
 
     `k` may be a sequence of powers, with `iters` one count per power or
     one for all; the result is then a list of estimates.  They start from

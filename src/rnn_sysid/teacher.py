@@ -33,8 +33,6 @@ class StableLinearSystem:
     G: np.ndarray       # d_y x d_p output map
     rho_C: float
     c_rho: float = 0.0
-    opnorm_D: float = 0.0
-    opnorm_G: float = 0.0
 
     @property
     def d_p(self):
@@ -95,8 +93,6 @@ def random_stable_system(d_p, d, d_y, rho_C, seed, cert_horizon=200):
     G = rng.normal(size=(d_y, d_p))
     G /= operator_norm(G)
     sys = StableLinearSystem(C=C, D=D, G=G, rho_C=rho_C)
-    sys.opnorm_D = operator_norm(D)
-    sys.opnorm_G = operator_norm(G)
     sys.c_rho, ok = stability_certificate(sys, cert_horizon)
     if not ok:
         raise ParameterError(

@@ -10,7 +10,7 @@ claims are asserted via pass fractions, never per-trial hard assertions.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .schedule import rho_1_of_m, theory_schedule
 from .student import _lag_ladder, forward_rescaled, linearized_forward
 
 REPORT_FORMAT_VERSION = 1
-DEFAULT_THRESHOLD = 0.95
+THRESHOLD = 0.95  # every report's pass fraction is scored against it
+POWER_ITERS = 6   # verify_spectral's subspace iterations at k <= 3 and in (d)
 
 
 @dataclass
@@ -36,12 +37,12 @@ class LemmaReport:
     observed: dict = field(default_factory=dict)
     bound_formula: str = ""
     pass_fraction: float = 0.0
-    threshold: float = DEFAULT_THRESHOLD
+    threshold: float = field(default=THRESHOLD, init=False)
     passed: bool = False
     format_version: int = REPORT_FORMAT_VERSION
 
     def to_dict(self):
-        return dict(self.__dict__)
+        return asdict(self)
 
     def save(self, path):
         with open(path, "w") as f:
@@ -49,24 +50,20 @@ class LemmaReport:
             f.write("\n")
 
 
-def _check_entry(flags, extra=None):
-    flags = list(flags)
-    entry = {
-        "n_instances": len(flags),
-        "pass_fraction": float(np.mean(flags)) if flags else None,
-        "status": "ok" if flags else "skipped",
-    }
-    if extra:
-        entry.update(extra)
-    return entry
+def _finish(report, flags, asserted, extras=None):
+    """One check entry per list of instance flags, then the verdict.
 
-
-def _finish(report, asserted):
-    """Overall pass fraction = worst asserted check; skipped checks ignored.
-
-    A report whose asserted checks were all skipped tested nothing, so it
-    fails with pass fraction 0.
+    `extras` maps a check name to further keys of its entry.  Overall pass
+    fraction = worst asserted check; skipped checks ignored.  A report
+    whose asserted checks were all skipped tested nothing, so it fails
+    with pass fraction 0.
     """
+    for name, fl in flags.items():
+        report.checks[name] = {
+            "n_instances": len(fl),
+            "pass_fraction": float(np.mean(fl)) if fl else None,
+            "status": "ok" if fl else "skipped",
+            **(extras or {}).get(name, {})}
     fractions = [report.checks[name]["pass_fraction"]
                  for name in asserted
                  if report.checks[name]["status"] == "ok"]
@@ -97,12 +94,19 @@ def sample_W0(rng, m):
     return rng.normal(0.0, np.sqrt(1.0 / m), size=(m, m))
 
 
+def sample_init(rng, m, d, d_y):
+    """The initialization (W0, A0, B), drawn from `rng` in that order."""
+    W0 = sample_W0(rng, m)
+    A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, d))
+    B = rng.normal(0.0, np.sqrt(1.0 / d_y), size=(d_y, m))
+    return W0, A0, B
+
+
 # ---------------------------------------------------------------------------
 # spectral bounds on powers of the random initialization
 
 
-def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8,
-                    power_iters=6, threshold=DEFAULT_THRESHOLD):
+def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8):
     """Checks on ||W0^k|| and on ||rho^t W^t|| for perturbed W.
 
     (a) ||W0^k|| <= rho_1^{-k} for k >= L;  (b) <= rho_1^{-L} for k < L;
@@ -119,7 +123,7 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8,
     batched `matrix_power_opnorm` call every other ||W0^k||, and one more
     the (d) instances where s1^t misses the bound.  s1 = rho sigma
     (1 + 2 eps sqrt(m)), eps the copy's epsilon, covers its storage error
-    (<= eps/2 sqrt(m) ||W||) and the svds Ritz slack (m >= 1024) on rho ||W||.
+    (<= eps/2 sqrt(m) ||W||) and the svds Ritz slack on rho ||W||.
     """
     rho_1 = rho_1_of_m(m)
     L = max(1, int(np.sqrt(m) / np.log(m)))
@@ -131,8 +135,8 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8,
     ks_pow = ks_all[1:]  # k = 1, always first, is operator_norm_fast's
     # the 2 sqrt(k) bound is tightest at small k; beyond 2L the rho_1^{-k}
     # bound is very loose, so taper the iterations
-    iters = [power_iters if k <= 3 else max(3, power_iters - 2) if k <= 2 * L
-             else 2 for k in ks_pow]
+    iters = [POWER_ITERS if k <= 3 else POWER_ITERS - 2 if k <= 2 * L else 2
+             for k in ks_pow]
     bounds_d = [2.0 * np.sqrt(t) * rho_0**t for t in ks_c]
 
     # (observed, bound) per instance
@@ -168,7 +172,7 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8,
         # submultiplicative upper value first; estimate where it fails
         slow = [t for t, b in zip(ks_c, bounds_d) if s1**t > b]
         est = dict(zip(slow, matrix_power_opnorm(
-            Wp, slow, scale=rho, iters=power_iters, seed=int(2000 + r))))
+            Wp, slow, scale=rho, iters=POWER_ITERS, seed=int(2000 + r))))
         inst["d"] += [(est.get(t, s1**t), b) for t, b in zip(ks_c, bounds_d)]
 
     report = LemmaReport(
@@ -177,23 +181,23 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8,
                 "omega_0": omega_0, "k_grid": ks_all},
         bound_formula="||W0^k|| <= min(rho_1^{-max(k,L)}, 2 sqrt(k)); "
                       "||rho^t W^t|| <= 2 sqrt(t) rho_0^t",
-        threshold=threshold,
     )
-    for name in ("a", "b", "c", "d"):
-        report.checks[name] = _check_entry(
-            [o <= b for o, b in inst[name]],
-            {"worst_margin": max((o / b for o, b in inst[name]), default=None)})
-    neg = inst["negative_control_c"]
-    neg_flags = [o > b for o, b in neg]
-    report.checks["negative_control_c"] = _check_entry(
-        neg_flags, {"expected": "fail rate > 0 for scaled input",
-                    "worst_margin": max((b / o for o, b in neg), default=None)})
+    neg = inst.pop("negative_control_c")
+    flags = {name: [o <= b for o, b in pairs] for name, pairs in inst.items()}
+    flags["negative_control_c"] = [o > b for o, b in neg]
+    extras = {name: {"worst_margin": max((o / b for o, b in pairs),
+                                         default=None)}
+              for name, pairs in inst.items()}
+    extras["negative_control_c"] = {
+        "expected": "fail rate > 0 for scaled input",
+        "worst_margin": max((b / o for o, b in neg), default=None)}
     report.observed = {
         "max_ratio_c": max((o / b for o, b in inst["c"]), default=0.0),
         "trial_level_c_pass_fraction": float(np.mean(per_trial_c)),
-        "negative_control_violation_fraction": float(np.mean(neg_flags)),
+        "negative_control_violation_fraction": float(
+            np.mean(flags["negative_control_c"])),
     }
-    return _finish(report, asserted=("a", "b", "c", "d"))
+    return _finish(report, flags, ("a", "b", "c", "d"), extras)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +205,7 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8,
 
 
 def verify_concentration(m=4096, tau=8, d=4, d_y=2, trials=20, seed=0,
-                         delta=math.exp(-1.0), threshold=DEFAULT_THRESHOLD):
+                         delta=math.exp(-1.0)):
     """Concentration of propagated directions at initialization.
 
     (a) ||W0^t A0 v|| and sqrt(d_y/m) ||(W0^T)^t B^T v|| in [0.9, 1.1];
@@ -226,9 +230,7 @@ def verify_concentration(m=4096, tau=8, d=4, d_y=2, trials=20, seed=0,
     cross_a_max = 0.0
     for r in range(trials):
         rng = np.random.default_rng([int(seed), r])
-        W0 = sample_W0(rng, m)
-        A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, d))
-        B = rng.normal(0.0, np.sqrt(1.0 / d_y), size=(d_y, m))
+        W0, A0, B = sample_init(rng, m, d, d_y)
         v2 = _unit_vec(rng, d)
         u2 = _unit_vec(rng, d)
         v1 = _unit_vec(rng, d_y)
@@ -246,15 +248,14 @@ def verify_concentration(m=4096, tau=8, d=4, d_y=2, trials=20, seed=0,
             if t <= 1:
                 flags["d"].append(iso_ok)
             flags["d_all_t"].append(iso_ok)
-        for t in range(tau):
-            for tp in range(tau):
-                if t == tp:
-                    continue
-                val = abs(u2 @ (Fs[t].T @ Fs[tp]) @ v2)
-                flags["c"].append(val <= cross_bound)
-                cross_a_max = max(cross_a_max, val)
-                val_b = abs(u1 @ (Ps[t].T @ Ps[tp]) @ v1) * (d_y / m)
-                cross_b_max = max(cross_b_max, val_b)
+        # cross terms: the off-diagonal of one tau x tau product per side,
+        # [t, t'] = u^T Fs[t]^T Fs[t'] v, in row-major (t, t') order
+        off = ~np.eye(tau, dtype=bool)
+        cross_a = np.abs((Fs @ u2) @ (Fs @ v2).T)[off]
+        flags["c"] += list(cross_a <= cross_bound)
+        cross_a_max = np.max(cross_a, initial=cross_a_max)
+        cross_b = np.abs((Ps @ u1) @ (Ps @ v1).T)[off] * (d_y / m)
+        cross_b_max = np.max(cross_b, initial=cross_b_max)
 
     report = LemmaReport(
         lemma_id="concentration", m=int(m), trials=int(trials), seed=int(seed),
@@ -263,19 +264,16 @@ def verify_concentration(m=4096, tau=8, d=4, d_y=2, trials=20, seed=0,
                 "regime_ok": bool(m > tau**3 * d)},
         bound_formula="norms in [0.9,1.1]; ||B W0^t A0|| <= sqrt(d log(tau d/delta)); "
                       "cross <= 24 tau d^2 log m / sqrt(m); ||F^T F - I|| <= log m/sqrt(m)",
-        threshold=threshold,
     )
-    for name in ("a", "b", "c", "d", "d_all_t"):
-        report.checks[name] = _check_entry(flags[name])
-    report.checks["d"]["t_range"] = "0..1 (in-regime base case)"
-    report.checks["d_all_t"]["asserted"] = False
     report.observed = {
         "cross_a_max": cross_a_max,
         "cross_a_bound": cross_bound,
         "cross_b_max_scaled": cross_b_max,
         "b_side_asserted": False,
     }
-    return _finish(report, asserted=("a", "b", "c", "d"))
+    return _finish(report, flags, ("a", "b", "c", "d"),
+                   {"d": {"t_range": "0..1 (in-regime base case)"},
+                    "d_all_t": {"asserted": False}})
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +304,7 @@ def tail_norms(W, A0, B, Q, Q2, Z, rho, tau_grid):
 
 
 def verify_tail(m=256, tau_grid=(1, 2, 4, 8, 16, 30), trials=20, seed=0,
-                rho_0=0.9, d=4, d_y=2, threshold=DEFAULT_THRESHOLD):
+                rho_0=0.9, d=4, d_y=2):
     """Tail sums of the rescaled series against the explicit 4- and
     32-constant bounds, with rho = rho_1 rho_0^2 and W perturbed to the
     boundary of the omega_0 ball.
@@ -325,9 +323,7 @@ def verify_tail(m=256, tau_grid=(1, 2, 4, 8, 16, 30), trials=20, seed=0,
     loose_max = 0.0
     for r in range(trials):
         rng = np.random.default_rng([int(seed), r])
-        W0 = sample_W0(rng, m)
-        A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, d))
-        B = rng.normal(0.0, np.sqrt(1.0 / d_y), size=(d_y, m))
+        W0, A0, B = sample_init(rng, m, d, d_y)
         W = W0 + omega_0 * _unit_frob(rng, (m, m))
         Q = rng.normal(size=(m, d))
         Q /= operator_norm(Q)
@@ -354,12 +350,9 @@ def verify_tail(m=256, tau_grid=(1, 2, 4, 8, 16, 30), trials=20, seed=0,
                 "d": d, "d_y": d_y, "series_cap": N},
         bound_formula="4 sqrt(m) tau rho_0^tau/(1-rho_0)^2; "
                       "32 sqrt(m) tau^2 rho_0^tau/(1-rho_0)^3",
-        threshold=threshold,
     )
-    for name in ("single", "double", "monotone"):
-        report.checks[name] = _check_entry(flags[name])
     report.observed = {"max_tail_to_bound_ratio": loose_max}
-    return _finish(report, asserted=("single", "double", "monotone"))
+    return _finish(report, flags, ("single", "double", "monotone"))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +360,7 @@ def verify_tail(m=256, tau_grid=(1, 2, 4, 8, 16, 30), trials=20, seed=0,
 
 
 def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
-                         trials=20, seed=0, rho_0=0.9, T=12, d=4, d_y=2,
-                         threshold=DEFAULT_THRESHOLD):
+                         trials=20, seed=0, rho_0=0.9, T=12, d=4, d_y=2):
     """Residual of the first-order expansion of f_t around initialization.
 
     Bound 768 sqrt(m) omega^2 / (1-rho_0)^5 per instance; the log-log slope
@@ -382,9 +374,7 @@ def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
     slopes = []
     for r in range(trials):
         rng = np.random.default_rng([int(seed), r])
-        W0 = sample_W0(rng, m)
-        A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, d))
-        B = rng.normal(0.0, np.sqrt(1.0 / d_y), size=(d_y, m))
+        W0, A0, B = sample_init(rng, m, d, d_y)
         U = _unit_frob(rng, (m, m))
         V = _unit_frob(rng, (m, d))
         x = rng.normal(size=(T, d)) / np.sqrt(d)
@@ -410,13 +400,10 @@ def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
         params={"rho_0": rho_0, "rho": rho, "omega_grid": list(omega_grid),
                 "T": T, "d": d, "d_y": d_y},
         bound_formula="768 sqrt(m) omega^2 / (1-rho_0)^5; slope 2.0 +- 0.2",
-        threshold=threshold,
     )
-    for name in ("bound", "slope"):
-        report.checks[name] = _check_entry(flags[name])
     report.observed = {"slopes": slopes,
                        "mean_slope": float(np.mean(slopes)) if slopes else None}
-    return _finish(report, asserted=("bound", "slope"))
+    return _finish(report, flags, ("bound", "slope"))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +412,7 @@ def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
 
 def verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20, 24, 28, 32),
                       trials=20, seed=0, rho_0=0.9, d=4, d_y=2,
-                      omega=0.05, epsilon=0.05, delta=math.exp(-1.0),
-                      threshold=DEFAULT_THRESHOLD):
+                      omega=0.05, epsilon=0.05, delta=math.exp(-1.0)):
     """max_t ||f^lin_t - f^{lin,tau}_t|| across a tau grid.
 
     Asserts the 8 sqrt(m) tau rho_0^tau / (1-rho_0)^3 bound and the
@@ -443,9 +429,7 @@ def verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20, 24, 28, 32),
     T_app = sched.T_max + 24
     for r in range(trials):
         rng = np.random.default_rng([int(seed), r])
-        W0 = sample_W0(rng, m)
-        A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, d))
-        B = rng.normal(0.0, np.sqrt(1.0 / d_y), size=(d_y, m))
+        W0, A0, B = sample_init(rng, m, d, d_y)
         W = W0 + omega * _unit_frob(rng, (m, m))
         A = A0 + omega * _unit_frob(rng, (m, d))
         x = rng.normal(size=(T, d)) / np.sqrt(d)
@@ -480,7 +464,6 @@ def verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20, 24, 28, 32),
                 "T_max": sched.T_max, "b": sched.b, "rho_theory": sched.rho},
         bound_formula="8 sqrt(m) tau rho_0^tau/(1-rho_0)^3; slope log(rho_0) "
                       "+- 20%; error at tau=T_max <= epsilon/b",
-        threshold=threshold,
     )
     # The asserted slope is fit on the per-tau median error across trials;
     # single-trial slopes wobble ~0.015 around it and are recorded only.
@@ -488,14 +471,12 @@ def verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20, 24, 28, 32),
     pooled_slope = float(np.polyfit(tau_grid, np.log(med_errs), 1)[0])
     flags["slope"] = [abs(pooled_slope - np.log(rho_0))
                       <= 0.2 * abs(np.log(rho_0))]
-    for name in ("bound", "slope", "slope_per_trial", "app"):
-        report.checks[name] = _check_entry(flags[name])
-    report.checks["slope_per_trial"]["asserted"] = False
     report.observed = {"slopes": slopes,
                        "pooled_slope": pooled_slope,
                        "mean_slope": float(np.mean(slopes)) if slopes else None,
                        "target_slope": float(np.log(rho_0))}
-    return _finish(report, asserted=("bound", "slope", "app"))
+    return _finish(report, flags, ("bound", "slope", "app"),
+                   {"slope_per_trial": {"asserted": False}})
 
 
 ALL_LEMMAS = {

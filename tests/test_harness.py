@@ -58,6 +58,13 @@ _UNKNOWN_FIELDS = [
      "lemma_params.tail.tau"),
     ({"kind": "train", "schedule": {"multipliers": {"etta": 2.0}}},
      "schedule.multipliers.etta"),
+    # knobs that could only loosen a verdict
+    ({"kind": "verify", "lemma_params": {"spectral": {"threshold": 0.0}}},
+     "lemma_params.spectral.threshold"),
+    ({"kind": "verify", "lemma_params": {"tail": {"threshold": 0.0}}},
+     "lemma_params.tail.threshold"),
+    ({"kind": "verify", "lemma_params": {"spectral": {"power_iters": 1}}},
+     "lemma_params.spectral.power_iters"),
 ]
 
 

@@ -33,6 +33,20 @@ def test_operator_norm_zero_matrix():
     assert operator_norm(np.zeros((4, 4))) == 0.0
 
 
+@pytest.mark.parametrize("m", [64, 256, 512])
+def test_operator_norm_fast_exact_on_spectral_W(m):
+    # verify_spectral's W: W0 plus a perturbation of Frobenius norm omega_0
+    # at rho_0 = 0.9; the k = 1 norm must be the exact top singular value
+    # at every width, not a lower estimate
+    for seed in range(3):
+        rng = np.random.default_rng([seed, m])
+        W = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, m))
+        U = rng.normal(size=(m, m))
+        W += (1.0 / 0.9 - 1.0) * U / np.linalg.norm(U)
+        exact = np.linalg.svd(W, compute_uv=False)[0]
+        assert abs(operator_norm_fast(W) / exact - 1.0) <= 1e-12
+
+
 def test_matrix_power_opnorm_vs_dense_power():
     rng = np.random.default_rng(1)
     m = 60

@@ -1,13 +1,14 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from rnn_sysid.linalg import operator_norm_fast
-from rnn_sysid.verify import (LemmaReport, _unit_frob, run_lemma, sample_W0,
-                              tail_norms, verify_concentration,
-                              verify_linearization, verify_spectral,
-                              verify_tail, verify_truncation)
+from rnn_sysid.verify import (ALL_LEMMAS, LemmaReport, _unit_frob, _unit_vec,
+                              run_lemma, sample_init, sample_W0, tail_norms,
+                              verify_concentration, verify_linearization,
+                              verify_spectral, verify_tail, verify_truncation)
 
 
 def test_report_save_roundtrip(tmp_path):
@@ -69,6 +70,31 @@ def test_concentration_small_scale():
     assert rep.observed["cross_a_max"] <= rep.observed["cross_a_bound"]
 
 
+def test_concentration_cross_terms_match_literal_pairs():
+    # reference: every t != t' pair in turn, with explicit powers of W0;
+    # the report takes them from one tau x tau product per side
+    m, tau, d, d_y, trials, seed = 256, 4, 3, 2, 2, 3
+    rep = verify_concentration(m=m, tau=tau, d=d, d_y=d_y, trials=trials,
+                               seed=seed)
+    a_max = b_max = 0.0
+    for r in range(trials):
+        rng = np.random.default_rng([seed, r])
+        W0, A0, B = sample_init(rng, m, d, d_y)
+        v2, u2 = _unit_vec(rng, d), _unit_vec(rng, d)
+        v1, u1 = _unit_vec(rng, d_y), _unit_vec(rng, d_y)
+        Wt = [np.linalg.matrix_power(W0, t) for t in range(tau)]
+        for t in range(tau):
+            for tp in range(tau):
+                if t != tp:
+                    a_max = max(a_max, abs(u2 @ (Wt[t] @ A0).T
+                                           @ (Wt[tp] @ A0) @ v2))
+                    b_max = max(b_max, abs(u1 @ (B @ Wt[t]) @ (B @ Wt[tp]).T
+                                           @ v1) * d_y / m)
+    assert rep.checks["c"]["n_instances"] == trials * tau * (tau - 1)
+    assert rep.observed["cross_a_max"] == pytest.approx(a_max, rel=1e-12)
+    assert rep.observed["cross_b_max_scaled"] == pytest.approx(b_max, rel=1e-12)
+
+
 def test_tail_bounds_and_monotonicity():
     rep = verify_tail(m=128, tau_grid=(1, 2, 4, 8), trials=5, seed=0)
     assert rep.passed
@@ -109,6 +135,16 @@ def test_spectral_has_a_default_width():
     # every verifier has one, so the default verify config can run
     rep = run_lemma("spectral", trials=1)
     assert rep.lemma_id == "spectral" and rep.m == 1024
+
+
+def test_threshold_is_fixed():
+    # no caller can score a lemma against a lower pass fraction than 0.95
+    for fn in ALL_LEMMAS.values():
+        assert "threshold" not in inspect.signature(fn).parameters
+    with pytest.raises(TypeError):
+        LemmaReport(lemma_id="demo", m=8, trials=1, seed=0, threshold=0.0)
+    assert LemmaReport(lemma_id="demo", m=8, trials=1,
+                       seed=0).to_dict()["threshold"] == 0.95
 
 
 def test_pass_fraction_is_worst_asserted_check():

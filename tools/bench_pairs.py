@@ -12,7 +12,10 @@ into the output file, which is read first if it exists, so several
 workloads can share one file.  Its `summary` holds, per workload and
 end-to-end metric, each side's median and quartiles, the change's median
 over the parent's, and the pairs the change won (lower is better for
-every metric; ties count for neither side).
+every metric; ties count for neither side).  It also lists, per workload,
+the artifacts whose hashes differ between the two calls of any pair
+(`artifacts_differ`; both calls of a pair run the same seed), so "same
+outputs" is measured rather than assumed.
 """
 
 import argparse
@@ -31,6 +34,15 @@ def call(checkout, workload, seed, seconds):
         cwd=checkout, capture_output=True, text=True, check=True)
     lines = out.stdout.strip().splitlines()
     return {"info": json.loads(lines[-2])["info"], "result": json.loads(lines[-1])}
+
+
+def artifacts_differ(rows):
+    """Artifacts whose hash sets differ between the two sides of a pair."""
+    differ = set()
+    for p in rows:
+        a, b = (p[side]["info"]["artifact_hashes"] for side in ("parent", "change"))
+        differ |= {n for n in a.keys() | b.keys() if a.get(n) != b.get(n)}
+    return sorted(differ)
 
 
 def summarize(pairs):
@@ -56,6 +68,7 @@ def summarize(pairs):
                        for side in ("parent", "change")},
             "attempted": {side: sum(p[side]["result"]["attempted"] for p in rows)
                           for side in ("parent", "change")},
+            "artifacts_differ": artifacts_differ(rows),
             "metrics": metrics}
     return summary
 
