@@ -48,7 +48,7 @@ TEACHER = {"d_p": 4, "d": 2, "d_y": 2, "rho_C": 0.8, "seed": 0}  # random_stable
 DATA = {"input_spec": "iid_gaussian_unit", "noise_sigma": 0.0,    # generate_dataset
         "T": 20, "K": 64}
 LOSS = {"kind": "square", "delta": 1.0}                           # make_loss
-SCHEDULE = {"epsilon": 0.05, "delta": math.exp(-1.0), "l0": 1.0,  # theory_schedule
+SCHEDULE = {"epsilon": 0.05, "delta": math.exp(-1.0),  # theory_schedule
             "multipliers": Only(dict.fromkeys(MULTIPLIER_FIELDS, 1.0))}
 STUDENT = {"rho_mode": "practical", "rho": 0.9, "rho_0": 0.9}
 TRAIN = {"K_steps": None, "eta": None, "holdout": False, "checkpoint_every": 500}
@@ -166,7 +166,8 @@ def _derive(c, sys, m):
     sched = None
     if mode == "theory":
         sched = theory_schedule(**c["schedule"], rho_0=student["rho_0"],
-                                c_rho=sys.c_rho, m=student["m"])
+                                c_rho=sys.c_rho, m=student["m"],
+                                l0=make_loss(**c["loss"], d_y=sys.d_y).l0)
         if sched.outside_theory_regime and train["K_steps"] is None:
             raise ConfigError(
                 f"student.rho_mode 'theory' at m={m} is outside the theory "

@@ -7,7 +7,7 @@ matrix over time (or over lag), the second sums per-lag transfer
 matrices against an input sequence.
 
 Operator norms: `operator_norm` is power iteration on M^T M, for the
-small matrices of the teacher and the concentration checks;
+small matrices of the teacher;
 `operator_norm_fast` is scipy's Lanczos `svds` from a seeded start; and
 `matrix_power_opnorm` estimates norms of matrix powers by subspace
 iteration, never forming the power.
@@ -114,19 +114,21 @@ def matrix_power_opnorm(W, k, scale=1.0, iters=8, block=4, seed=0):
     Blocked subspace iteration; each of `iters` rounds applies W k times
     and W^T k times to a small block of vectors and re-orthonormalizes it,
     cost O(iters * k * m^2 * block).  The estimate is a lower value: at the
-    counts `verify_spectral` uses (6, 4 and 2 iterations, block 8) it reads
-    ||W0^k|| low by a median of 1.6%, 2.0% and 3.1% at m = 1024 (worst
-    2.7%, 3.7% and 7.2%; 5 draws, k = 2..16, against explicit powers).
+    counts `verify_spectral` uses (6 and 4 iterations, block 8) it reads
+    ||W0^k|| low by a median of 1.6% and 2.0% at m = 1024 (worst 2.7% and
+    3.7%; 5 draws, k = 2..16, against explicit powers).
 
     `k` may be a sequence of powers, with `iters` one count per power or
     one for all; the result is then a list of estimates.  They start from
-    the same seeded block and iterate together: each step makes one GEMM
-    with W over the side-by-side blocks of every power whose next product
-    is with W, and one with W^T likewise.  A blocked GEMM computes each
-    column alike whatever stands beside it, so each estimate equals its
-    one-power call's; below m^2 * block ~ 1e6 OpenBLAS may take its
-    small-matrix kernel for the lone product only, and the last bits then
-    differ (seen at m <= 256 with block 4).
+    the same seeded block and run in lockstep rounds: in round r, a power
+    with iters > r applies W k times, W^T k times and a QR, one with
+    iters == r W k times and the SVD.  Each step is one GEMM over the
+    side-by-side blocks of the powers still that deep: 138 GEMMs for powers
+    [2, 3, 5, 7, 10, 14] at iters [6, 6, 4, 4, 4, 4].  A blocked GEMM
+    computes each column alike whatever stands beside it, so each estimate
+    equals its one-power call's; below m^2 * block ~ 1e6 OpenBLAS may take
+    its small-matrix kernel for the lone product only, and the last bits
+    then differ (seen at m <= 256 with block 4).
 
     It runs in `power_dtype(m)`, float32 from m = 2048 up (the round-off
     is orders of magnitude below the iteration's own convergence slack);
@@ -143,27 +145,19 @@ def matrix_power_opnorm(W, k, scale=1.0, iters=8, block=4, seed=0):
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.normal(size=(m, block)))[0].astype(dtype)
     est = [1.0] * len(ks)
-    # each power's steps: W k times, W^T k times, QR; iters rounds of that,
-    # then W k times and the SVD
     its = np.broadcast_to(iters, len(ks))
-    plan = {j: ("W" * kj + "T" * kj + "Q") * its[j] + "W" * kj + "S"
-            for j, kj in enumerate(ks) if kj}
-    Y, pos = dict.fromkeys(plan, Q), dict.fromkeys(plan, 0)
-    while plan:
-        for op, M in (("W", W), ("T", W.T)):
-            due = [j for j in plan if plan[j][pos[j]] == op]
-            if due:
-                out = scale * (M @ np.hstack([Y[j] for j in due]))
-                for n, j in enumerate(due):
+    Y = {j: Q for j, kj in enumerate(ks) if kj}
+    for r in range(max(its, default=-1) + 1):
+        deeper = [j for j in Y if its[j] > r]
+        for M, due in ((W, list(Y)), (W.T, deeper)):
+            for step in range(max((ks[j] for j in due), default=0)):
+                now = [j for j in due if ks[j] > step]
+                out = scale * (M @ np.hstack([Y[j] for j in now]))
+                for n, j in enumerate(now):
                     Y[j] = out[:, n * block:(n + 1) * block]
-                    pos[j] += 1
-        for j in list(plan):
-            if plan[j][pos[j]] == "Q":
-                Y[j] = np.linalg.qr(Y[j])[0]
-                pos[j] += 1
-            elif plan[j][pos[j]] == "S":
-                est[j] = float(np.linalg.svd(Y.pop(j), compute_uv=False)[0])
-                del plan[j]
+        for j in set(Y) - set(deeper):
+            est[j] = float(np.linalg.svd(Y[j], compute_uv=False)[0])
+        Y = {j: np.linalg.qr(Y[j])[0] for j in deeper}
     return est[0] if np.ndim(k) == 0 else est
 
 

@@ -58,6 +58,8 @@ _UNKNOWN_FIELDS = [
      "lemma_params.tail.tau"),
     ({"kind": "train", "schedule": {"multipliers": {"etta": 2.0}}},
      "schedule.multipliers.etta"),
+    # worked out from the loss
+    ({"kind": "train", "schedule": {"l0": 1.0}}, "schedule.l0"),
     # knobs that could only loosen a verdict
     ({"kind": "verify", "lemma_params": {"spectral": {"threshold": 0.0}}},
      "lemma_params.spectral.threshold"),
@@ -168,7 +170,7 @@ def test_empty_sections_match_written_out_defaults(tmp_path):
         "loss": {"kind": "square", "delta": 1.0},
         "train": {"K_steps": 30, "eta": 1e-2 / 24, "holdout": False,
                   "checkpoint_every": 500},
-        "schedule": {"epsilon": 0.05, "delta": math.exp(-1.0), "l0": 1.0,
+        "schedule": {"epsilon": 0.05, "delta": math.exp(-1.0),
                      "multipliers": {}},
     }
     docs = {}
@@ -201,7 +203,7 @@ def test_resolved_config_reruns_the_run(tmp_path):
 
 
 def test_theory_run_outside_its_regime_is_refused(tmp_path, monkeypatch):
-    # at m=512 the theory schedule asks for ~4.5e39 steps
+    # at m=512 the theory schedule asks for ~2.9e41 steps (square loss)
     monkeypatch.setattr(harness, "generate_dataset", _refuse)
     monkeypatch.setattr(harness, "sgd_train", _refuse)
     with pytest.raises(ConfigError, match="train.K_steps"):
@@ -220,6 +222,8 @@ def test_theory_run_with_explicit_steps_goes_ahead(tmp_path):
     assert summary["schedule"]["outside_theory_regime"]
     assert summary["eta"] == summary["schedule"]["eta"]
     assert summary["rho"] == summary["schedule"]["rho"]
+    # the schedule's Lipschitz constant is the loss's, 2 for the square loss
+    assert summary["schedule"]["l0"] == make_loss("square", d_y=2).l0 == 2.0
 
 
 def _saved_dataset(path):

@@ -75,8 +75,8 @@ def test_matrix_power_opnorm_same_for_a_float32_copy():
 def test_matrix_power_opnorm_batch_equals_per_power_calls(m, dtype, block):
     # one GEMM serves every power's block, and a blocked GEMM computes each
     # column alike whatever its neighbours: each batched estimate is exactly
-    # the single-power one (blocks of 8, as for ||W0^k||, and of 4, as for
-    # the (d) estimates, from m = 512 up)
+    # the single-power one (blocks of 8, as verify_spectral uses, and of 4,
+    # from m = 512 up)
     W = np.random.default_rng(8).normal(0.0, 1.0 / np.sqrt(m),
                                         size=(m, m)).astype(dtype)
     ks, iters = [2, 0, 1, 5, 3], [6, 4, 3, 2, 5]
@@ -86,6 +86,23 @@ def test_matrix_power_opnorm_batch_equals_per_power_calls(m, dtype, block):
                                        block=block, seed=3)
                    for k, it in zip(ks, iters)]
     assert est[1] == 1.0
+
+
+def test_matrix_power_opnorm_gemm_count(monkeypatch):
+    # lockstep rounds, one GEMM per step over the powers still that deep:
+    # 4 rounds of 14 W and 14 W^T steps, then 14 + 3, 3 + 3 and 3
+    hstack = np.hstack
+    calls = []
+
+    def counted(blocks):
+        calls.append(len(blocks))
+        return hstack(blocks)
+
+    monkeypatch.setattr(np, "hstack", counted)
+    W = np.random.default_rng(4).normal(0.0, 0.125, size=(64, 64))
+    matrix_power_opnorm(W, [2, 3, 5, 7, 10, 14], iters=[6, 6, 4, 4, 4, 4],
+                        block=8)
+    assert len(calls) == 138
 
 
 def test_matrix_power_opnorm_k_zero_is_identity_norm():

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from rnn_sysid.linalg import operator_norm_fast
-from rnn_sysid.verify import (ALL_LEMMAS, LemmaReport, _unit_frob, _unit_vec,
-                              run_lemma, sample_init, sample_W0, tail_norms,
-                              verify_concentration, verify_linearization,
-                              verify_spectral, verify_tail, verify_truncation)
+from rnn_sysid.schedule import rho_1_of_m
+from rnn_sysid.verify import (ALL_LEMMAS, LemmaReport, _power_norms,
+                              _unit_frob, _unit_vec, run_lemma, sample_init,
+                              sample_W0, tail_norms, verify_concentration,
+                              verify_linearization, verify_spectral,
+                              verify_tail, verify_truncation)
 
 
 def test_report_save_roundtrip(tmp_path):
@@ -44,9 +46,31 @@ def test_spectral_deterministic():
     assert r1.to_dict() == r2.to_dict()
 
 
+@pytest.mark.parametrize("m", [128, 256])
+def test_spectral_upper_values_cover_exact_power_norms(m):
+    # with every bound infinite, each value _power_norms gives is its upper
+    # value s^k; it must cover the exact ||(scale W)^k||_2 of explicit
+    # powers, for W0 and for a perturbed W built as in verify_spectral (at
+    # scale rho), over verify_spectral's k range 1..4L
+    rho_0 = 0.9
+    rho = rho_1_of_m(m) * rho_0**2
+    ks = range(1, 4 * max(1, int(np.sqrt(m) / np.log(m))) + 1)
+    for r in range(3):
+        rng = np.random.default_rng([0, r])
+        W0 = sample_W0(rng, m)
+        W = W0 + (1.0 / rho_0 - 1.0) * _unit_frob(rng, (m, m))
+        for M, scale in ((W0, 1.0), (W, rho)):
+            obs = _power_norms(M, scale, {"all": [(k, np.inf) for k in ks]},
+                               r, None)["all"]
+            for k, (o, _) in zip(ks, obs):
+                exact = np.linalg.norm(np.linalg.matrix_power(scale * M, k),
+                                       2)
+                assert o >= exact, (r, scale, k)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_spectral_shortcut_norm_from_float32_is_an_upper_value(seed):
-    # check (d)'s s1 takes ||W|| from the float32 copy of a trial's W,
+    # the upper value s takes ||W|| from the float32 copy of a trial's W,
     # raised by the band 2 eps sqrt(m): that covers the float64 norm, and
     # the float32 value lies within the band of it (measured <= 1.2e-7
     # relative at m = 2048 and 4096, against a band of 1.1e-5 and 1.5e-5)
@@ -93,6 +117,20 @@ def test_concentration_cross_terms_match_literal_pairs():
     assert rep.checks["c"]["n_instances"] == trials * tau * (tau - 1)
     assert rep.observed["cross_a_max"] == pytest.approx(a_max, rel=1e-12)
     assert rep.observed["cross_b_max_scaled"] == pytest.approx(b_max, rel=1e-12)
+
+
+def test_concentration_and_tail_read_exact_norms(monkeypatch):
+    # operator_norm is power iteration and can stop short of the norm, on
+    # the favourable side of an upper bound; neither lemma may call it
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator_norm called")
+
+    monkeypatch.setattr("rnn_sysid.verify.operator_norm", refuse,
+                        raising=False)
+    rep = verify_concentration(m=256, tau=3, d=2, trials=2, seed=0)
+    assert rep.checks["b"]["n_instances"] == 2 * 3
+    assert rep.checks["d_all_t"]["n_instances"] == 2 * 3
+    assert verify_tail(m=128, tau_grid=(1, 2, 4, 8), trials=2, seed=0).passed
 
 
 def test_tail_bounds_and_monotonicity():

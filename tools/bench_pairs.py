@@ -12,7 +12,11 @@ into the output file, which is read first if it exists, so several
 workloads can share one file.  Its `summary` holds, per workload and
 end-to-end metric, each side's median and quartiles, the change's median
 over the parent's, and the pairs the change won (lower is better for
-every metric; ties count for neither side).  It also lists, per workload,
+every metric; ties count for neither side).  A metric is `unresolved`
+when the parent's interquartile spread over its median exceeds the
+metric's bound in the repo's BENCHMARK.json (read, never written), unless
+every change call beat every parent call: the runs then spread too widely
+to tell a change within the bound from none.  It also lists, per workload,
 the artifacts whose hashes differ between the two calls of any pair
 (`artifacts_differ`; both calls of a pair run the same seed), so "same
 outputs" is measured rather than assumed.
@@ -25,6 +29,9 @@ import subprocess
 import sys
 
 import numpy as np
+
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "BENCHMARK.json")
 
 
 def call(checkout, workload, seed, seconds):
@@ -45,7 +52,7 @@ def artifacts_differ(rows):
     return sorted(differ)
 
 
-def summarize(pairs):
+def summarize(pairs, bound):
     summary = {}
     for workload in sorted({p["workload"] for p in pairs}):
         rows = [p for p in pairs if p["workload"] == workload]
@@ -56,7 +63,11 @@ def summarize(pairs):
                     for side in ("parent", "change")}
             q = {side: [float(x) for x in np.percentile(v, [25, 50, 75])]
                  for side, v in vals.items()}
+            spread = (q["parent"][2] - q["parent"][0]) / q["parent"][1]
             metrics[name] = {
+                "parent_spread": spread,
+                "unresolved": bool(spread > bound[name] and not
+                                   vals["change"].max() < vals["parent"].min()),
                 "parent_q1_median_q3": q["parent"],
                 "change_q1_median_q3": q["change"],
                 "change_over_parent": q["change"][1] / q["parent"][1],
@@ -83,6 +94,8 @@ def main():
     p.add_argument("--out", required=True)
     args = p.parse_args()
     lo, hi = (int(s) for s in args.seeds.split("-"))
+    with open(BENCHMARK) as f:
+        bound = {m["name"]: m["bound"] for m in json.load(f)["end_to_end"]}
     doc = {"pairs": []}
     if os.path.exists(args.out):
         with open(args.out) as f:
@@ -94,7 +107,7 @@ def main():
             pair[side] = call(getattr(args, side), args.workload, seed,
                               args.seconds)
         doc["pairs"].append(pair)
-        doc["summary"] = summarize(doc["pairs"])
+        doc["summary"] = summarize(doc["pairs"], bound)
         with open(args.out, "w") as f:
             json.dump(doc, f, indent=1, sort_keys=True)
             f.write("\n")
