@@ -18,10 +18,11 @@ from .linalg import (fit_loglog_slope, frob, matrix_power_opnorm,
                      operator_norm_fast, power_dtype, recurrence)
 from .schedule import rho_1_of_m, theory_schedule
 from .student import _lag_ladder, forward_rescaled, linearized_forward
+from .teacher import ParameterError
 
 REPORT_FORMAT_VERSION = 1
 THRESHOLD = 0.95  # every report's pass fraction is scored against it
-POWER_ITERS = 6   # verify_spectral's subspace iterations at k <= 3 and in (d)
+POWER_ITERS = 6   # verify_spectral's subspace iterations at k <= 3
 
 
 @dataclass
@@ -105,42 +106,44 @@ def sample_init(rng, m, d, d_y):
 # spectral bounds on powers of the random initialization
 
 
-def _power_norms(Wp, scale, checks, seed, iters):
-    """{name: [(observed ||(scale W)^k||_2, bound) for each (k, bound)]}.
+def _power_norms(Wp, checks, seed):
+    """(s, {name: [(observed ||W^k||_2, bound) for each (k, bound)]}).
 
-    The observed value is s^k where that meets the bound: with sigma =
-    scale ||Wp||_2 from svds, s = sigma (1 + 2 eps sqrt(m)) is an upper
-    value of scale ||W||_2 (schema.md).  Elsewhere it is a lower value:
-    sigma at k = 1, at k >= 2 a batched `matrix_power_opnorm` estimate
-    (block 8, iters(k) iterations).  A bound of 0 always reads that.
+    With sigma = ||Wp||_2 from svds, s = sigma (1 + 2 eps sqrt(m)) is an
+    upper value of ||W||_2 (schema.md); the observed value is s^k where
+    that meets the bound.  Elsewhere it is a lower value: sigma at k = 1,
+    at k >= 2 a batched `matrix_power_opnorm` estimate (block 8; most
+    iterations at k <= 3, where 2 sqrt(k) is tightest).  A bound of 0
+    always reads that.
     """
-    sigma = scale * operator_norm_fast(Wp)
+    sigma = operator_norm_fast(Wp)
     s = sigma * (1.0 + 2.0 * np.finfo(Wp.dtype).eps * np.sqrt(len(Wp)))
     slow = sorted({k for pairs in checks.values() for k, b in pairs
                    if k > 1 and s**k > b})
     lower = {1: sigma, **dict(zip(slow, matrix_power_opnorm(
-        Wp, slow, scale=scale, iters=[iters(k) for k in slow], block=8,
-        seed=seed)))}
-    return {name: [(s**k if s**k <= b else lower[k], b) for k, b in pairs]
-            for name, pairs in checks.items()}
+        Wp, slow, iters=[POWER_ITERS if k <= 3 else POWER_ITERS - 2
+                         for k in slow], block=8, seed=seed)))}
+    return s, {name: [(s**k if s**k <= b else lower[k], b) for k, b in pairs]
+               for name, pairs in checks.items()}
 
 
 def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8):
-    """Checks on ||W0^k|| and on ||rho^t W^t|| for perturbed W.
+    """Checks on ||W0^k|| and on ||rho^t W^t|| over the omega_0-ball.
 
     (a) ||W0^k|| <= rho_1^{-k} for k >= L;  (b) <= rho_1^{-L} for k < L;
     (c) <= 2 sqrt(k) for k <= 2L;
-    (d) ||rho^t W^t|| <= 2 sqrt(t) rho_0^t for W within Frobenius distance
-        omega_0 of W0, with rho = rho_1 rho_0^2.
+    (d) ||rho^t W^t|| <= 2 sqrt(t) rho_0^t for every W within Frobenius
+        distance omega_0 of W0, with rho = rho_1 rho_0^2.
 
     Pass fractions are scored per (trial, k) instance: the 2 sqrt(k) bound
     sits exactly on the asymptotic edge at k = 1, so trial-level
     conjunctions would be dominated by that single knife-edge instance.
-    Each check also reports `worst_margin` (see schema.md).  A trial reads
-    W0 and W through one `power_dtype(m)` copy each (float32 from m = 2048
-    up), and `_power_norms` gives every observed value; in practice only
-    (c) reads lower values (estimates at k >= 2, 138 GEMMs per trial at
-    m = 4096, and sigma at some k = 1 instances).
+    Each check also reports `worst_margin` (see schema.md).  A trial keeps
+    only the `power_dtype(m)` copy of W0 (float32 from m = 2048 up), and
+    `_power_norms` gives every (a)-(c) value; in practice only (c) reads
+    lower values (estimates at k >= 2, 138 GEMMs per trial at m = 4096,
+    and sigma at some k = 1 instances).  (d) reads (rho (s + omega_0))^t,
+    an upper value over the whole ball by Weyl's inequality (schema.md).
     """
     rho_1 = rho_1_of_m(m)
     L = max(1, int(np.sqrt(m) / np.log(m)))
@@ -152,29 +155,18 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8):
                  "b": [(k, rho_1 ** -L) for k in ks_ab if k < L],
                  "c": [(k, 2.0 * np.sqrt(k)) for k in ks_c],
                  "lower_c": [(k, 0.0) for k in ks_c]}
-    checks_d = {"d": [(t, 2.0 * np.sqrt(t) * rho_0**t) for t in ks_c]}
+    bounds_d = [(t, 2.0 * np.sqrt(t) * rho_0**t) for t in ks_c]
 
     # (observed, bound) per instance
-    inst = {name: [] for name in (*checks_W0, *checks_d)}
+    inst = {name: [] for name in (*checks_W0, "d")}
     per_trial_c = []
     for r in range(trials):
         rng = np.random.default_rng([int(seed), r])
-        W0 = sample_W0(rng, m)
-        Wp = W0.astype(power_dtype(m), copy=False)  # cast once per matrix
-        # most iterations at small k, where the 2 sqrt(k) bound is tightest
-        obs = _power_norms(Wp, 1.0, checks_W0, int(1000 + r), lambda k:
-                           POWER_ITERS if k <= 3 else POWER_ITERS - 2)
-        # perturbed matrix on the boundary of the omega_0 ball, built in the
-        # draw's buffer; only its power_dtype copy is kept
+        Wp = sample_W0(rng, m).astype(power_dtype(m), copy=False)
+        s, obs = _power_norms(Wp, checks_W0, int(1000 + r))
         del Wp
-        W = _unit_frob(rng, (m, m))
-        W *= omega_0
-        W += W0
-        del W0
-        Wp = W.astype(power_dtype(m), copy=False)
-        del W
-        obs.update(_power_norms(Wp, rho, checks_d, int(2000 + r),
-                                lambda t: POWER_ITERS))
+        ball = rho * (s + omega_0)
+        obs["d"] = [(ball**t, b) for t, b in bounds_d]
         for name in inst:
             inst[name] += obs[name]
         per_trial_c.append(all(o <= b for o, b in obs["c"]))
@@ -494,7 +486,11 @@ ALL_LEMMAS = {
 
 
 def run_lemma(name, **kwargs):
-    """Runs one lemma check; a keyword given as None takes its default."""
+    """Runs one lemma check (a keyword given as None takes its default);
+    `trials` < 1 is refused, since a report over no trials tests nothing."""
     if name not in ALL_LEMMAS:
         raise ValueError(f"unknown lemma {name!r}; choose from {sorted(ALL_LEMMAS)}")
-    return ALL_LEMMAS[name](**{k: v for k, v in kwargs.items() if v is not None})
+    kwargs = {k: v for k, v in kwargs.items() if v is not None}
+    if kwargs.get("trials", 1) < 1:
+        raise ParameterError(f"trials must be >= 1, got {kwargs['trials']}")
+    return ALL_LEMMAS[name](**kwargs)

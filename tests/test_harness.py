@@ -354,6 +354,24 @@ def test_verify_kind(tmp_path):
     assert "tail" in summary["results"]
 
 
+def test_verify_config_with_no_trials_is_refused(tmp_path):
+    # run as `sysid verify --config`: a non-zero exit naming the field, and
+    # no report, rather than a report that tested nothing
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"kind": "verify", "trials": 0}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                 else [])))
+    done = subprocess.run(
+        [sys.executable, "-m", "rnn_sysid.cli", "verify", "--config",
+         str(cfg_path), "--out", str(tmp_path / "v")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0
+    assert "ParameterError: trials must be >= 1" in done.stderr
+    assert not list((tmp_path / "v").glob("report_*.json"))
+
+
 def test_existence_kind(tmp_path):
     cfg = {"kind": "existence", "seed": 0,
            "teacher": {"d_p": 3, "d": 2, "d_y": 2, "rho_C": 0.8, "seed": 7},

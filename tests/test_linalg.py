@@ -35,9 +35,10 @@ def test_operator_norm_zero_matrix():
 
 @pytest.mark.parametrize("m", [64, 256, 512])
 def test_operator_norm_fast_exact_on_spectral_W(m):
-    # verify_spectral's W: W0 plus a perturbation of Frobenius norm omega_0
-    # at rho_0 = 0.9; the k = 1 norm must be the exact top singular value
-    # at every width, not a lower estimate
+    # W0 plus a perturbation of Frobenius norm omega_0 at rho_0 = 0.9, a
+    # point of the ball that verify_spectral's (d) covers without building
+    # it; the k = 1 norm must be the exact top singular value at every
+    # width, not a lower estimate
     for seed in range(3):
         rng = np.random.default_rng([seed, m])
         W = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, m))
@@ -54,7 +55,7 @@ def test_matrix_power_opnorm_vs_dense_power():
     for k in (1, 2, 5, 9):
         exact = np.linalg.svd(np.linalg.matrix_power(0.9 * W, k),
                               compute_uv=False)[0]
-        est = matrix_power_opnorm(W, k, scale=0.9, iters=20)
+        est = matrix_power_opnorm(0.9 * W, k, iters=20)
         assert est == pytest.approx(exact, rel=1e-6)
 
 
@@ -80,10 +81,8 @@ def test_matrix_power_opnorm_batch_equals_per_power_calls(m, dtype, block):
     W = np.random.default_rng(8).normal(0.0, 1.0 / np.sqrt(m),
                                         size=(m, m)).astype(dtype)
     ks, iters = [2, 0, 1, 5, 3], [6, 4, 3, 2, 5]
-    est = matrix_power_opnorm(W, ks, scale=0.9, iters=iters, block=block,
-                              seed=3)
-    assert est == [matrix_power_opnorm(W, k, scale=0.9, iters=it,
-                                       block=block, seed=3)
+    est = matrix_power_opnorm(W, ks, iters=iters, block=block, seed=3)
+    assert est == [matrix_power_opnorm(W, k, iters=it, block=block, seed=3)
                    for k, it in zip(ks, iters)]
     assert est[1] == 1.0
 

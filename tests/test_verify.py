@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import rnn_sysid.verify
 from rnn_sysid.linalg import operator_norm_fast
 from rnn_sysid.schedule import rho_1_of_m
+from rnn_sysid.teacher import ParameterError
 from rnn_sysid.verify import (ALL_LEMMAS, LemmaReport, _power_norms,
                               _unit_frob, _unit_vec, run_lemma, sample_init,
                               sample_W0, tail_norms, verify_concentration,
@@ -49,29 +51,54 @@ def test_spectral_deterministic():
 @pytest.mark.parametrize("m", [128, 256])
 def test_spectral_upper_values_cover_exact_power_norms(m):
     # with every bound infinite, each value _power_norms gives is its upper
-    # value s^k; it must cover the exact ||(scale W)^k||_2 of explicit
-    # powers, for W0 and for a perturbed W built as in verify_spectral (at
-    # scale rho), over verify_spectral's k range 1..4L
+    # value s^k; it must cover the exact ||W0^k||_2 of explicit powers over
+    # verify_spectral's k range 1..4L.  (d)'s ball value (rho (s + omega_0))^t
+    # must cover the exact ||(rho W)^t||_2 for W on the boundary of the
+    # omega_0 ball: random draws, and the aligned W0 + omega_0 u1 v1^T, whose
+    # norm is sigma_1 + omega_0 exactly (the band of s is what covers it)
     rho_0 = 0.9
+    omega_0 = 1.0 / rho_0 - 1.0
     rho = rho_1_of_m(m) * rho_0**2
     ks = range(1, 4 * max(1, int(np.sqrt(m) / np.log(m))) + 1)
     for r in range(3):
         rng = np.random.default_rng([0, r])
         W0 = sample_W0(rng, m)
-        W = W0 + (1.0 / rho_0 - 1.0) * _unit_frob(rng, (m, m))
-        for M, scale in ((W0, 1.0), (W, rho)):
-            obs = _power_norms(M, scale, {"all": [(k, np.inf) for k in ks]},
-                               r, None)["all"]
-            for k, (o, _) in zip(ks, obs):
-                exact = np.linalg.norm(np.linalg.matrix_power(scale * M, k),
-                                       2)
-                assert o >= exact, (r, scale, k)
+        s, obs = _power_norms(W0, {"all": [(k, np.inf) for k in ks]}, r)
+        for k, (o, _) in zip(ks, obs["all"]):
+            assert o >= np.linalg.norm(np.linalg.matrix_power(W0, k), 2), k
+        ball = rho * (s + omega_0)
+        U, _, Vt = np.linalg.svd(W0)
+        for W in (W0 + omega_0 * _unit_frob(rng, (m, m)),
+                  W0 + omega_0 * _unit_frob(rng, (m, m)),
+                  W0 + omega_0 * np.outer(U[:, 0], Vt[0])):
+            for t in ks:
+                exact = np.linalg.norm(np.linalg.matrix_power(rho * W, t), 2)
+                assert ball**t >= exact, (r, t)
+
+
+def test_spectral_trial_draws_and_factors_only_W0(monkeypatch):
+    # (d) reads the ball value, so a trial takes one svds and draws no
+    # perturbation
+    calls = {"operator_norm_fast": 0, "_unit_frob": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(rnn_sysid.verify, name,
+                            counting(name, getattr(rnn_sysid.verify, name)))
+    verify_spectral(m=64, trials=1, seed=0)
+    assert calls == {"operator_norm_fast": 1, "_unit_frob": 0}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_spectral_shortcut_norm_from_float32_is_an_upper_value(seed):
-    # the upper value s takes ||W|| from the float32 copy of a trial's W,
-    # raised by the band 2 eps sqrt(m): that covers the float64 norm, and
+    # the upper value s takes ||W0|| from the float32 copy of a trial's W0,
+    # raised by the band 2 eps sqrt(m); on W0 plus a point of the omega_0
+    # ball as well, that covers the float64 norm, and
     # the float32 value lies within the band of it (measured <= 1.2e-7
     # relative at m = 2048 and 4096, against a band of 1.1e-5 and 1.5e-5)
     m = 2048
@@ -167,6 +194,14 @@ def test_run_lemma_dispatch():
     assert rep.lemma_id == "tail"
     with pytest.raises(ValueError):
         run_lemma("nonexistent")
+
+
+@pytest.mark.parametrize("name", sorted(ALL_LEMMAS))
+def test_run_lemma_refuses_fewer_than_one_trial(name):
+    # a report over no trials tests nothing; the refusal names the field
+    for trials in (0, -1):
+        with pytest.raises(ParameterError, match="trials"):
+            run_lemma(name, m=16, trials=trials)
 
 
 def test_spectral_has_a_default_width():
