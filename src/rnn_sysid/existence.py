@@ -43,9 +43,29 @@ class GramInverses:
     R: np.ndarray   # R[b] = (W0^b A0)^T, horizon x d x m
 
 
+class FactoredW:
+    """W* = W0 + left^T core right as an operator, never formed.
+
+    `X @ op` is X @ W0 + ((X @ left^T) @ core) @ right, and `op.T` is the
+    transposed operator, so `forward_rescaled` runs on it unchanged:
+    numpy defers `ndarray @ op` to it (`__array_ufunc__ = None`).
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, W0, left, core, right):
+        self.W0, self.left, self.core, self.right = W0, left, core, right
+
+    @property
+    def T(self):
+        return FactoredW(self.W0.T, self.right, self.core.T, self.left)
+
+    def __rmatmul__(self, X):
+        return X @ self.W0 + ((X @ self.left.T) @ self.core) @ self.right
+
+
 @dataclass
 class ComparatorParams:
-    W_star: np.ndarray
     A_star: np.ndarray
     left: np.ndarray         # Lcat, (T_max-1) d_y x m
     core: np.ndarray         # (T_max-1) d_y x (T_max-1) d
@@ -98,8 +118,9 @@ def construct_comparator(W0, A0, B, teacher, rho, T_max, b=None):
 
     Requires rho > rho_C so the rho^{-t0} weights stay summable against
     the teacher's decay.  The W* correction is kept as its factors
-    (left, core, right) = (Lcat, Core, Rcat) and materialized once as
-    W0 + left^T (core right), with dist_W = ||left^T core right||_F.
+    (left, core, right) = (Lcat, Core, Rcat) and never materialized:
+    dist_W = ||left^T core right||_F comes from the two small Grams,
+    ||.||_F^2 = <core^T (left left^T) core, right right^T>.
     """
     m = W0.shape[0]
     if b is None:
@@ -121,12 +142,10 @@ def construct_comparator(W0, A0, B, teacher, rho, T_max, b=None):
             core[a, :, t0 - 1 - a] = coef * (grams.P1[a] @ M @ grams.P2[t0 - 1 - a])
     core = core.reshape(len(left), len(right))
 
-    W_star = left.T @ (core @ right)
-    dist_W = frob(W_star)
-    W_star += W0
+    dist_W = math.sqrt(float(np.einsum(
+        "ij,ij->", core.T @ (left @ left.T) @ core, right @ right.T)))
 
     return ComparatorParams(
-        W_star=W_star,
         A_star=A_star,
         left=left,
         core=core,
@@ -147,15 +166,17 @@ def verify_existence(comp, teacher, dataset, loss, W0, A0, B):
 
     fit_error = max over (sequence, t <= T_max) of ||f_t(W*, A*) - y~_t||;
     the horizon cap keeps the comparison inside the lag range the
-    construction covers.  Also reports the averaged loss gap to the
+    construction covers.  W* runs factored (`FactoredW`), so no m x m array
+    besides W0 is formed.  Also reports the averaged loss gap to the
     teacher's own outputs and the two claimed bound values.
     """
     T_eval = min(dataset.T, comp.T_max)
+    W_star = FactoredW(W0, comp.left, comp.core, comp.right)
     fit_error = 0.0
     gap = 0.0
     for i in range(dataset.K):
         x = dataset.inputs[i][:T_eval]
-        F = forward_rescaled(comp.W_star, comp.A_star, B, comp.rho, x)
+        F = forward_rescaled(W_star, comp.A_star, B, comp.rho, x)
         ytil = dataset.clean_outputs[i][:T_eval]
         yobs = dataset.observed_outputs[i][:T_eval]
         fit_error = max(fit_error, float(np.max(np.linalg.norm(F - ytil, axis=1))))

@@ -26,7 +26,7 @@ from .schedule import MULTIPLIER_FIELDS, theory_schedule
 from .student import init_student
 from .teacher import generate_dataset, load_dataset, random_stable_system
 from .trainer import running_average, sgd_train
-from .verify import ALL_LEMMAS, run_lemma, sample_init
+from .verify import ALL_LEMMAS, lemma_kwargs, run_lemma, sample_init
 
 
 class ConfigError(ValueError):
@@ -270,11 +270,16 @@ def generalization_gap(trace, train_dataset, holdout_dataset, loss, n_points=20)
 
 
 def _run_verify(c, out):
+    """Runs every lemma of `c`; each one's keywords are checked before the
+    first runs, so a refused lemma leaves no report behind."""
+    calls = {name: lemma_kwargs(name, **{"m": c["m"], "trials": c["trials"],
+                                         "seed": c["seed"],
+                                         **c["lemma_params"][name]})
+             for name in c["lemmas"]}
     all_pass = True
     results = {}
-    for name in c["lemmas"]:
-        report = run_lemma(name, **{"m": c["m"], "trials": c["trials"],
-                                    "seed": c["seed"], **c["lemma_params"][name]})
+    for name, kwargs in calls.items():
+        report = run_lemma(name, **kwargs)
         report.save(os.path.join(out, f"report_{name}.json"))
         results[name] = {"passed": report.passed,
                          "pass_fraction": report.pass_fraction}
@@ -282,23 +287,29 @@ def _run_verify(c, out):
     return results, all_pass
 
 
+def _existence_cell(c, sys, loss, m, s, out):
+    """One (m, seed) cell of an existence run; returns its report.
+
+    Its W0 is freed on return, so no two cells' W0 are held at once.
+    """
+    T_max = int(c["T_max"])
+    W0, A0, B = sample_init(np.random.default_rng([int(s), m]), m, sys.d, sys.d_y)
+    # probe sequences of length T_max, drawn like the default data
+    dataset = generate_dataset(sys, **{**DATA, "T": T_max, **c["probe"]},
+                               seed=s + 500)
+    comp = construct_comparator(W0, A0, B, sys, float(c["rho"]), T_max)
+    report = verify_existence(comp, sys, dataset, loss, W0, A0, B)
+    save_comparator(comp, report, os.path.join(out, f"cell_m{m}_s{s}"))
+    return report
+
+
 def _run_existence(c, out):
     sys = random_stable_system(**c["teacher"])
-    T_max = int(c["T_max"])
-    rho = float(c["rho"])
     loss = make_loss(**LOSS, d_y=sys.d_y)
     rows = []
     for m in c["m_grid"]:
         for s in c["seeds"]:
-            rng = np.random.default_rng([int(s), m])
-            W0, A0, B = sample_init(rng, m, sys.d, sys.d_y)
-            # probe sequences of length T_max, drawn like the default data
-            dataset = generate_dataset(sys, **{**DATA, "T": T_max, **c["probe"]},
-                                       seed=s + 500)
-            comp = construct_comparator(W0, A0, B, sys, rho, T_max)
-            report = verify_existence(comp, sys, dataset, loss, W0, A0, B)
-            cell = os.path.join(out, f"cell_m{m}_s{s}")
-            save_comparator(comp, report, cell)
+            report = _existence_cell(c, sys, loss, m, s, out)
             rows.append({"m": m, "seed": s, **{k: report[k] for k in
                         ("fit_error", "dist_W", "dist_A", "distance_bound",
                          "distances_ok", "loss_gap")}})

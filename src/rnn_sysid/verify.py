@@ -23,6 +23,7 @@ from .teacher import ParameterError
 REPORT_FORMAT_VERSION = 1
 THRESHOLD = 0.95  # every report's pass fraction is scored against it
 POWER_ITERS = 6   # verify_spectral's subspace iterations at k <= 3
+DRAW_ROWS = 256   # sample_W0's row block: 8 MB of float64 at m = 4096
 
 
 @dataclass
@@ -90,8 +91,18 @@ def _unit_vec(rng, n):
     return v / np.linalg.norm(v)
 
 
-def sample_W0(rng, m):
-    return rng.normal(0.0, np.sqrt(1.0 / m), size=(m, m))
+def sample_W0(rng, m, dtype=np.float64):
+    """W0 ~ N(0, 1/m) i.i.d., drawn DRAW_ROWS rows at a time into `dtype`.
+
+    The generator fills values in order, so the row blocks hold the values
+    of one (m, m) draw, cast to `dtype`; no float64 m x m array is held
+    beside a narrower copy.
+    """
+    W0 = np.empty((m, m), dtype=dtype)
+    for i in range(0, m, DRAW_ROWS):
+        W0[i:i + DRAW_ROWS] = rng.normal(0.0, np.sqrt(1.0 / m),
+                                         size=(min(DRAW_ROWS, m - i), m))
+    return W0
 
 
 def sample_init(rng, m, d, d_y):
@@ -138,8 +149,8 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8):
     Pass fractions are scored per (trial, k) instance: the 2 sqrt(k) bound
     sits exactly on the asymptotic edge at k = 1, so trial-level
     conjunctions would be dominated by that single knife-edge instance.
-    Each check also reports `worst_margin` (see schema.md).  A trial keeps
-    only the `power_dtype(m)` copy of W0 (float32 from m = 2048 up), and
+    Each check also reports `worst_margin` (see schema.md).  A trial draws
+    W0 straight into `power_dtype(m)` (float32 from m = 2048 up), and
     `_power_norms` gives every (a)-(c) value; in practice only (c) reads
     lower values (estimates at k >= 2, 138 GEMMs per trial at m = 4096,
     and sigma at some k = 1 instances).  (d) reads (rho (s + omega_0))^t,
@@ -162,7 +173,7 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8):
     per_trial_c = []
     for r in range(trials):
         rng = np.random.default_rng([int(seed), r])
-        Wp = sample_W0(rng, m).astype(power_dtype(m), copy=False)
+        Wp = sample_W0(rng, m, power_dtype(m))
         s, obs = _power_norms(Wp, checks_W0, int(1000 + r))
         del Wp
         ball = rho * (s + omega_0)
@@ -485,12 +496,19 @@ ALL_LEMMAS = {
 }
 
 
-def run_lemma(name, **kwargs):
-    """Runs one lemma check (a keyword given as None takes its default);
-    `trials` < 1 is refused, since a report over no trials tests nothing."""
+def lemma_kwargs(name, **kwargs):
+    """The keywords `run_lemma` passes to lemma `name`: those given as None
+    are dropped (each takes its default), and `trials` < 1 is refused,
+    since a report over no trials tests nothing."""
     if name not in ALL_LEMMAS:
         raise ValueError(f"unknown lemma {name!r}; choose from {sorted(ALL_LEMMAS)}")
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
     if kwargs.get("trials", 1) < 1:
         raise ParameterError(f"trials must be >= 1, got {kwargs['trials']}")
+    return kwargs
+
+
+def run_lemma(name, **kwargs):
+    """Runs one lemma check with `lemma_kwargs(name, **kwargs)`."""
+    kwargs = lemma_kwargs(name, **kwargs)
     return ALL_LEMMAS[name](**kwargs)

@@ -2,8 +2,8 @@
 
 Central finite differences, literal power-series sums of the rescaled
 series f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0} and of its directional
-derivatives, and the spectrum of a factored comparator.  They share no
-code with the recurrences under test.
+derivatives, and the dense form and the spectrum of a factored
+comparator.  They share no code with the recurrences under test.
 """
 
 import numpy as np
@@ -85,3 +85,8 @@ def comparator_rank_profile(comp):
     R1 = np.linalg.qr(comp.left.T, mode="r")
     R2 = np.linalg.qr(comp.right.T, mode="r")
     return np.linalg.svd(R1 @ comp.core @ R2.T, compute_uv=False)
+
+
+def dense_W_star(comp, W0):
+    """The comparator's W* = W0 + left^T (core right) as one m x m array."""
+    return W0 + comp.left.T @ (comp.core @ comp.right)

@@ -1,17 +1,20 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import comparator_rank_profile
+from oracles import comparator_rank_profile, dense_W_star
 from rnn_sysid.existence import (ConditioningError, construct_comparator,
                                  gram_inverses, save_comparator,
                                  verify_existence)
 from rnn_sysid.harness import run_experiment
+from rnn_sysid.linalg import frob
 from rnn_sysid.losses import make_loss
-from rnn_sysid.student import linearized_forward
+from rnn_sysid.student import forward_rescaled, linearized_forward
 from rnn_sysid.teacher import (generate_dataset, impulse_response,
                                random_stable_system)
+from rnn_sysid.verify import sample_init
 
 
 def _init(m, d, d_y, seed=0):
@@ -55,12 +58,13 @@ def test_linearized_transfer_matches_teacher_lags():
     W0, A0, B = _init(m, 3, 2, seed=3)
     T_max = 8
     comp = construct_comparator(W0, A0, B, TEACHER, 0.9, T_max)
+    W_star = dense_W_star(comp, W0)
     ir = impulse_response(TEACHER, T_max)
     # impulses through the linearized map recover per-lag transfer matrices
     for j in range(TEACHER.d):
         x = np.zeros((T_max, TEACHER.d))
         x[0, j] = 1.0
-        F = linearized_forward(W0, A0, comp.W_star, comp.A_star, B, 0.9, x)
+        F = linearized_forward(W0, A0, W_star, comp.A_star, B, 0.9, x)
         for t0 in range(T_max):
             np.testing.assert_allclose(F[t0], ir[t0][:, j], atol=0.2)
 
@@ -109,11 +113,11 @@ def test_fit_error_shrinks_with_m():
 
 
 def test_rank_profile_matches_dense_svd():
-    # the factored profile agrees with the SVD of the materialized W* - W0
+    # the factored profile agrees with the SVD of the dense W* - W0
     W0, A0, B = _init(256, 3, 2, seed=2)
     T_max = 6
     comp = construct_comparator(W0, A0, B, TEACHER, 0.9, T_max)
-    dense = np.linalg.svd(comp.W_star - W0, compute_uv=False)
+    dense = np.linalg.svd(dense_W_star(comp, W0) - W0, compute_uv=False)
     sv = comparator_rank_profile(comp)
     rank = (T_max - 1) * min(TEACHER.d, TEACHER.d_y)
     np.testing.assert_allclose(sv[:rank], dense[:rank], rtol=1e-10,
@@ -121,8 +125,59 @@ def test_rank_profile_matches_dense_svd():
     assert np.all(dense[rank:] <= 1e-10 * dense[0])
 
 
+@pytest.mark.parametrize("m", [256, 1024])
+def test_factored_comparator_matches_dense_W_star(m):
+    # fit_error through the factored W*, and dist_W from the two Grams,
+    # against the forward and the Frobenius norm of the dense W*
+    W0, A0, B = _init(m, 3, 2, seed=9)
+    comp = construct_comparator(W0, A0, B, TEACHER, 0.9, 10)
+    ds = generate_dataset(TEACHER, "iid_gaussian_unit", 0.0, 10, 3, seed=11)
+    report = verify_existence(comp, TEACHER, ds, make_loss("square", d_y=2),
+                              W0, A0, B)
+    W_star = dense_W_star(comp, W0)
+    fit_error = max(float(np.max(np.linalg.norm(
+        forward_rescaled(W_star, comp.A_star, B, 0.9, x) - y, axis=1)))
+        for x, y in zip(ds.inputs, ds.clean_outputs))
+    assert report["fit_error"] == pytest.approx(fit_error, rel=1e-12)
+    assert comp.dist_W == pytest.approx(frob(W_star - W0), rel=1e-12)
+
+
+def test_existence_cell_holds_one_m_by_m_array():
+    # W0 is the only m x m array of a cell: the dense W* held beside it
+    # peaks at 2.09 float64 m x m arrays
+    m, T_max = 1024, 12
+    ds = generate_dataset(TEACHER, "iid_gaussian_unit", 0.0, T_max, 4, seed=3)
+    loss = make_loss("square", d_y=2)
+    tracemalloc.start()
+    try:
+        W0, A0, B = sample_init(np.random.default_rng([0, m]), m, 3, 2)
+        comp = construct_comparator(W0, A0, B, TEACHER, 0.9, T_max)
+        verify_existence(comp, TEACHER, ds, loss, W0, A0, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * m * m) < 1.5
+
+
+def test_existence_run_frees_each_cell_before_the_next(tmp_path):
+    # two seeds at one width: a W0 kept until the next cell's draw replaces
+    # it peaks at 2 float64 m x m arrays
+    m = 1024
+    cfg = {"kind": "existence", "seed": 0, "m_grid": [m], "seeds": [0, 1],
+           "T_max": 6, "probe": {"K": 1}}
+    run_experiment({**cfg, "m_grid": [64]}, out_dir=str(tmp_path / "warm"))
+    tracemalloc.start()
+    try:
+        code, _ = run_experiment(cfg, out_dir=str(tmp_path / "two"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / (8 * m * m) < 1.5
+
+
 def test_existence_run_past_4096(tmp_path):
-    # every width builds a dense W*; there is no cap on m
+    # W* stays factored at every width; there is no cap on m
     cfg = {"kind": "existence", "seed": 0,
            "teacher": {"d_p": 3, "d": 2, "d_y": 2, "rho_C": 0.8, "seed": 7},
            "m_grid": [4100], "T_max": 4, "rho": 0.9, "probe": {"K": 1}}

@@ -16,8 +16,8 @@ from rnn_sysid.harness import (ConfigError, config_hash, generalization_gap,
                                run_experiment)
 from rnn_sysid.losses import make_loss
 from rnn_sysid.student import init_student
-from rnn_sysid.teacher import (generate_dataset, random_stable_system,
-                               save_dataset)
+from rnn_sysid.teacher import (ParameterError, generate_dataset,
+                               random_stable_system, save_dataset)
 from rnn_sysid.trainer import sgd_train
 from rnn_sysid.verify import ALL_LEMMAS, verify_tail
 
@@ -369,6 +369,15 @@ def test_verify_config_with_no_trials_is_refused(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode != 0
     assert "ParameterError: trials must be >= 1" in done.stderr
+    assert not list((tmp_path / "v").glob("report_*.json"))
+
+
+def test_verify_refuses_a_later_lemma_before_any_report(tmp_path):
+    # trials: 0 on the second lemma is refused before the first one runs
+    cfg = {"kind": "verify", "lemmas": ["tail", "linearization"], "m": 16,
+           "trials": 1, "lemma_params": {"linearization": {"trials": 0}}}
+    with pytest.raises(ParameterError, match="trials must be >= 1"):
+        run_experiment(cfg, out_dir=str(tmp_path / "v"))
     assert not list((tmp_path / "v").glob("report_*.json"))
 
 

@@ -1,11 +1,12 @@
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rnn_sysid.verify
-from rnn_sysid.linalg import operator_norm_fast
+from rnn_sysid.linalg import operator_norm_fast, power_dtype
 from rnn_sysid.schedule import rho_1_of_m
 from rnn_sysid.teacher import ParameterError
 from rnn_sysid.verify import (ALL_LEMMAS, LemmaReport, _power_norms,
@@ -92,6 +93,32 @@ def test_spectral_trial_draws_and_factors_only_W0(monkeypatch):
                             counting(name, getattr(rnn_sysid.verify, name)))
     verify_spectral(m=64, trials=1, seed=0)
     assert calls == {"operator_norm_fast": 1, "_unit_frob": 0}
+
+
+@pytest.mark.parametrize("m", [2048, 1000])
+def test_blocked_draw_equals_one_draw_then_cast(m):
+    # 1000 is not a multiple of the row block DRAW_ROWS; the generator is
+    # left where one draw leaves it, so later draws are unchanged too
+    rng, ref = np.random.default_rng([5, m]), np.random.default_rng([5, m])
+    W0 = sample_W0(rng, m, power_dtype(m))
+    one = ref.normal(0.0, np.sqrt(1.0 / m), size=(m, m)).astype(power_dtype(m))
+    assert W0.dtype == one.dtype and W0.tobytes() == one.tobytes()
+    assert rng.normal() == ref.normal()
+
+
+def test_spectral_trial_holds_one_narrow_W0():
+    # a trial draws W0 straight into its float32 copy; the power norms add
+    # one contiguous copy of W0^T.  Drawing in float64 and casting peaks at
+    # 3.0 float32 m x m arrays
+    m = 2048
+    verify_spectral(m=64, trials=1, seed=0)  # scipy's imports, untraced
+    tracemalloc.start()
+    try:
+        verify_spectral(m=m, trials=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (4 * m * m) < 2.5
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

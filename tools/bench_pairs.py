@@ -19,7 +19,8 @@ every change call beat every parent call: the runs then spread too widely
 to tell a change within the bound from none.  It also lists, per workload,
 the artifacts whose hashes differ between the two calls of any pair
 (`artifacts_differ`; both calls of a pair run the same seed), so "same
-outputs" is measured rather than assumed.
+outputs" is measured rather than assumed.  After each pair it prints both
+sides' value of every end-to-end metric.
 """
 
 import argparse
@@ -111,10 +112,11 @@ def main():
         with open(args.out, "w") as f:
             json.dump(doc, f, indent=1, sort_keys=True)
             f.write("\n")
-        m = pair["change"]["result"]["metrics"]["compute_s"]["value"]
-        b = pair["parent"]["result"]["metrics"]["compute_s"]["value"]
-        print("%s seed %d: compute_s parent %.3f change %.3f"
-              % (args.workload, seed, b, m), flush=True)
+        print("%s seed %d: %s" % (args.workload, seed, ", ".join(
+            "%s parent %.4g change %.4g" % (
+                name, pair["parent"]["result"]["metrics"][name]["value"],
+                pair["change"]["result"]["metrics"][name]["value"])
+            for name in bound)), flush=True)
 
 
 if __name__ == "__main__":
