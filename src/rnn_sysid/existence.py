@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frob
+from .linalg import frob, lag_ladder
 from .losses import sequence_loss
-from .student import _lag_ladder, forward_rescaled
+from .student import forward_rescaled
 from .teacher import impulse_response
 
 
@@ -94,8 +94,8 @@ def _validated_inverse(Gram, tag):
 
 
 def gram_inverses(W0, A0, B, T_max):
-    L = _lag_ladder(W0.T, B.T, 1.0, T_max - 1)
-    R = _lag_ladder(W0, A0, 1.0, T_max - 1)
+    L = lag_ladder(W0.T, B.T, 1.0, T_max - 1)
+    R = lag_ladder(W0, A0, 1.0, T_max - 1)
     P1, P2 = [], []
     cond_max = 0.0
     resid_max = 0.0

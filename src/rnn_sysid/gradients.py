@@ -35,11 +35,11 @@ class GradientPair:
         return self.rho * float(np.sqrt(np.einsum("ij,ij->", L @ L.T, G @ G.T)))
 
 
-def jvp_f_all_t(W, A, B, rho, x, Z_W=None, Z_A=None):
-    """JVP of every f_t in one pass; either direction may be None (zero).
+def tangent_states(W, A, rho, x, Z_W, Z_A):
+    """Tangent states u_t along (Z_W, Z_A); either direction may be None.
 
-    Tangent recurrence u_t = rho W u_{t-1} + rho Z_W g_{t-1} + Z_A x_t,
-    result B u_t; its drive is formed for all t at once.
+    Tangent recurrence u_t = rho W u_{t-1} + rho Z_W g_{t-1} + Z_A x_t over
+    the forward states g_t; its drive is formed for all t at once.
     """
     x = np.asarray(x, dtype=float)
     G = recurrence(x @ A.T, W.T, rho)
@@ -48,7 +48,12 @@ def jvp_f_all_t(W, A, B, rho, x, Z_W=None, Z_A=None):
         drive += x @ Z_A.T
     if Z_W is not None:
         drive[1:] += rho * (G[:-1] @ Z_W.T)
-    return recurrence(drive, W.T, rho) @ B.T
+    return recurrence(drive, W.T, rho)
+
+
+def jvp_f_all_t(W, A, B, rho, x, Z_W=None, Z_A=None):
+    """JVP of every f_t, B u_t; either direction may be None (zero)."""
+    return tangent_states(W, A, rho, x, Z_W, Z_A) @ B.T
 
 
 def loss_gradients_bptt(W, A, B, rho, x, y, loss):

@@ -3,8 +3,8 @@
 `recurrence` and `causal_fir` are the two primitives behind every
 forward, tangent, adjoint and lag-ladder evaluation of the series
 f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0}: the first walks a transition
-matrix over time (or over lag), the second sums per-lag transfer
-matrices against an input sequence.
+matrix over time (or over lag, as `lag_ladder`), the second sums per-lag
+transfer matrices against an input sequence.
 
 Operator norms: `operator_norm` is power iteration on M^T M, for the
 small matrices of the teacher;
@@ -33,6 +33,16 @@ def recurrence(U, M, scale=1.0):
     for t in range(1, len(G)):
         G[t] += scale * (G[t - 1] @ M)
     return G
+
+
+def lag_ladder(W, A, rho, tau):
+    """(rho^j W^j A)^T for j = 0..tau, stacked as a (tau+1) x d x m array.
+
+    With W -> W^T and A -> B^T the same ladder gives rho^j B W^j.
+    """
+    U = np.zeros((tau + 1,) + A.T.shape)
+    U[:1] = A.T
+    return recurrence(U, W.T, rho)
 
 
 def causal_fir(K, x):

@@ -5,8 +5,8 @@ is held in the rescaled parameterization W = W~ / rho, where
 f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0}: W is the one parameter matrix,
 and the recurrence g_t = rho W g_{t-1} + A x_t evaluates the same series
 without explicit matrix powers.  Every forward here is a call to
-`linalg.recurrence`: over time for the full series and its linearization,
-over lag for the ladders rho^j W^j A whose per-lag transfer matrices
+`linalg.recurrence`: over time for the full series, over lag for the
+linearization's ladders rho^j W^j A, whose per-lag transfer matrices
 `linalg.causal_fir` sums against the inputs for every truncation lag.
 """
 
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import jvp_f_all_t
-from .linalg import DimensionError, causal_fir, recurrence
+from .linalg import DimensionError, causal_fir, lag_ladder, recurrence
 from .teacher import ParameterError
 
 
@@ -78,34 +77,22 @@ def forward_rescaled(W, A, B, rho, x):
     return recurrence(x @ A.T, W.T, rho) @ B.T
 
 
-def _lag_ladder(W, A, rho, tau):
-    """(rho^j W^j A)^T for j = 0..tau, stacked as a (tau+1) x d x m array.
+def linearized_forward(W0, A0, dW, A, B, rho, x, taus):
+    """First-order expansion of f_t^tau around (W0, A0), one per tau.
 
-    With W -> W^T and A -> B^T the same ladder gives rho^j B W^j.
-    """
-    U = np.zeros((tau + 1,) + A.T.shape)
-    U[:1] = A.T
-    return recurrence(U, W.T, rho)
-
-
-def linearized_forward(W0, A0, W, A, B, rho, x, taus=None):
-    """First-order expansion of f_t around (W0, A0), or of f_t^tau per tau.
-
-    f is linear in A, so the full expansion is the JVP at (W0, A0) along
-    (W - W0, A).  With `taus`, one lag ladder to the largest tau gives a
-    len(taus) x T x d_y array; at W = W0, A = A0 it holds f_t^tau itself.
+    The W-direction is `dW`; f is linear in A, so A is the endpoint.  One
+    lag ladder to the largest tau gives a len(taus) x T x d_y array; a tau
+    >= T - 1 gives the full expansion, and at dW = 0 it holds f_t^tau at
+    (W0, A) itself.
     """
     x = _check_inputs(x, A0.shape[1])
-    dW = W - W0
-    if taus is None:
-        return jvp_f_all_t(W0, A0, B, rho, x, Z_W=dW, Z_A=A)
     if min(taus) < 0:
         raise ParameterError(f"every tau must be >= 0, got {list(taus)}")
     # per-lag ladders: [M0_j | M_j] = rho^j W0^j [A0 | A], and the
     # W-directional term S_j = rho W0 S_{j-1} + rho dW M0_{j-1}
     T = x.shape[0]
     m, d = A0.shape
-    ladder = _lag_ladder(W0, np.hstack([A0, A]), rho, min(max(taus), T - 1))
+    ladder = lag_ladder(W0, np.hstack([A0, A]), rho, min(max(taus), T - 1))
     M0 = ladder[:-1, :d]
     drive = np.zeros((len(ladder), d, m))
     drive[1:] = rho * (M0.reshape(-1, m) @ dW.T).reshape(M0.shape)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DimensionError, operator_norm, recurrence,
+from .linalg import (DimensionError, lag_ladder, operator_norm, recurrence,
                      spectral_radius)
 
 INPUT_SPECS = ("iid_gaussian_unit", "iid_uniform_sphere")
@@ -114,10 +114,7 @@ def simulate(sys, inputs):
 
 def impulse_response(sys, nlag):
     """Per-lag transfer matrices G C^k D for k = 0..nlag-1 (nlag x d_y x d)."""
-    U = np.zeros((nlag, sys.d, sys.d_p))
-    U[:1] = sys.D.T
-    # row k of the ladder is (C^k D)^T
-    return (recurrence(U, sys.C.T) @ sys.G.T).transpose(0, 2, 1)
+    return (lag_ladder(sys.C, sys.D, 1.0, nlag - 1) @ sys.G.T).transpose(0, 2, 1)
 
 
 @dataclass

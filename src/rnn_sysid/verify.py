@@ -14,10 +14,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .linalg import (fit_loglog_slope, frob, matrix_power_opnorm,
+from .gradients import tangent_states
+from .linalg import (fit_loglog_slope, frob, lag_ladder, matrix_power_opnorm,
                      operator_norm_fast, power_dtype, recurrence)
 from .schedule import rho_1_of_m, theory_schedule
-from .student import _lag_ladder, forward_rescaled, linearized_forward
+from .student import linearized_forward
 from .teacher import ParameterError
 
 REPORT_FORMAT_VERSION = 1
@@ -244,8 +245,8 @@ def verify_concentration(m=4096, tau=8, d=4, d_y=2, trials=20, seed=0,
         v1 = _unit_vec(rng, d_y)
         u1 = _unit_vec(rng, d_y)
         # Fs[t] = W0^t A0 and Ps[t] = (W0^T)^t B^T
-        Fs = _lag_ladder(W0, A0, 1.0, tau - 1).transpose(0, 2, 1)
-        Ps = _lag_ladder(W0.T, B.T, 1.0, tau - 1).transpose(0, 2, 1)
+        Fs = lag_ladder(W0, A0, 1.0, tau - 1).transpose(0, 2, 1)
+        Ps = lag_ladder(W0.T, B.T, 1.0, tau - 1).transpose(0, 2, 1)
         for t in range(tau):
             F = Fs[t]
             flags["a"].append(0.9 <= np.linalg.norm(F @ v2) <= 1.1)
@@ -296,7 +297,7 @@ def tail_norms(W, A0, B, Q, Q2, Z, rho, tau_grid):
     shifts each to its lag.  The double tail is the Q2-tangent of
     P[tau-1] rho H[tau]: one tangent recurrence for each factor.
     """
-    P = _lag_ladder(W.T, B.T, rho, max(tau_grid))
+    P = lag_ladder(W.T, B.T, rho, max(tau_grid))
     HQ = recurrence((Z @ Q.T)[::-1], W.T, rho)[::-1]
     H = recurrence((Z @ A0.T)[::-1], W.T, rho)[::-1]
     drive = np.zeros_like(H)
@@ -367,6 +368,21 @@ def verify_tail(m=256, tau_grid=(1, 2, 4, 8, 16, 30), trials=20, seed=0,
 # linearization residual
 
 
+def linearization_residuals(W0, A0, B, U, V, rho, x, omega_grid):
+    """max_t ||F(W0 + omega U, A0 + omega V)_t - F_lin_t|| for each omega.
+
+    With j_t the tangent states along (U, V), the remainder e_t = h_t -
+    h0_t - omega j_t obeys e_t = rho (W0 + omega U) e_{t-1} + rho omega^2
+    U j_{t-1}, e_{-1} = 0: it is propagated, not differenced.
+    """
+    J = tangent_states(W0, A0, rho, x, U, V)
+    drive = np.zeros_like(J)
+    drive[1:] = rho * (J[:-1] @ U.T)  # shared across omega
+    return [float(np.max(np.linalg.norm(recurrence(
+        omega**2 * drive, (omega * U + W0).T, rho) @ B.T, axis=1)))
+        for omega in omega_grid]
+
+
 def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
                          trials=20, seed=0, rho_0=0.9, T=12, d=4, d_y=2):
     """Residual of the first-order expansion of f_t around initialization.
@@ -377,6 +393,8 @@ def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
     """
     omega_grid = sorted(omega_grid)
     omega_0 = 1.0 / rho_0 - 1.0
+    if max(omega_grid, default=0.0) > omega_0:
+        raise ValueError(f"omega {omega_grid[-1]} exceeds omega_0 {omega_0}")
     rho = rho_0
     flags = {"bound": [], "slope": []}
     slopes = []
@@ -386,16 +404,8 @@ def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
         U = _unit_frob(rng, (m, m))
         V = _unit_frob(rng, (m, d))
         x = rng.normal(size=(T, d)) / np.sqrt(d)
-        residuals = []
-        for omega in omega_grid:
-            if omega > omega_0:
-                raise ValueError(f"omega {omega} exceeds omega_0 {omega_0}")
-            W = W0 + omega * U
-            A = A0 + omega * V
-            F = forward_rescaled(W, A, B, rho, x)
-            Flin = linearized_forward(W0, A0, W, A, B, rho, x)
-            res = float(np.max(np.linalg.norm(F - Flin, axis=1)))
-            residuals.append(res)
+        residuals = linearization_residuals(W0, A0, B, U, V, rho, x, omega_grid)
+        for omega, res in zip(omega_grid, residuals):
             bound = 768.0 * np.sqrt(m) * omega**2 / (1.0 - rho_0) ** 5
             flags["bound"].append(res <= bound)
         if len(omega_grid) >= 2 and all(v > 0 for v in residuals):
@@ -438,11 +448,12 @@ def verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20, 24, 28, 32),
     for r in range(trials):
         rng = np.random.default_rng([int(seed), r])
         W0, A0, B = sample_init(rng, m, d, d_y)
-        W = W0 + omega * _unit_frob(rng, (m, m))
+        dW = omega * _unit_frob(rng, (m, m))
         A = A0 + omega * _unit_frob(rng, (m, d))
         x = rng.normal(size=(T, d)) / np.sqrt(d)
-        Flin = linearized_forward(W0, A0, W, A, B, rho_0, x)
-        Ftaus = linearized_forward(W0, A0, W, A, B, rho_0, x, taus=tau_grid)
+        # the last sum, tau = T - 1, is the full expansion
+        *Ftaus, Flin = linearized_forward(W0, A0, dW, A, B, rho_0, x,
+                                          [*tau_grid, T - 1])
         errs = []
         for tau, Ftau in zip(tau_grid, Ftaus):
             err = float(np.max(np.linalg.norm(Flin - Ftau, axis=1)))
@@ -458,9 +469,8 @@ def verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20, 24, 28, 32),
                                             <= 0.2 * abs(np.log(rho_0)))
         # Eq.-level approximation check at the schedule's own rate
         x_app = rng.normal(size=(T_app, d)) / np.sqrt(d)
-        Fl = linearized_forward(W0, A0, W, A, B, sched.rho, x_app)
-        Ft = linearized_forward(W0, A0, W, A, B, sched.rho, x_app,
-                                taus=[sched.T_max])[0]
+        Ft, Fl = linearized_forward(W0, A0, dW, A, B, sched.rho, x_app,
+                                    [sched.T_max, T_app - 1])
         err_app = float(np.max(np.linalg.norm(Fl - Ft, axis=1)))
         flags["app"].append(err_app <= sched.epsilon / sched.b)
 

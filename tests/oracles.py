@@ -2,8 +2,9 @@
 
 Central finite differences, literal power-series sums of the rescaled
 series f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0} and of its directional
-derivatives, and the dense form and the spectrum of a factored
-comparator.  They share no code with the recurrences under test.
+derivatives, an extended-precision forward with its tangent, and the
+dense form and the spectrum of a factored comparator.  They share no
+code with the recurrences under test.
 """
 
 import numpy as np
@@ -77,6 +78,26 @@ def brute_forward_powers(W, A, B, rho, x):
         for t0 in range(t):
             F[t - 1] += rho**t0 * (B @ powers[t0] @ A @ x[t - 1 - t0])
     return F
+
+
+def longdouble_forward(W, A, B, rho, x, Z_W, Z_A):
+    """f_t and its JVP along (Z_W, Z_A), both in np.longdouble.
+
+    One explicit loop over t carries the state h_t = rho W h_{t-1} + A x_t
+    and its tangent u_t = rho W u_{t-1} + rho Z_W h_{t-1} + Z_A x_t.
+    """
+    W, A, B, x, Z_W, Z_A = (np.asarray(M, dtype=np.longdouble)
+                            for M in (W, A, B, x, Z_W, Z_A))
+    rho = np.longdouble(rho)
+    h = np.zeros(W.shape[0], dtype=np.longdouble)
+    u = np.zeros_like(h)
+    F, dF = [], []
+    for x_t in x:
+        h, u = (rho * (W @ h) + A @ x_t,
+                rho * (W @ u) + rho * (Z_W @ h) + Z_A @ x_t)
+        F.append(B @ h)
+        dF.append(B @ u)
+    return np.array(F), np.array(dF)
 
 
 def comparator_rank_profile(comp):

@@ -58,13 +58,14 @@ def test_linearized_transfer_matches_teacher_lags():
     W0, A0, B = _init(m, 3, 2, seed=3)
     T_max = 8
     comp = construct_comparator(W0, A0, B, TEACHER, 0.9, T_max)
-    W_star = dense_W_star(comp, W0)
+    dW = comp.left.T @ (comp.core @ comp.right)
     ir = impulse_response(TEACHER, T_max)
     # impulses through the linearized map recover per-lag transfer matrices
     for j in range(TEACHER.d):
         x = np.zeros((T_max, TEACHER.d))
         x[0, j] = 1.0
-        F = linearized_forward(W0, A0, W_star, comp.A_star, B, 0.9, x)
+        F = linearized_forward(W0, A0, dW, comp.A_star, B, 0.9, x,
+                               [T_max - 1])[0]
         for t0 in range(T_max):
             np.testing.assert_allclose(F[t0], ir[t0][:, j], atol=0.2)
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rnn_sysid.gradients import jvp_f_all_t
 from rnn_sysid.student import (forward_rescaled, init_student,
                                linearized_forward, load_checkpoint,
                                save_checkpoint)
@@ -42,8 +43,8 @@ def test_forward_matches_explicit_powers():
 
 def _truncated(rnn, x, taus):
     """f_t^tau for each tau: the linearization at (W, A) in a zero direction."""
-    return linearized_forward(rnn.W, rnn.A, rnn.W, rnn.A, rnn.B, rnn.rho, x,
-                              taus=taus)
+    return linearized_forward(rnn.W, rnn.A, np.zeros_like(rnn.W), rnn.A,
+                              rnn.B, rnn.rho, x, taus)
 
 
 def test_truncated_equals_full_when_tau_large():
@@ -69,8 +70,8 @@ def test_truncated_rejects_negative_tau():
 def test_linearized_at_anchor_is_exact():
     rnn, x = _setup()
     F = forward_rescaled(rnn.W, rnn.A, rnn.B, rnn.rho, x)
-    Fl = linearized_forward(rnn.W0, rnn.A0, rnn.W0, rnn.A0,
-                            rnn.B, rnn.rho, x)
+    Fl = linearized_forward(rnn.W0, rnn.A0, np.zeros_like(rnn.W0), rnn.A0,
+                            rnn.B, rnn.rho, x, [len(x) - 1])[0]
     np.testing.assert_allclose(F, Fl, atol=1e-12)
 
 
@@ -81,8 +82,8 @@ def test_linearized_is_affine_in_direction():
     dA = rng.normal(size=rnn.A0.shape)
 
     def lin(c):
-        return linearized_forward(rnn.W0, rnn.A0, rnn.W0 + c * dW,
-                                  rnn.A0 + c * dA, rnn.B, rnn.rho, x)
+        return linearized_forward(rnn.W0, rnn.A0, c * dW, rnn.A0 + c * dA,
+                                  rnn.B, rnn.rho, x, [len(x) - 1])[0]
 
     F0, F1, F2 = lin(0.0), lin(1.0), lin(2.0)
     np.testing.assert_allclose(F2 - F1, F1 - F0, atol=1e-9)
@@ -91,12 +92,13 @@ def test_linearized_is_affine_in_direction():
 def test_linearized_truncated_matches_full_when_tau_large():
     rnn, x = _setup(m=24, T=7)
     rng = np.random.default_rng(8)
-    W = rnn.W0 + 0.02 * rng.normal(size=rnn.W0.shape)
+    dW = 0.02 * rng.normal(size=rnn.W0.shape)
     A = rnn.A0 + 0.02 * rng.normal(size=rnn.A0.shape)
-    full = linearized_forward(rnn.W0, rnn.A0, W, A, rnn.B, rnn.rho, x)
+    # f is linear in A: the full expansion is the JVP at (W0, A0) along (dW, A)
+    full = jvp_f_all_t(rnn.W0, rnn.A0, rnn.B, rnn.rho, x, Z_W=dW, Z_A=A)
     # tau = T - 1 and past it
-    truncs = linearized_forward(rnn.W0, rnn.A0, W, A, rnn.B, rnn.rho, x,
-                                taus=[len(x) - 1, len(x) + 3])
+    truncs = linearized_forward(rnn.W0, rnn.A0, dW, A, rnn.B, rnn.rho, x,
+                                [len(x) - 1, len(x) + 3])
     for trunc in truncs:
         np.testing.assert_allclose(full, trunc, atol=1e-11)
 
@@ -108,9 +110,8 @@ def test_truncated_forwards_match_per_lag_sums(tau):
     # tau alongside 0 and a tau past T, all served by one ladder
     taus = [0, tau, T + 2]
     rng = np.random.default_rng(9)
-    W = rnn.W0 + 0.02 * rng.normal(size=rnn.W0.shape)
+    dW = 0.02 * rng.normal(size=rnn.W0.shape)
     A = rnn.A0 + 0.02 * rng.normal(size=rnn.A0.shape)
-    dW = W - rnn.W0
     rho, B = rnn.rho, rnn.B
     P0 = [np.linalg.matrix_power(rnn.W0, j) for j in range(T)]
     # lag-j transfer matrices of f^tau and of its linearization at (W0, A0)
@@ -120,7 +121,7 @@ def test_truncated_forwards_match_per_lag_sums(tau):
                                            np.zeros_like(dW)) @ rnn.A0)
              for j in range(T)]
     Fs = _truncated(rnn, x, taus)
-    F_lins = linearized_forward(rnn.W0, rnn.A0, W, A, B, rho, x, taus=taus)
+    F_lins = linearized_forward(rnn.W0, rnn.A0, dW, A, B, rho, x, taus)
     for tau, F, F_lin in zip(taus, Fs, F_lins):
         for t in range(len(x)):
             lags = range(min(tau, t) + 1)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import rnn_sysid.verify
+from oracles import longdouble_forward
 from rnn_sysid.linalg import operator_norm_fast, power_dtype
 from rnn_sysid.schedule import rho_1_of_m
 from rnn_sysid.teacher import ParameterError
 from rnn_sysid.verify import (ALL_LEMMAS, LemmaReport, _power_norms,
-                              _unit_frob, _unit_vec, run_lemma, sample_init,
-                              sample_W0, tail_norms, verify_concentration,
+                              _unit_frob, _unit_vec, linearization_residuals,
+                              run_lemma, sample_init, sample_W0, tail_norms,
+                              verify_concentration,
                               verify_linearization, verify_spectral,
                               verify_tail, verify_truncation)
 
@@ -205,6 +207,44 @@ def test_linearization_zero_omega_residual():
 def test_linearization_rejects_omega_beyond_ball():
     with pytest.raises(ValueError):
         verify_linearization(m=64, omega_grid=(0.5,), trials=1, seed=0)
+
+
+def test_linearization_residual_matches_longdouble_remainder():
+    # the remainder is propagated, not differenced: differencing two float64
+    # forwards loses half the digits at omega = 1e-3 (8.1e-10 relative here,
+    # against 7e-13 for the propagated remainder).  That 7e-13 is the
+    # long-double difference's own error, so 1e-12 would leave no margin
+    m, T, d, d_y, rho = 64, 12, 4, 2, 0.9
+    omega_grid = inspect.signature(
+        verify_linearization).parameters["omega_grid"].default
+    rng = np.random.default_rng([0, 0])
+    W0, A0, B = sample_init(rng, m, d, d_y)
+    U = _unit_frob(rng, (m, m))
+    V = _unit_frob(rng, (m, d))
+    x = rng.normal(size=(T, d)) / np.sqrt(d)
+    residuals = linearization_residuals(W0, A0, B, U, V, rho, x, omega_grid)
+    F0, J = longdouble_forward(W0, A0, B, rho, x, U, V)
+    for omega, res in zip(omega_grid, residuals):
+        omega = np.longdouble(omega)
+        F = longdouble_forward(W0 + omega * U.astype(np.longdouble),
+                               A0 + omega * V.astype(np.longdouble),
+                               B, rho, x, U, V)[0]
+        ref = float(np.max(np.linalg.norm(F - F0 - omega * J, axis=1)))
+        assert abs(res - ref) <= 1e-10 * ref
+
+
+def test_linearization_trial_forms_one_endpoint_at_a_time():
+    # a trial holds W0, U and one W0 + omega U; forming W = W0 + omega U
+    # beside the JVP's W - W0 peaked at 4.06 float64 m x m arrays
+    m = 1024
+    verify_linearization(m=16, trials=1, seed=0)  # warm-up, untraced
+    tracemalloc.start()
+    try:
+        verify_linearization(m=m, trials=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * m * m) < 3.5
 
 
 def test_truncation_slope_and_schedule_level_error():
