@@ -9,8 +9,9 @@ transfer matrices against an input sequence.
 Operator norms: `operator_norm` is power iteration on M^T M, for the
 small matrices of the teacher;
 `operator_norm_fast` is scipy's Lanczos `svds` from a seeded start; and
-`matrix_power_opnorm` estimates norms of matrix powers by subspace
-iteration, never forming the power.
+`matrix_power_opnorm` estimates norms of matrix powers by block Krylov
+iteration (the Rayleigh-Ritz value over every block it builds), never
+forming the power.
 """
 
 import numpy as np
@@ -118,32 +119,73 @@ def power_dtype(m):
     return np.float32 if m >= 2048 else np.float64
 
 
+TILE = 64  # transposed_copy's square tile: 32 KB of float64, 16 KB of float32
+
+
+def transposed_copy(W):
+    """A C-contiguous copy of W.T, the same bytes as `np.ascontiguousarray`.
+
+    It copies TILE x TILE tiles, each read and written while it sits in
+    cache; the whole-matrix strided copy misses cache on every write
+    (m = 4096, float32: ~75 ms against 250-320 ms).
+    """
+    Wt = np.empty(W.shape[::-1], dtype=W.dtype)
+    for i in range(0, W.shape[0], TILE):
+        for j in range(0, W.shape[1], TILE):
+            Wt[j:j + TILE, i:i + TILE] = W[i:i + TILE, j:j + TILE].T
+    return Wt
+
+
+def _next_block(V, c, Y):
+    """Stores in V[:, c:c + w] an orthonormal basis of the part of Y's
+    first w columns orthogonal to V[:, :c], with w = V.shape[1] - c capped
+    at Y's width, and returns it.  The arithmetic is float64; two rounds of
+    projection and QR keep the block orthogonal to the earlier ones even
+    where Y lies almost (or wholly) inside their span."""
+    K = V[:, :c].astype(np.float64, copy=False)
+    Y = Y[:, :V.shape[1] - c].astype(np.float64)
+    for _ in range(2):
+        Y -= K @ (K.T @ Y)
+        Y = np.linalg.qr(Y)[0]
+    V[:, c:c + Y.shape[1]] = Y
+    return V[:, c:c + Y.shape[1]]
+
+
 def matrix_power_opnorm(W, k, iters=8, block=4, seed=0):
     """Estimate ||W^k||_2 without forming the matrix power.
 
-    Blocked subspace iteration; each of `iters` rounds applies W k times
-    and W^T k times to a small block of vectors and re-orthonormalizes it,
-    cost O(iters * k * m^2 * block).  The estimate is a lower value: at the
-    counts `verify_spectral` uses (6 and 4 iterations, block 8) it reads
-    ||W0^k|| low by a median of 1.6% and 2.0% at m = 1024 (worst 2.7% and
-    3.7%; 5 draws, k = 2..16, against explicit powers).
+    Block Krylov: from a seeded orthonormal block V_0, round r applies W
+    k times to V_r (kept as W^k V_r) and W^T k times to that, and the part
+    of the result orthogonal to V_0..V_r, orthonormalized in float64, is
+    V_{r+1}.  After `iters` rounds the estimate is the top singular value
+    of [W^k V_0, ..., W^k V_iters]: the Rayleigh-Ritz value of W^k over
+    the span of every block.  That span holds the last block of subspace
+    iteration from the same start, so in exact arithmetic the estimate is
+    never below that iteration's at the same count.  Cost O(iters * k *
+    m^2 * block); the basis stops growing once it spans R^m (there the
+    estimate is the exact norm).  The estimate is a lower value: at the
+    counts `verify_spectral` uses (4 iterations at k <= 3, 3 above, block
+    8) its worst shortfall per k in {2, 3, 5, 7, 10, 14} is 0.3-2.3% at
+    m = 1024 (3 draws, against explicit powers), where subspace iteration
+    at the 6 and 4 iterations it replaced read 0.6-3.6% low.
 
     `k` may be a sequence of powers, with `iters` one count per power or
     one for all; the result is then a list of estimates.  They start from
     the same seeded block and run in lockstep rounds: in round r, a power
-    with iters > r applies W k times, W^T k times and a QR, one with
-    iters == r W k times and the SVD.  Each step is one GEMM over the
-    side-by-side blocks of the powers still that deep: 138 GEMMs for powers
-    [2, 3, 5, 7, 10, 14] at iters [6, 6, 4, 4, 4, 4].  A blocked GEMM
-    computes each column alike whatever stands beside it, so each estimate
-    equals its one-power call's; below m^2 * block ~ 1e6 OpenBLAS may take
-    its small-matrix kernel for the lone product only, and the last bits
-    then differ (seen at m <= 256 with block 4).
+    with iters > r applies W k times, W^T k times and orthonormalizes, one
+    with iters == r W k times and takes the SVD.  Each step is one GEMM
+    over the side-by-side blocks of the powers still that deep: 104 GEMMs
+    for powers [2, 3, 5, 7, 10, 14] at iters [4, 4, 3, 3, 3, 3].  A
+    blocked GEMM computes each column alike whatever stands beside it, so
+    each estimate equals its one-power call's; below m^2 * block ~ 1e6
+    OpenBLAS may take its small-matrix kernel for the lone product only,
+    and the last bits then differ (seen at m <= 256 with block 4).
 
-    It runs in `power_dtype(m)`, float32 from m = 2048 up (the round-off
-    is orders of magnitude below the iteration's own convergence slack);
-    W already in it is not cast.  W^T products read one C-contiguous copy:
-    on the strided view, narrow GEMMs run ~2x slower (m = 4096, float32).
+    The GEMMs run in `power_dtype(m)`, float32 from m = 2048 up (the
+    round-off is orders of magnitude below the iteration's own slack); W
+    already in it is not cast, and the blocks are stored in it.  W^T
+    products read one `transposed_copy`: on the strided view, narrow GEMMs
+    run ~2x slower (m = 4096, float32).
     """
     W = np.asarray(W)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -156,20 +198,31 @@ def matrix_power_opnorm(W, k, iters=8, block=4, seed=0):
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.normal(size=(m, block)))[0].astype(dtype)
     est = [1.0] * len(ks)
-    its = np.broadcast_to(iters, len(ks))
-    Y = {j: Q for j, kj in enumerate(ks) if kj}
-    Wt = np.ascontiguousarray(W.T)
+    # the basis spans R^m after ceil(m / block) blocks
+    its = np.minimum(np.broadcast_to(iters, len(ks)), -(-m // block) - 1)
+    V = {j: np.empty((m, min((its[j] + 1) * block, m)), dtype)
+         for j, kj in enumerate(ks) if kj}
+    WV = {j: np.empty_like(Vj) for j, Vj in V.items()}
+    Y = {j: Q for j in V}
+    for Vj in V.values():
+        Vj[:, :block] = Q
+    Wt = transposed_copy(W)
     for r in range(max(its, default=-1) + 1):
+        c, w = r * block, min(block, m - r * block)
         deeper = [j for j in Y if its[j] > r]
         for M, due in ((W, list(Y)), (Wt, deeper)):
             for step in range(max((ks[j] for j in due), default=0)):
                 now = [j for j in due if ks[j] > step]
                 out = M @ np.hstack([Y[j] for j in now])
                 for n, j in enumerate(now):
-                    Y[j] = out[:, n * block:(n + 1) * block]
+                    Y[j] = out[:, n * w:(n + 1) * w]
+            if M is W:  # W^k V_r, kept for the Rayleigh-Ritz value
+                for j in due:
+                    WV[j][:, c:c + w] = Y[j]
         for j in set(Y) - set(deeper):
-            est[j] = float(np.linalg.svd(Y[j], compute_uv=False)[0])
-        Y = {j: np.linalg.qr(Y[j])[0] for j in deeper}
+            est[j] = float(np.linalg.svd(WV[j].astype(np.float64, copy=False),
+                                         compute_uv=False)[0])
+        Y = {j: _next_block(V[j], c + w, Y[j]) for j in deeper}
     return est[0] if np.ndim(k) == 0 else est
 
 

@@ -23,7 +23,7 @@ from .teacher import ParameterError
 
 REPORT_FORMAT_VERSION = 1
 THRESHOLD = 0.95  # every report's pass fraction is scored against it
-POWER_ITERS = 6   # verify_spectral's subspace iterations at k <= 3
+POWER_ITERS = 4   # block Krylov iterations of (c) at k <= 3; one fewer above
 DRAW_ROWS = 256   # sample_W0's row block: 8 MB of float64 at m = 4096
 
 
@@ -97,12 +97,20 @@ def sample_W0(rng, m, dtype=np.float64):
 
     The generator fills values in order, so the row blocks hold the values
     of one (m, m) draw, cast to `dtype`; no float64 m x m array is held
-    beside a narrower copy.
+    beside a narrower copy.  Each block is filled by `standard_normal` and
+    scaled in place: the values and the generator's end state are those of
+    `rng.normal(0, sqrt(1/m))`, without its temporary.  A float64 W0 is
+    filled in place, a narrower one through one float64 row block.
     """
     W0 = np.empty((m, m), dtype=dtype)
+    buf = None if W0.dtype == np.float64 else np.empty((min(DRAW_ROWS, m), m))
     for i in range(0, m, DRAW_ROWS):
-        W0[i:i + DRAW_ROWS] = rng.normal(0.0, np.sqrt(1.0 / m),
-                                         size=(min(DRAW_ROWS, m - i), m))
+        rows = W0[i:i + DRAW_ROWS]
+        block = rows if buf is None else buf[:len(rows)]
+        rng.standard_normal(out=block)
+        block *= np.sqrt(1.0 / m)
+        if buf is not None:
+            rows[...] = block
     return W0
 
 
@@ -124,16 +132,16 @@ def _power_norms(Wp, checks, seed):
     With sigma = ||Wp||_2 from svds, s = sigma (1 + 2 eps sqrt(m)) is an
     upper value of ||W||_2 (schema.md); the observed value is s^k where
     that meets the bound.  Elsewhere it is a lower value: sigma at k = 1,
-    at k >= 2 a batched `matrix_power_opnorm` estimate (block 8; most
-    iterations at k <= 3, where 2 sqrt(k) is tightest).  A bound of 0
-    always reads that.
+    at k >= 2 a batched block Krylov `matrix_power_opnorm` estimate
+    (block 8; POWER_ITERS iterations at k <= 3, where 2 sqrt(k) is
+    tightest, one fewer above).  A bound of 0 always reads that.
     """
     sigma = operator_norm_fast(Wp)
     s = sigma * (1.0 + 2.0 * np.finfo(Wp.dtype).eps * np.sqrt(len(Wp)))
     slow = sorted({k for pairs in checks.values() for k, b in pairs
                    if k > 1 and s**k > b})
     lower = {1: sigma, **dict(zip(slow, matrix_power_opnorm(
-        Wp, slow, iters=[POWER_ITERS if k <= 3 else POWER_ITERS - 2
+        Wp, slow, iters=[POWER_ITERS if k <= 3 else POWER_ITERS - 1
                          for k in slow], block=8, seed=seed)))}
     return s, {name: [(s**k if s**k <= b else lower[k], b) for k, b in pairs]
                for name, pairs in checks.items()}
@@ -153,9 +161,10 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8):
     Each check also reports `worst_margin` (see schema.md).  A trial draws
     W0 straight into `power_dtype(m)` (float32 from m = 2048 up), and
     `_power_norms` gives every (a)-(c) value; in practice only (c) reads
-    lower values (estimates at k >= 2, 138 GEMMs per trial at m = 4096,
-    and sigma at some k = 1 instances).  (d) reads (rho (s + omega_0))^t,
-    an upper value over the whole ball by Weyl's inequality (schema.md).
+    lower values (block Krylov estimates at k >= 2, 104 GEMMs per trial
+    at m = 4096, and sigma at some k = 1 instances).  (d) reads
+    (rho (s + omega_0))^t, an upper value over the whole ball by Weyl's
+    inequality (schema.md).
     """
     rho_1 = rho_1_of_m(m)
     L = max(1, int(np.sqrt(m) / np.log(m)))
@@ -333,7 +342,10 @@ def verify_tail(m=256, tau_grid=(1, 2, 4, 8, 16, 30), trials=20, seed=0,
     for r in range(trials):
         rng = np.random.default_rng([int(seed), r])
         W0, A0, B = sample_init(rng, m, d, d_y)
-        W = W0 + omega_0 * _unit_frob(rng, (m, m))
+        W = _unit_frob(rng, (m, m))  # W0 + omega_0 U, built in U's buffer
+        W *= omega_0
+        W += W0
+        del W0
         Q = rng.normal(size=(m, d))
         Q /= np.linalg.norm(Q, 2)
         Q2 = rng.normal(size=(m, m))
@@ -341,6 +353,7 @@ def verify_tail(m=256, tau_grid=(1, 2, 4, 8, 16, 30), trials=20, seed=0,
         Z = np.array([_unit_vec(rng, d) for _ in range(N + 1)])
 
         singles, doubles = tail_norms(W, A0, B, Q, Q2, Z, rho, tau_grid)
+        del W, Q2  # freed before the next trial draws
         prev_s, prev_d = np.inf, np.inf
         for tau, single, double in zip(tau_grid, singles, doubles):
             b1 = 4.0 * np.sqrt(m) * tau * rho_0**tau / (1.0 - rho_0) ** 2

@@ -111,3 +111,20 @@ def comparator_rank_profile(comp):
 def dense_W_star(comp, W0):
     """The comparator's W* = W0 + left^T (core right) as one m x m array."""
     return W0 + comp.left.T @ (comp.core @ comp.right)
+
+
+def subspace_power_opnorm(W, k, iters, block, seed):
+    """||W^k||_2 estimated by blocked subspace iteration from the seeded
+    start block of `matrix_power_opnorm`: each of `iters` rounds applies W
+    k times and W^T k times and re-orthonormalizes, and the estimate is the
+    top singular value of W^k times the last block.  In float64 throughout.
+    """
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(len(W), block)))[0]
+    for _ in range(iters):
+        for M in [W] * k + [W.T] * k:
+            Q = M @ Q
+        Q = np.linalg.qr(Q)[0]
+    for _ in range(k):
+        Q = W @ Q
+    return float(np.linalg.svd(Q, compute_uv=False)[0])

@@ -5,10 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import subspace_power_opnorm
 from rnn_sysid.linalg import (DimensionError, causal_fir, fit_loglog_slope,
                               frob, haar_orthogonal, matrix_power_opnorm,
                               operator_norm, operator_norm_fast, recurrence,
-                              spectral_radius)
+                              spectral_radius, transposed_copy)
+from rnn_sysid.verify import POWER_ITERS, sample_W0
 
 
 def test_spectral_radius_diagonal():
@@ -89,7 +91,7 @@ def test_matrix_power_opnorm_batch_equals_per_power_calls(m, dtype, block):
 
 def test_matrix_power_opnorm_gemm_count(monkeypatch):
     # lockstep rounds, one GEMM per step over the powers still that deep:
-    # 4 rounds of 14 W and 14 W^T steps, then 14 + 3, 3 + 3 and 3
+    # 3 rounds of 14 W and 14 W^T steps, then 14 + 3 and 3
     hstack = np.hstack
     calls = []
 
@@ -99,14 +101,53 @@ def test_matrix_power_opnorm_gemm_count(monkeypatch):
 
     monkeypatch.setattr(np, "hstack", counted)
     W = np.random.default_rng(4).normal(0.0, 0.125, size=(64, 64))
-    matrix_power_opnorm(W, [2, 3, 5, 7, 10, 14], iters=[6, 6, 4, 4, 4, 4],
+    matrix_power_opnorm(W, [2, 3, 5, 7, 10, 14], iters=[4, 4, 3, 3, 3, 3],
                         block=8)
-    assert len(calls) == 138
+    assert len(calls) == 104
+
+
+@pytest.mark.parametrize("m,draws", [(256, 8), (1024, 3)])
+def test_block_krylov_reads_no_lower_than_subspace_iteration(m, draws):
+    # verify_spectral's trials at seed 0: its draws of W0, start blocks and
+    # iteration counts, against explicit powers.  Each estimate is a lower
+    # value, and at 4/3 iterations each k's worst shortfall is no larger
+    # than subspace iteration's at the 6/4 it replaced (measured 1.3-2.3%
+    # against 2.3-3.6% at m = 1024, k <= 7)
+    ks = [2, 3, 5, 7, 10, 14]
+    worst_new, worst_old = np.zeros(len(ks)), np.zeros(len(ks))
+    for r in range(draws):
+        W = sample_W0(np.random.default_rng([0, r]), m)
+        exact, P = [], W
+        for k in range(2, max(ks) + 1):
+            P = W @ P
+            if k in ks:
+                exact.append(np.linalg.norm(P, 2))
+        new = matrix_power_opnorm(
+            W, ks, iters=[POWER_ITERS if k <= 3 else POWER_ITERS - 1
+                          for k in ks], block=8, seed=1000 + r)
+        old = [subspace_power_opnorm(W, k, 6 if k <= 3 else 4, 8, 1000 + r)
+               for k in ks]
+        assert all(n <= e * (1 + 1e-6) for n, e in zip(new, exact))
+        worst_new = np.maximum(worst_new, 1 - np.divide(new, exact))
+        worst_old = np.maximum(worst_old, 1 - np.divide(old, exact))
+    assert np.all(worst_new <= worst_old)
 
 
 def test_matrix_power_opnorm_k_zero_is_identity_norm():
     W = np.random.default_rng(2).normal(size=(7, 7))
     assert matrix_power_opnorm(W, 0) == 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(200, 200), (200, 333), (333, 200),
+                                   (1, 70)])
+def test_transposed_copy_equals_numpy_copy(shape, dtype):
+    # sizes that are not a multiple of the tile
+    W = np.random.default_rng(5).normal(size=shape).astype(dtype)
+    Wt = transposed_copy(W)
+    assert Wt.flags.c_contiguous and Wt.dtype == dtype
+    assert Wt.shape == shape[::-1]
+    assert Wt.tobytes() == np.ascontiguousarray(W.T).tobytes()
 
 
 def test_haar_orthogonal_is_orthogonal():

@@ -1,0 +1,85 @@
+import importlib.util
+import os
+
+import pytest
+
+spec = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(os.path.dirname(__file__), os.pardir,
+                                "tools", "bench_pairs.py"))
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def side(value, hashes, failed=0):
+    return {"info": {"artifact_hashes": hashes},
+            "result": {"metrics": {"compute_s": {"value": value}},
+                       "failed": failed, "attempted": 4}}
+
+
+def pairs(parent, change, workload="certify", hashes=None):
+    """One pair per (parent, change) value; `hashes` maps a pair's index to
+    its change side's artifact hashes (the parent's are {"a": "1"})."""
+    hashes = hashes or {}
+    return [{"workload": workload, "seed": 100 + n, "first": "parent",
+             "parent": side(p, {"a": "1"}),
+             "change": side(c, hashes.get(n, {"a": "1"}))}
+            for n, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_summarize_medians_quartiles_and_wins():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [9.0, 12.0, 10.0, 12.0, 12.0]
+    doc = bench_pairs.summarize(pairs(parent, change), {"compute_s": 0.24})
+    row = doc["certify"]["metrics"]["compute_s"]
+    assert row["parent_q1_median_q3"] == [11.0, 12.0, 13.0]
+    assert row["change_q1_median_q3"] == [10.0, 12.0, 12.0]
+    assert row["change_over_parent"] == 1.0
+    # every pair but the second (12 against the parent's 11)
+    assert row["change_wins"] == 4
+    assert row["pairs"] == 5
+    assert row["parent_spread"] == pytest.approx(2.0 / 12.0)
+    assert row["unresolved"] is False
+    assert doc["certify"]["seeds"] == [100, 101, 102, 103, 104]
+    assert doc["certify"]["failed"] == {"parent": 0, "change": 0}
+    assert doc["certify"]["attempted"] == {"parent": 20, "change": 20}
+
+
+def test_ties_count_for_neither_side():
+    doc = bench_pairs.summarize(pairs([5.0, 5.0, 6.0], [5.0, 4.0, 7.0]),
+                                {"compute_s": 0.5})
+    assert doc["certify"]["metrics"]["compute_s"]["change_wins"] == 1
+
+
+def test_wide_parent_spread_is_unresolved_unless_every_change_call_wins():
+    # parent quartiles 8 and 16 around a median of 12: spread 0.67 > 0.24
+    parent = [4.0, 8.0, 12.0, 16.0, 20.0]
+    overlap = bench_pairs.summarize(pairs(parent, [3.0, 7.0, 11.0, 15.0, 5.0]),
+                                    {"compute_s": 0.24})
+    assert overlap["certify"]["metrics"]["compute_s"]["unresolved"] is True
+    beats_all = bench_pairs.summarize(pairs(parent, [1.0, 2.0, 3.0, 2.0, 1.0]),
+                                      {"compute_s": 0.24})
+    assert beats_all["certify"]["metrics"]["compute_s"]["unresolved"] is False
+    # the same spread within a wider bound is resolved
+    wide = bench_pairs.summarize(pairs(parent, [3.0, 7.0, 11.0, 15.0, 5.0]),
+                                 {"compute_s": 0.7})
+    assert wide["certify"]["metrics"]["compute_s"]["unresolved"] is False
+
+
+def test_artifacts_differ_lists_each_hash_mismatch_once():
+    rows = pairs([1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+                 hashes={0: {"a": "2"}, 1: {"a": "1", "b": "3"},
+                         2: {"a": "2"}})
+    assert bench_pairs.artifacts_differ(rows) == ["a", "b"]
+    assert bench_pairs.artifacts_differ(pairs([1.0], [1.0])) == []
+
+
+def test_summarize_keeps_workloads_apart():
+    rows = (pairs([1.0, 1.0], [0.5, 0.5], hashes={1: {"a": "9"}})
+            + pairs([2.0, 2.0], [3.0, 3.0], workload="train_small"))
+    doc = bench_pairs.summarize(rows, {"compute_s": 0.24})
+    assert sorted(doc) == ["certify", "train_small"]
+    assert doc["certify"]["artifacts_differ"] == ["a"]
+    assert doc["train_small"]["artifacts_differ"] == []
+    assert doc["certify"]["metrics"]["compute_s"]["change_wins"] == 2
+    assert doc["train_small"]["metrics"]["compute_s"]["change_wins"] == 0
+    assert doc["train_small"]["metrics"]["compute_s"]["change_over_parent"] == 1.5

@@ -196,6 +196,22 @@ def test_tail_bounds_and_monotonicity():
     assert rep.observed["max_tail_to_bound_ratio"] < 1.0
 
 
+def test_tail_trials_hold_two_m_by_m_arrays():
+    # a trial builds W in the perturbation's buffer, drops W0 before Q2 is
+    # drawn and frees W and Q2 before the next trial draws.  Holding W0, U,
+    # W and Q2, and the last trial's arrays beside the next draw, peaked at
+    # 4.26 float64 m x m arrays
+    m = 1024
+    verify_tail(m=16, trials=1, seed=0)  # warm-up, untraced
+    tracemalloc.start()
+    try:
+        verify_tail(m=m, trials=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * m * m) < 2.5
+
+
 def test_linearization_zero_omega_residual():
     # omega = 0 would make the log-log fit degenerate; instead check that
     # the residual at the smallest omega is tiny and the slope is ~2
