@@ -77,6 +77,18 @@ def forward_rescaled(W, A, B, rho, x):
     return recurrence(x @ A.T, W.T, rho) @ B.T
 
 
+def linearized_kernel(W0, A0, dW, A, B, rho, tau):
+    """The `causal_fir` kernel of `linearized_forward` at lags 0..tau."""
+    # per-lag ladders: [M0_j | M_j] = rho^j W0^j [A0 | A], and the
+    # W-directional term S_j = rho W0 S_{j-1} + rho dW M0_{j-1}
+    m, d = A0.shape
+    ladder = lag_ladder(W0, np.hstack([A0, A]), rho, tau)
+    M0 = ladder[:-1, :d]
+    drive = np.zeros((len(ladder), d, m))
+    drive[1:] = rho * (M0.reshape(-1, m) @ dW.T).reshape(M0.shape)
+    return (ladder[:, d:] + recurrence(drive, W0.T, rho)) @ B.T
+
+
 def linearized_forward(W0, A0, dW, A, B, rho, x, taus):
     """First-order expansion of f_t^tau around (W0, A0), one per tau.
 
@@ -88,16 +100,9 @@ def linearized_forward(W0, A0, dW, A, B, rho, x, taus):
     x = _check_inputs(x, A0.shape[1])
     if min(taus) < 0:
         raise ParameterError(f"every tau must be >= 0, got {list(taus)}")
-    # per-lag ladders: [M0_j | M_j] = rho^j W0^j [A0 | A], and the
-    # W-directional term S_j = rho W0 S_{j-1} + rho dW M0_{j-1}
     T = x.shape[0]
-    m, d = A0.shape
-    ladder = lag_ladder(W0, np.hstack([A0, A]), rho, min(max(taus), T - 1))
-    M0 = ladder[:-1, :d]
-    drive = np.zeros((len(ladder), d, m))
-    drive[1:] = rho * (M0.reshape(-1, m) @ dW.T).reshape(M0.shape)
-    S = recurrence(drive, W0.T, rho)
-    F = causal_fir((ladder[:, d:] + S) @ B.T, x)
+    F = causal_fir(linearized_kernel(W0, A0, dW, A, B, rho,
+                                     min(max(taus), T - 1)), x)
     return F[[min(tau, T - 1) for tau in taus]]
 
 

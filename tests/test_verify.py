@@ -1,6 +1,7 @@
 import inspect
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from oracles import longdouble_forward
 from rnn_sysid.linalg import operator_norm_fast, power_dtype
 from rnn_sysid.schedule import rho_1_of_m
 from rnn_sysid.teacher import ParameterError
-from rnn_sysid.verify import (ALL_LEMMAS, LemmaReport, _power_norms,
-                              _unit_frob, _unit_vec, linearization_residuals,
+from rnn_sysid.verify import (ALL_LEMMAS, LemmaReport, _at_most, _finish,
+                              _power_norms, _unit_frob, _unit_vec,
+                              linearization_residuals,
                               run_lemma, sample_init, sample_W0, tail_norms,
                               verify_concentration,
                               verify_linearization, verify_spectral,
@@ -27,7 +29,55 @@ def test_report_save_roundtrip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["lemma_id"] == "demo"
     assert doc["passed"] is True
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
+
+
+def test_report_is_strict_json(tmp_path):
+    # with no grid points, (c) and its negative control have no instances;
+    # no summary of them may be written as a bare NaN
+    rep = verify_spectral(m=64, trials=1, seed=0, grid_points=0)
+    assert rep.checks["negative_control_c"]["status"] == "skipped"
+    rep.save(tmp_path / "r.json")
+
+    def refuse(name):
+        raise ValueError(f"non-finite constant {name} in a report")
+
+    json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)
+    rep.observed["x"] = float("inf")
+    with pytest.raises(ValueError):
+        rep.save(tmp_path / "r.json")
+
+
+@pytest.mark.parametrize("observed", [[0.0, 0.0, 0.0],
+                                      [np.inf, np.nan, -np.inf]])
+def test_check_that_measured_nothing_is_degenerate_and_fails(observed):
+    # all zeros pass an upper bound, but a check that read nothing tests
+    # nothing: a healthy check beside it does not rescue the report
+    rep = _finish(LemmaReport(lemma_id="demo", m=8, trials=1, seed=0),
+                  {"x": (_at_most, [(o, 1.0) for o in observed]),
+                   "y": (_at_most, [(0.5, 1.0)])}, ("x", "y"))
+    assert rep.checks["x"] == {"n_instances": 3, "pass_fraction": 0.0,
+                               "status": "degenerate", "worst_margin": None}
+    assert rep.checks["y"]["worst_margin"] == 0.5
+    assert rep.pass_fraction == 0.0 and rep.passed is False
+
+
+def test_every_asserted_check_reports_a_finite_margin():
+    # the five lemmas at small widths: each asserted check measured
+    # something and says how close it came to its bound
+    reps = [verify_spectral(m=128, trials=2, seed=0),
+            verify_concentration(m=256, tau=3, d=2, trials=2, seed=0),
+            verify_tail(m=64, trials=2, seed=0),
+            verify_linearization(m=64, trials=2, seed=0),
+            verify_truncation(m=256, trials=2, seed=0)]
+    for rep in reps:
+        for name, entry in rep.checks.items():
+            assert entry["status"] != "degenerate", (rep.lemma_id, name)
+            if entry.get("asserted", True):
+                assert np.isfinite(entry["worst_margin"]), (rep.lemma_id, name)
+    # the schedule-level error is the tail past T_max: far below its
+    # bound, but read, not 0
+    assert 0.0 < reps[-1].checks["app"]["worst_margin"] < 1e-100
 
 
 def test_spectral_small_m():
@@ -42,7 +92,9 @@ def test_spectral_small_m():
     # margins: above 1 only where an instance went the wrong way
     assert rep.checks["a"]["worst_margin"] <= 1.0
     assert rep.checks["negative_control_c"]["worst_margin"] <= 1.0
-    assert rep.checks["c"]["worst_margin"] == rep.observed["max_ratio_c"]
+    # a margin above 1 marks exactly the checks with a failed instance
+    for entry in rep.checks.values():
+        assert (entry["worst_margin"] <= 1.0) == (entry["pass_fraction"] == 1.0)
 
 
 def test_spectral_deterministic():
@@ -147,7 +199,8 @@ def test_concentration_small_scale():
     assert rep.checks["c"]["pass_fraction"] == 1.0
     # the recorded full-range near-isometry check is informational
     assert rep.checks["d_all_t"]["asserted"] is False
-    assert rep.observed["cross_a_max"] <= rep.observed["cross_a_bound"]
+    assert rep.checks["c_b_side"]["asserted"] is False
+    assert rep.checks["c"]["worst_margin"] <= 1.0
 
 
 def test_concentration_cross_terms_match_literal_pairs():
@@ -170,9 +223,11 @@ def test_concentration_cross_terms_match_literal_pairs():
                                            @ (Wt[tp] @ A0) @ v2))
                     b_max = max(b_max, abs(u1 @ (B @ Wt[t]) @ (B @ Wt[tp]).T
                                            @ v1) * d_y / m)
-    assert rep.checks["c"]["n_instances"] == trials * tau * (tau - 1)
-    assert rep.observed["cross_a_max"] == pytest.approx(a_max, rel=1e-12)
-    assert rep.observed["cross_b_max_scaled"] == pytest.approx(b_max, rel=1e-12)
+    cross_bound = 24.0 * tau * d**2 * np.log(m) / np.sqrt(m)
+    for name, ref in (("c", a_max), ("c_b_side", b_max)):
+        assert rep.checks[name]["n_instances"] == trials * tau * (tau - 1)
+        assert rep.checks[name]["worst_margin"] * cross_bound \
+            == pytest.approx(ref, rel=1e-12)
 
 
 def test_concentration_and_tail_read_exact_norms(monkeypatch):
@@ -193,7 +248,8 @@ def test_tail_bounds_and_monotonicity():
     rep = verify_tail(m=128, tau_grid=(1, 2, 4, 8), trials=5, seed=0)
     assert rep.passed
     assert rep.checks["monotone"]["pass_fraction"] == 1.0
-    assert rep.observed["max_tail_to_bound_ratio"] < 1.0
+    assert max(rep.checks["single"]["worst_margin"],
+               rep.checks["double"]["worst_margin"]) < 1.0
 
 
 def test_tail_trials_hold_two_m_by_m_arrays():
@@ -270,6 +326,19 @@ def test_truncation_slope_and_schedule_level_error():
     assert rep.checks["app"]["pass_fraction"] == 1.0
     assert abs(rep.observed["pooled_slope"] - np.log(0.9)) \
         <= 0.2 * abs(np.log(0.9))
+
+
+def test_truncation_with_one_tau_fits_no_slope():
+    # one point fits no line: the pooled slope check is skipped like its
+    # per-trial twin, with no fit (and no polyfit warning) behind it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_truncation(m=64, tau_grid=[8], trials=1, seed=0)
+    for name in ("slope", "slope_per_trial"):
+        assert rep.checks[name]["status"] == "skipped"
+        assert rep.checks[name]["n_instances"] == 0
+    assert rep.observed["pooled_slope"] is None
+    assert rep.checks["bound"]["status"] == rep.checks["app"]["status"] == "ok"
 
 
 def test_run_lemma_dispatch():
