@@ -46,6 +46,8 @@ def build_parser():
 def _load_config(path, kind):
     with open(path) as f:
         cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {cfg!r}")
     if cfg.get("kind", kind) != kind:
         raise ConfigError(f"config kind {cfg.get('kind')!r} does not match "
                           f"subcommand {kind!r}")

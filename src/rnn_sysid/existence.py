@@ -96,20 +96,16 @@ def _validated_inverse(Gram, tag):
 def gram_inverses(W0, A0, B, T_max):
     L = lag_ladder(W0.T, B.T, 1.0, T_max - 1)
     R = lag_ladder(W0, A0, 1.0, T_max - 1)
-    P1, P2 = [], []
+    P = {"P1": [], "P2": []}
     cond_max = 0.0
     resid_max = 0.0
-    for a in range(T_max):
-        P, c, r = _validated_inverse(L[a] @ L[a].T, f"P1[{a}]")
-        P1.append(P)
-        cond_max = max(cond_max, c)
-        resid_max = max(resid_max, r)
-    for b in range(T_max):
-        P, c, r = _validated_inverse(R[b] @ R[b].T, f"P2[{b}]")
-        P2.append(P)
-        cond_max = max(cond_max, c)
-        resid_max = max(resid_max, r)
-    return GramInverses(P1=P1, P2=P2, horizon=int(T_max),
+    for tag, ladder in (("P1", L), ("P2", R)):
+        for k, M in enumerate(ladder):
+            Pk, c, r = _validated_inverse(M @ M.T, f"{tag}[{k}]")
+            P[tag].append(Pk)
+            cond_max = max(cond_max, c)
+            resid_max = max(resid_max, r)
+    return GramInverses(**P, horizon=int(T_max),
                         cond_max=cond_max, resid_max=resid_max, L=L, R=R)
 
 

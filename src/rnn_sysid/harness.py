@@ -143,8 +143,12 @@ def resolve_config(config, seed_override=None):
     if kind == "verify":
         if c["lemmas"] == "all":
             c["lemmas"] = list(ALL_LEMMAS)
-        bad = ([c["lemmas"]] if isinstance(c["lemmas"], str) else
-               [name for name in c["lemmas"] if name not in ALL_LEMMAS])
+        elif isinstance(c["lemmas"], str):
+            c["lemmas"] = [c["lemmas"]]
+        elif not isinstance(c["lemmas"], list):
+            raise ConfigError("config field lemmas must be a name or a list "
+                              f"of names, got {c['lemmas']!r}")
+        bad = [name for name in c["lemmas"] if name not in ALL_LEMMAS]
         if bad:
             raise ConfigError(f"unknown lemmas {bad}; choose from "
                               f"{list(ALL_LEMMAS)} or 'all'")

@@ -1,0 +1,67 @@
+"""Array store: a JSON header plus one raw float64 blob per array.
+
+Checkpoints and saved datasets are both a directory holding a header file
+and one `<name>.bin` per array, little-endian float64 in row-major order.
+The header's `blobs` table records each array's `file`, `shape` and
+`length`; `load_arrays` is the one reader of a blob.
+"""
+
+import json
+import math
+import os
+
+import numpy as np
+
+
+def save_arrays(path, header_file, header, arrays):
+    """Writes one `<name>.bin` per array, then `header` with its blob table."""
+    os.makedirs(path, exist_ok=True)
+    blobs = {}
+    for name, M in arrays.items():
+        M = np.ascontiguousarray(M, dtype="<f8")
+        blobs[name] = {"file": name + ".bin", "shape": list(M.shape),
+                       "length": int(M.size)}
+        M.tofile(os.path.join(path, name + ".bin"))
+    with open(os.path.join(path, header_file), "w") as f:
+        json.dump({**header, "blobs": blobs}, f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
+def load_arrays(path, header_file, version, shapes):
+    """(header, arrays) from a directory written by `save_arrays`.
+
+    `shapes` maps each expected blob to its dimensions as header keys, e.g.
+    {"A": ("m", "d")}.  Raises IOError naming `path` unless the header is
+    a JSON object with `format_version` equal to `version`, every key
+    `shapes` names is present, and each expected blob is listed as
+    `<name>.bin` with the shape those keys give and its file holds exactly
+    that many values.
+    """
+    where = os.path.join(path, header_file)
+    with open(where) as f:
+        try:
+            header = json.load(f)
+        except ValueError as e:
+            raise IOError(f"{where} is not JSON: {e}") from None
+    found = header.get("format_version") if isinstance(header, dict) else None
+    if found != version:
+        raise IOError(f"{where}: format_version {found!r}, expected {version}")
+    arrays = {}
+    for name, dims in shapes.items():
+        try:
+            shape = [header[key] for key in dims]
+            spec = header["blobs"][name]
+        except KeyError as e:
+            raise IOError(f"{where} lacks key {e}") from None
+        if spec.get("shape") != shape:
+            raise IOError(f"{path}: blob {name} has shape {spec.get('shape')}, "
+                          f"expected {shape} ({', '.join(dims)})")
+        if spec.get("file") != name + ".bin":
+            raise IOError(f"{path}: blob {name} is stored in "
+                          f"{spec.get('file')!r}, expected {name + '.bin'!r}")
+        M = np.fromfile(os.path.join(path, name + ".bin"), dtype="<f8")
+        if M.size != math.prod(shape):
+            raise IOError(f"{path}: blob {name} has {M.size} values, "
+                          f"expected {math.prod(shape)}")
+        arrays[name] = M.reshape(shape)
+    return header, arrays

@@ -10,13 +10,12 @@ linearization's ladders rho^j W^j A, whose per-lag transfer matrices
 `linalg.causal_fir` sums against the inputs for every truncation lag.
 """
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DimensionError, causal_fir, lag_ladder, recurrence
+from .store import load_arrays, save_arrays
 from .teacher import ParameterError
 
 
@@ -110,33 +109,16 @@ def linearized_forward(W0, A0, dW, A, B, rho, x, taus):
 # checkpoint serialization: checkpoint.json + one .bin blob per matrix
 
 FORMAT_VERSION = 2
-_BLOBS = ("W", "A", "B", "W0", "A0")
+_SHAPES = {"W": ("m", "m"), "A": ("m", "d"), "B": ("d_y", "m"),
+           "W0": ("m", "m"), "A0": ("m", "d")}
 
 
 def save_checkpoint(rnn, path):
-    os.makedirs(path, exist_ok=True)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "m": rnn.m,
-        "d": rnn.d,
-        "d_y": rnn.d_y,
-        "rho": "%.17g" % rnn.rho,
-        "seed": rnn.seed,
-        "step": rnn.step,
-        "blobs": {},
-    }
-    for name in _BLOBS:
-        M = np.ascontiguousarray(getattr(rnn, name), dtype="<f8")
-        fname = name + ".bin"
-        header["blobs"][name] = {
-            "file": fname,
-            "shape": list(M.shape),
-            "length": int(M.size),
-        }
-        M.tofile(os.path.join(path, fname))
-    with open(os.path.join(path, "checkpoint.json"), "w") as f:
-        json.dump(header, f, indent=1, sort_keys=True)
-        f.write("\n")
+    header = {"format_version": FORMAT_VERSION, "m": rnn.m, "d": rnn.d,
+              "d_y": rnn.d_y, "rho": "%.17g" % rnn.rho, "seed": rnn.seed,
+              "step": rnn.step}
+    save_arrays(path, "checkpoint.json", header,
+                {name: getattr(rnn, name) for name in _SHAPES})
 
 
 def load_checkpoint(path):
@@ -145,25 +127,6 @@ def load_checkpoint(path):
     Raises IOError unless the header has format_version 2 and every blob
     has the shape its m, d and d_y imply and that many values.
     """
-    with open(os.path.join(path, "checkpoint.json")) as f:
-        header = json.load(f)
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise IOError(f"{path}: checkpoint format_version {version!r}, "
-                      f"expected {FORMAT_VERSION}")
-    m, d, d_y = header["m"], header["d"], header["d_y"]
-    shapes = {"W": [m, m], "A": [m, d], "B": [d_y, m],
-              "W0": [m, m], "A0": [m, d]}
-    mats = {}
-    for name in _BLOBS:
-        spec = header["blobs"][name]
-        if spec["shape"] != shapes[name]:
-            raise IOError(f"{path}: blob {name} has shape {spec['shape']}, "
-                          f"expected {shapes[name]} for m={m}, d={d}, d_y={d_y}")
-        rows, cols = shapes[name]
-        M = np.fromfile(os.path.join(path, spec["file"]), dtype="<f8")
-        if M.size != rows * cols:
-            raise IOError(f"blob {name} has {M.size} values, expected {rows * cols}")
-        mats[name] = M.reshape(rows, cols)
+    header, mats = load_arrays(path, "checkpoint.json", FORMAT_VERSION, _SHAPES)
     return StudentRNN(rho=float(header["rho"]), seed=int(header["seed"]),
                       step=int(header["step"]), **mats)

@@ -4,16 +4,14 @@ The teacher is the recurrence p_t = C p_{t-1} + D x_t with output
 y~_t = G p_t, certified stable via max_k ||C^k D|| / rho_C^k.
 """
 
-import csv
 import hashlib
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DimensionError, lag_ladder, operator_norm, recurrence,
-                     spectral_radius)
+from .linalg import (DimensionError, haar_orthogonal, lag_ladder,
+                     operator_norm, recurrence, spectral_radius)
+from .store import load_arrays, save_arrays
 
 INPUT_SPECS = ("iid_gaussian_unit", "iid_uniform_sphere")
 
@@ -84,8 +82,6 @@ def random_stable_system(d_p, d, d_y, rho_C, seed, cert_horizon=200):
         raise ParameterError(f"rho_C must lie in (0, 1), got {rho_C}")
     if min(d_p, d, d_y) < 1:
         raise DimensionError("dimensions must be positive")
-    from .linalg import haar_orthogonal
-
     rng = np.random.default_rng(seed)
     C = rho_C * haar_orthogonal(d_p, rng)
     D = rng.normal(size=(d_p, d))
@@ -197,111 +193,45 @@ def generate_dataset(sys, input_spec, noise_sigma, T, K, seed):
 
 
 # ---------------------------------------------------------------------------
-# serialization: directory with meta.json + data.csv
+# serialization: directory with meta.json + one .bin blob per array
 
-def _fmt(x):
-    return "%.17g" % float(x)
-
-
-def _matrix_to_lists(M):
-    return [[_fmt(v) for v in row] for row in np.asarray(M)]
-
-
-def _matrix_from_lists(rows):
-    return np.array([[float(v) for v in row] for row in rows], dtype=float)
+DATASET_FORMAT_VERSION = 2
+_DATASET_SHAPES = {"C": ("d_p", "d_p"), "D": ("d_p", "d"), "G": ("d_y", "d_p"),
+                   "inputs": ("K", "T", "d"),
+                   "observed_outputs": ("K", "T", "d_y"),
+                   "clean_outputs": ("K", "T", "d_y")}
 
 
 def save_dataset(ds, sys, path):
-    os.makedirs(path, exist_ok=True)
-    meta = {
-        "format_version": 1,
-        "d_p": sys.d_p,
-        "d": sys.d,
-        "d_y": sys.d_y,
-        "T": ds.T,
-        "K": ds.K,
-        "noise_sigma": _fmt(ds.noise_sigma),
-        "seed": ds.seed,
-        "input_spec": ds.input_spec,
-        "rho_C": _fmt(sys.rho_C),
-        "c_rho": _fmt(sys.c_rho),
-        "system_hash": ds.system_hash,
-        "system": {
-            "C": _matrix_to_lists(sys.C),
-            "D": _matrix_to_lists(sys.D),
-            "G": _matrix_to_lists(sys.G),
-        },
-    }
-    with open(os.path.join(path, "meta.json"), "w") as f:
-        json.dump(meta, f, indent=1, sort_keys=True)
-        f.write("\n")
-    with open(os.path.join(path, "data.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        header = (
-            ["i", "t"]
-            + [f"x{j}" for j in range(ds.d)]
-            + [f"y{j}" for j in range(ds.d_y)]
-            + [f"ytilde{j}" for j in range(ds.d_y)]
-        )
-        w.writerow(header)
-        for i in range(ds.K):
-            for t in range(ds.T):
-                row = (
-                    [i, t]
-                    + [_fmt(v) for v in ds.inputs[i, t]]
-                    + [_fmt(v) for v in ds.observed_outputs[i, t]]
-                    + [_fmt(v) for v in ds.clean_outputs[i, t]]
-                )
-                w.writerow(row)
+    meta = {"format_version": DATASET_FORMAT_VERSION, "d_p": sys.d_p,
+            "d": sys.d, "d_y": sys.d_y, "T": ds.T, "K": ds.K,
+            "noise_sigma": "%.17g" % ds.noise_sigma, "seed": ds.seed,
+            "input_spec": ds.input_spec, "rho_C": "%.17g" % sys.rho_C,
+            "c_rho": "%.17g" % sys.c_rho, "system_hash": ds.system_hash}
+    save_arrays(path, "meta.json", meta, {
+        "C": sys.C, "D": sys.D, "G": sys.G, "inputs": ds.inputs,
+        "observed_outputs": ds.observed_outputs,
+        "clean_outputs": ds.clean_outputs})
 
 
 def load_dataset(path):
     """Returns (dataset, system) from a directory written by save_dataset.
 
-    Raises IOError when data.csv does not hold every (i, t) row exactly
-    once with all its fields, or when the stored system does not hash to
-    meta.json's system_hash.
+    Raises IOError as `store.load_arrays` does (a format-1 directory, with
+    its data.csv, is refused by its format_version), or when the stored
+    system does not hash to meta.json's system_hash.
     """
-    with open(os.path.join(path, "meta.json")) as f:
-        meta = json.load(f)
-    sys = StableLinearSystem(
-        C=_matrix_from_lists(meta["system"]["C"]),
-        D=_matrix_from_lists(meta["system"]["D"]),
-        G=_matrix_from_lists(meta["system"]["G"]),
-        rho_C=float(meta["rho_C"]),
-        c_rho=float(meta["c_rho"]),
-    )
+    meta, arrays = load_arrays(path, "meta.json", DATASET_FORMAT_VERSION,
+                               _DATASET_SHAPES)
+    sys = StableLinearSystem(C=arrays["C"], D=arrays["D"], G=arrays["G"],
+                             rho_C=float(meta["rho_C"]),
+                             c_rho=float(meta["c_rho"]))
     if sys.system_hash() != meta["system_hash"]:
         raise IOError(f"{path}: stored system does not match its system_hash")
-    T, K, d, d_y = meta["T"], meta["K"], meta["d"], meta["d_y"]
-    X = np.empty((K, T, d))
-    Yc = np.empty((K, T, d_y))
-    Yo = np.empty((K, T, d_y))
-    seen = np.zeros((K, T), dtype=int)
-    with open(os.path.join(path, "data.csv"), newline="") as f:
-        r = csv.reader(f)
-        next(r)
-        for row in r:
-            if len(row) != 2 + d + 2 * d_y:
-                raise IOError(f"{path}: data.csv row {row[:2]} has {len(row)} "
-                              f"fields, expected {2 + d + 2 * d_y}")
-            i, t = int(row[0]), int(row[1])
-            if not (0 <= i < K and 0 <= t < T):
-                raise IOError(f"{path}: row (i={i}, t={t}) outside K={K}, T={T}")
-            seen[i, t] += 1
-            vals = [float(v) for v in row[2:]]
-            X[i, t] = vals[:d]
-            Yo[i, t] = vals[d : d + d_y]
-            Yc[i, t] = vals[d + d_y :]
-    if np.any(seen != 1):
-        raise IOError(
-            f"{path}: data.csv lacks {np.sum(seen == 0)} (i, t) rows "
-            f"(first {np.argwhere(seen == 0)[:5].tolist()}) and repeats "
-            f"{np.sum(seen > 1)} (first {np.argwhere(seen > 1)[:5].tolist()})")
     ds = SequenceDataset(
-        inputs=X,
-        clean_outputs=Yc,
-        observed_outputs=Yo,
+        inputs=arrays["inputs"],
+        clean_outputs=arrays["clean_outputs"],
+        observed_outputs=arrays["observed_outputs"],
         noise_sigma=float(meta["noise_sigma"]),
         seed=int(meta["seed"]),
         input_spec=meta["input_spec"],

@@ -109,6 +109,17 @@ def test_integer_accepted_for_a_float_field():
     assert c["data"]["noise_sigma"] == 0
 
 
+def test_lemmas_take_a_name_or_a_list():
+    for lemmas, resolved in (("tail", ["tail"]), ("all", list(ALL_LEMMAS)),
+                             (["tail", "spectral"], ["tail", "spectral"])):
+        c = harness.resolve_config({"kind": "verify", "lemmas": lemmas})
+        assert c["lemmas"] == resolved
+    with pytest.raises(ConfigError, match=r"unknown lemmas \['tial'\]"):
+        harness.resolve_config({"kind": "verify", "lemmas": "tial"})
+    with pytest.raises(ConfigError, match="a name or a list of names"):
+        harness.resolve_config({"kind": "verify", "lemmas": 3})
+
+
 def test_section_must_be_an_object(tmp_path):
     with pytest.raises(ConfigError, match="train must be a JSON object"):
         run_experiment({"kind": "train", "train": 5},
@@ -429,6 +440,14 @@ def test_cli_kind_mismatch(tmp_path):
     cfg_path.write_text(json.dumps(TRAIN_CFG))
     with pytest.raises(ConfigError):
         main(["sweep", "--config", str(cfg_path)])
+
+
+def test_cli_config_must_be_an_object(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[]")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg_path} must hold "
+                                                    "a JSON object")):
+        main(["train", "--config", str(cfg_path)])
 
 
 def test_cli_refuses_direct_flags_beside_config(tmp_path, capsys):

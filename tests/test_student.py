@@ -153,12 +153,20 @@ def _edit_header(path, edit):
 
 def test_checkpoint_blob_shape_must_match_header(tmp_path):
     rnn, _ = _setup(m=8, d=3, d_y=2)
-    save_checkpoint(rnn, tmp_path / "ck")
-    # B is d_y x m; read as m x d_y it would give a student with d_y == m
-    _edit_header(tmp_path / "ck",
-                 lambda h: h["blobs"]["B"].update(shape=[8, 2]))
-    with pytest.raises(IOError, match="blob B has shape"):
-        load_checkpoint(tmp_path / "ck")
+    edits = [
+        # B is d_y x m; read as m x d_y it would give a student with d_y == m
+        (lambda h: h["blobs"]["B"].update(shape=[8, 2]), "blob B has shape"),
+        (lambda h: h["blobs"].pop("A0"), "lacks key 'A0'"),
+        # W has W0's shape, so only the file name tells them apart
+        (lambda h: h["blobs"]["W0"].update(file="W.bin"),
+         "blob W0 is stored in 'W.bin'"),
+        (lambda h: h.pop("m"), "lacks key 'm'"),
+    ]
+    for edit, message in edits:
+        save_checkpoint(rnn, tmp_path / "ck")
+        _edit_header(tmp_path / "ck", edit)
+        with pytest.raises(IOError, match=message):
+            load_checkpoint(tmp_path / "ck")
 
 
 def test_checkpoint_format_version_checked(tmp_path):
@@ -178,4 +186,9 @@ def test_checkpoint_blob_must_hold_every_value(tmp_path):
     blob = tmp_path / "ck" / "A.bin"
     blob.write_bytes(blob.read_bytes()[:-8])
     with pytest.raises(IOError, match="blob A has 23 values, expected 24"):
+        load_checkpoint(tmp_path / "ck")
+    # a header cut short is refused the same way
+    header = tmp_path / "ck" / "checkpoint.json"
+    header.write_text(header.read_text()[:40])
+    with pytest.raises(IOError, match="checkpoint.json is not JSON"):
         load_checkpoint(tmp_path / "ck")

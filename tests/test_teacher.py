@@ -102,26 +102,36 @@ def _saved_dataset(path):
     return path
 
 
-def test_load_dataset_rejects_truncated_csv(tmp_path):
+def test_load_dataset_rejects_truncated_blob(tmp_path):
     path = _saved_dataset(tmp_path / "ds")
-    csv_path = path / "data.csv"
-    lines = csv_path.read_text().splitlines(keepends=True)
-    csv_path.write_text("".join(lines[:-3]))
-    with pytest.raises(IOError, match=r"lacks 3 \(i, t\) rows"):
+    blob = path / "observed_outputs.bin"
+    data = blob.read_bytes()
+    # K=5, T=9, d_y=2: one value short, then one value over
+    blob.write_bytes(data[:-8])
+    with pytest.raises(IOError, match="blob observed_outputs has 89 values, "
+                                      "expected 90"):
         load_dataset(path)
-    # cut inside the last row: its final output field is gone
-    head, _ = "".join(lines).rstrip().rsplit(",", 1)
-    csv_path.write_text(head + "\n")
-    with pytest.raises(IOError, match="fields"):
+    blob.write_bytes(data + data[:8])
+    with pytest.raises(IOError, match="has 91 values"):
         load_dataset(path)
 
 
 def test_load_dataset_rejects_edited_system(tmp_path):
     path = _saved_dataset(tmp_path / "ds")
-    meta = json.loads((path / "meta.json").read_text())
-    meta["system"]["C"][0][0] = "%.17g" % (float(meta["system"]["C"][0][0]) + 1e-3)
-    (path / "meta.json").write_text(json.dumps(meta))
+    C = np.fromfile(path / "C.bin", dtype="<f8")
+    C[0] += 1e-3
+    C.tofile(path / "C.bin")
     with pytest.raises(IOError, match="system_hash"):
+        load_dataset(path)
+
+
+def test_load_dataset_refuses_format_1(tmp_path):
+    # format 1 kept the system in meta.json and the sequences in data.csv
+    path = tmp_path / "ds"
+    path.mkdir()
+    (path / "meta.json").write_text(json.dumps({"format_version": 1}))
+    (path / "data.csv").write_text("i,t,x0,y0,ytilde0\n0,0,1,2,2\n")
+    with pytest.raises(IOError, match=r"format_version 1, expected 2"):
         load_dataset(path)
 
 
