@@ -10,6 +10,7 @@ outputs bit-exactly.
 
 import copy
 import csv
+import ctypes
 import hashlib
 import inspect
 import json
@@ -193,6 +194,30 @@ def _derive(c, sys, m):
     return {**c, "student": student, "train": train}, sched
 
 
+def _find_malloc_trim():
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+
+
+def _release_freed_memory():
+    """Hands the heap pages the last phase freed back to the OS.
+
+    glibc keeps freed heap memory for reuse, so without this the next
+    phase's large arrays (an m x m W0 is 128 MB at m = 4096) are mapped on
+    top of what the earlier phases left behind.  A C library without
+    `malloc_trim` keeps its own policy.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def _stamp(cfg, seed):
     return {"config_hash": config_hash(cfg), "seed": seed,
             "version": __version__}
@@ -255,7 +280,9 @@ def generalization_gap(trace, train_dataset, holdout_dataset, loss, n_points=20)
     """|running train loss - running holdout loss| at log-spaced step counts.
 
     Both curves are online means over the same steps, so the gap isolates
-    the train/holdout mismatch rather than the optimization trend.
+    the train/holdout mismatch rather than the optimization trend.  Step
+    counts never pass the run's length; with fewer than two distinct ones
+    the exponent is None.
     """
     if train_dataset.system_hash != holdout_dataset.system_hash:
         raise ValueError("holdout dataset comes from a different teacher")
@@ -264,7 +291,8 @@ def generalization_gap(trace, train_dataset, holdout_dataset, loss, n_points=20)
     if len(ho) != len(tr):
         raise ValueError("trace does not carry per-step holdout losses")
     K = len(tr)
-    ks = sorted(set(int(k) for k in np.geomspace(max(10, K // 50), K, n_points)))
+    ks = sorted(set(min(int(k), K)
+                    for k in np.geomspace(max(10, K // 50), K, n_points)))
     gaps = [abs(float(np.mean(tr[:k]) - np.mean(ho[:k]))) for k in ks]
     exponent = None
     pos = [(k, g) for k, g in zip(ks, gaps) if g > 0]
@@ -285,6 +313,7 @@ def _run_verify(c, out):
     for name, kwargs in calls.items():
         report = run_lemma(name, **kwargs)
         report.save(os.path.join(out, f"report_{name}.json"))
+        _release_freed_memory()
         results[name] = {"passed": report.passed,
                          "pass_fraction": report.pass_fraction}
         all_pass = all_pass and report.passed
@@ -314,6 +343,7 @@ def _run_existence(c, out):
     for m in c["m_grid"]:
         for s in c["seeds"]:
             report = _existence_cell(c, sys, loss, m, s, out)
+            _release_freed_memory()
             rows.append({"m": m, "seed": s, **{k: report[k] for k in
                         ("fit_error", "dist_W", "dist_A", "distance_bound",
                          "distances_ok", "loss_gap")}})
@@ -338,6 +368,7 @@ def _run_sweep(c, cells, sys, out):
             summary = {"m": m, "seed": s, **summary}
             _write_json(os.path.join(cell_dir, "summary.json"), summary)
             rows.append(summary)
+            _release_freed_memory()
     rows.sort(key=lambda r: (r["m"], r["seed"]))
     return rows
 

@@ -27,15 +27,38 @@ def save_arrays(path, header_file, header, arrays):
         f.write("\n")
 
 
-def load_arrays(path, header_file, version, shapes):
-    """(header, arrays) from a directory written by `save_arrays`.
+_KINDS = {int: "an integer", float: "a number in text", str: "a string",
+          dict: "an object"}
+
+
+def _field(where, header, key, kind):
+    """header[key] read as `kind`: int and str as stored, float from its
+    `%.17g` text.  Raises IOError naming `where` otherwise."""
+    if key not in header:
+        raise IOError(f"{where} lacks key {key!r}")
+    value = header[key]
+    if kind is not float:
+        if isinstance(value, kind) and not isinstance(value, bool):
+            return value
+    elif isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise IOError(f"{where}: {key} must be {_KINDS[kind]}, got {value!r}")
+
+
+def load_arrays(path, header_file, version, shapes, fields):
+    """(values, arrays) from a directory written by `save_arrays`.
 
     `shapes` maps each expected blob to its dimensions as header keys, e.g.
-    {"A": ("m", "d")}.  Raises IOError naming `path` unless the header is
-    a JSON object with `format_version` equal to `version`, every key
-    `shapes` names is present, and each expected blob is listed as
-    `<name>.bin` with the shape those keys give and its file holds exactly
-    that many values.
+    {"A": ("m", "d")}; `fields` maps every other header key the caller
+    reads to its type, int, float (stored as text) or str.  `values` holds
+    the dimensions and fields read.  Raises IOError naming `path` unless
+    the header is a JSON object with `format_version` equal to `version`,
+    every dimension is a non-negative integer, every field has its type,
+    and each expected blob is an object listing `<name>.bin` with the shape
+    those dimensions give, whose file holds exactly that many values.
     """
     where = os.path.join(path, header_file)
     with open(where) as f:
@@ -46,16 +69,20 @@ def load_arrays(path, header_file, version, shapes):
     found = header.get("format_version") if isinstance(header, dict) else None
     if found != version:
         raise IOError(f"{where}: format_version {found!r}, expected {version}")
+    dims = {key: int for keys in shapes.values() for key in keys}
+    values = {key: _field(where, header, key, kind)
+              for key, kind in {**dims, **fields}.items()}
+    negative = [key for key in dims if values[key] < 0]
+    if negative:
+        raise IOError(f"{where}: negative dimension {', '.join(negative)}")
+    blobs = _field(where, header, "blobs", dict)
     arrays = {}
-    for name, dims in shapes.items():
-        try:
-            shape = [header[key] for key in dims]
-            spec = header["blobs"][name]
-        except KeyError as e:
-            raise IOError(f"{where} lacks key {e}") from None
+    for name, keys in shapes.items():
+        spec = _field(f"{where} blobs", blobs, name, dict)
+        shape = [values[key] for key in keys]
         if spec.get("shape") != shape:
             raise IOError(f"{path}: blob {name} has shape {spec.get('shape')}, "
-                          f"expected {shape} ({', '.join(dims)})")
+                          f"expected {shape} ({', '.join(keys)})")
         if spec.get("file") != name + ".bin":
             raise IOError(f"{path}: blob {name} is stored in "
                           f"{spec.get('file')!r}, expected {name + '.bin'!r}")
@@ -64,4 +91,4 @@ def load_arrays(path, header_file, version, shapes):
             raise IOError(f"{path}: blob {name} has {M.size} values, "
                           f"expected {math.prod(shape)}")
         arrays[name] = M.reshape(shape)
-    return header, arrays
+    return values, arrays

@@ -111,6 +111,7 @@ def linearized_forward(W0, A0, dW, A, B, rho, x, taus):
 FORMAT_VERSION = 2
 _SHAPES = {"W": ("m", "m"), "A": ("m", "d"), "B": ("d_y", "m"),
            "W0": ("m", "m"), "A0": ("m", "d")}
+_FIELDS = {"rho": float, "seed": int, "step": int}
 
 
 def save_checkpoint(rnn, path):
@@ -124,9 +125,11 @@ def save_checkpoint(rnn, path):
 def load_checkpoint(path):
     """The saved student, anchors included.
 
-    Raises IOError unless the header has format_version 2 and every blob
-    has the shape its m, d and d_y imply and that many values.
+    Raises IOError unless the header has format_version 2, rho as text,
+    integer seed and step, and every blob the shape its m, d and d_y imply
+    and that many values.
     """
-    header, mats = load_arrays(path, "checkpoint.json", FORMAT_VERSION, _SHAPES)
-    return StudentRNN(rho=float(header["rho"]), seed=int(header["seed"]),
-                      step=int(header["step"]), **mats)
+    fields, mats = load_arrays(path, "checkpoint.json", FORMAT_VERSION,
+                               _SHAPES, _FIELDS)
+    return StudentRNN(rho=fields["rho"], seed=fields["seed"],
+                      step=fields["step"], **mats)

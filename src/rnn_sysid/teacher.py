@@ -5,7 +5,7 @@ y~_t = G p_t, certified stable via max_k ||C^k D|| / rho_C^k.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +122,6 @@ class SequenceDataset:
     seed: int
     input_spec: str
     system_hash: str = ""
-    meta: dict = field(default_factory=dict)
 
     @property
     def K(self):
@@ -200,6 +199,8 @@ _DATASET_SHAPES = {"C": ("d_p", "d_p"), "D": ("d_p", "d"), "G": ("d_y", "d_p"),
                    "inputs": ("K", "T", "d"),
                    "observed_outputs": ("K", "T", "d_y"),
                    "clean_outputs": ("K", "T", "d_y")}
+_DATASET_FIELDS = {"rho_C": float, "c_rho": float, "noise_sigma": float,
+                   "seed": int, "input_spec": str, "system_hash": str}
 
 
 def save_dataset(ds, sys, path):
@@ -222,20 +223,18 @@ def load_dataset(path):
     system does not hash to meta.json's system_hash.
     """
     meta, arrays = load_arrays(path, "meta.json", DATASET_FORMAT_VERSION,
-                               _DATASET_SHAPES)
+                               _DATASET_SHAPES, _DATASET_FIELDS)
     sys = StableLinearSystem(C=arrays["C"], D=arrays["D"], G=arrays["G"],
-                             rho_C=float(meta["rho_C"]),
-                             c_rho=float(meta["c_rho"]))
+                             rho_C=meta["rho_C"], c_rho=meta["c_rho"])
     if sys.system_hash() != meta["system_hash"]:
         raise IOError(f"{path}: stored system does not match its system_hash")
     ds = SequenceDataset(
         inputs=arrays["inputs"],
         clean_outputs=arrays["clean_outputs"],
         observed_outputs=arrays["observed_outputs"],
-        noise_sigma=float(meta["noise_sigma"]),
-        seed=int(meta["seed"]),
+        noise_sigma=meta["noise_sigma"],
+        seed=meta["seed"],
         input_spec=meta["input_spec"],
         system_hash=meta["system_hash"],
-        meta=meta,
     )
     return ds, sys

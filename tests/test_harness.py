@@ -1,3 +1,4 @@
+import ctypes
 import inspect
 import json
 import math
@@ -30,6 +31,16 @@ TRAIN_CFG = {
     "loss": {"kind": "square"},
     "train": {"K_steps": 60, "holdout": True},
 }
+
+
+def _env_with_src(**extra):
+    """This process's environment plus `extra`, with this checkout's src/
+    first on PYTHONPATH, for running the package in a subprocess."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def test_config_hash_stable_under_key_order():
@@ -370,14 +381,10 @@ def test_verify_config_with_no_trials_is_refused(tmp_path):
     # no report, rather than a report that tested nothing
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"kind": "verify", "trials": 0}))
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
-                 else [])))
     done = subprocess.run(
         [sys.executable, "-m", "rnn_sysid.cli", "verify", "--config",
          str(cfg_path), "--out", str(tmp_path / "v")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_env_with_src(), capture_output=True, text=True, timeout=120)
     assert done.returncode != 0
     assert "ParameterError: trials must be >= 1" in done.stderr
     assert not list((tmp_path / "v").glob("report_*.json"))
@@ -412,6 +419,19 @@ def test_gap_zero_when_holdout_equals_train():
     trace = sgd_train(rnn, ds, loss, 0.0, 40, seed=0, holdout=ds)
     gap = generalization_gap(trace, ds, ds, loss)
     assert max(gap["gaps"]) == 0.0
+
+
+def test_gap_counts_stop_at_the_run_length():
+    sys = random_stable_system(3, 2, 2, 0.8, 0)
+    ds = generate_dataset(sys, "iid_gaussian_unit", 0.0, 10, 2, seed=1)
+    hold = generate_dataset(sys, "iid_gaussian_unit", 0.0, 10, 2, seed=2)
+    loss = make_loss("square", d_y=2)
+    rnn = init_student(16, 2, 2, 0.9, 2)
+    trace = sgd_train(rnn, ds, loss, 1e-3, 6, seed=0, holdout=hold)
+    gap = generalization_gap(trace, ds, hold, loss)
+    assert gap["ks"] == [6] and gap["gaps"][0] > 0
+    # one step count gives no slope
+    assert gap["exponent"] is None
 
 
 def test_gap_refuses_mismatched_teacher():
@@ -507,12 +527,9 @@ run_experiment({
 
 def test_trace_same_at_every_blas_thread_count(tmp_path):
     # the determinism config, run once per BLAS thread count
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        env = _env_with_src(OPENBLAS_NUM_THREADS=threads,
+                            OMP_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-c", _THREADS_SCRIPT,
                         str(tmp_path / threads)],
                        env=env, check=True, timeout=300)
@@ -520,3 +537,35 @@ def test_trace_same_at_every_blas_thread_count(tmp_path):
                 "checkpoints/step_000200/W.bin"):
         assert ((tmp_path / "1" / rel).read_bytes()
                 == (tmp_path / "2" / rel).read_bytes()), rel
+
+
+_MEMORY_SCRIPT = """
+import os, sys
+from rnn_sysid.harness import run_experiment
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+def verify(m, trials, out):
+    run_experiment({"kind": "verify", "seed": 3, "m": m, "trials": trials,
+                    "lemmas": ["truncation", "linearization"]}, out_dir=out)
+
+verify(32, 1, os.path.join(sys.argv[1], "warm"))
+before = resident()
+verify(1024, 2, os.path.join(sys.argv[1], "m1024"))
+print(resident() - before)
+"""
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and hasattr(ctypes.CDLL(None), "malloc_trim")),
+                    reason="needs /proc and glibc's malloc_trim")
+def test_verify_returns_freed_memory(tmp_path):
+    # lemmas at m = 1024 free several float64 m x m arrays each; what the
+    # process keeps afterwards must be less than one of them (8 MB)
+    done = subprocess.run([sys.executable, "-c", _MEMORY_SCRIPT, str(tmp_path)],
+                          env=_env_with_src(), check=True, timeout=300,
+                          capture_output=True, text=True)
+    grown = int(done.stdout.split()[-1])
+    assert grown < 8 * 1024 ** 2, f"resident memory grew by {grown} bytes"

@@ -161,6 +161,14 @@ def test_checkpoint_blob_shape_must_match_header(tmp_path):
         (lambda h: h["blobs"]["W0"].update(file="W.bin"),
          "blob W0 is stored in 'W.bin'"),
         (lambda h: h.pop("m"), "lacks key 'm'"),
+        (lambda h: h.update(m=8.0), "m must be an integer, got 8.0"),
+        (lambda h: h.pop("rho"), "lacks key 'rho'"),
+        (lambda h: h.update(rho="abc"), "rho must be a number in text"),
+        (lambda h: h.update(seed="x"), "seed must be an integer"),
+        (lambda h: h.update(step=None), "step must be an integer"),
+        (lambda h: h["blobs"].update(A="A.bin"),
+         "blobs: A must be an object, got 'A.bin'"),
+        (lambda h: h.update(blobs=["A.bin"]), "blobs must be an object"),
     ]
     for edit, message in edits:
         save_checkpoint(rnn, tmp_path / "ck")

@@ -125,6 +125,36 @@ def test_load_dataset_rejects_edited_system(tmp_path):
         load_dataset(path)
 
 
+def _negative_K_T(meta):
+    # K * T stays 45, so every blob still holds as many values as it says
+    meta.update(K=-5, T=-9)
+    for name in ("inputs", "observed_outputs", "clean_outputs"):
+        meta["blobs"][name]["shape"][:2] = [-5, -9]
+
+
+def test_load_dataset_rejects_malformed_meta(tmp_path):
+    edits = [
+        (lambda h: h.pop("rho_C"), "lacks key 'rho_C'"),
+        (lambda h: h.update(rho_C="abc"), "rho_C must be a number in text"),
+        (lambda h: h.update(c_rho=0.5), "c_rho must be a number in text, got 0.5"),
+        (lambda h: h.update(noise_sigma=""), "noise_sigma must be a number in text"),
+        (lambda h: h.update(seed="4x"), "seed must be an integer"),
+        (lambda h: h.update(input_spec=3), "input_spec must be a string, got 3"),
+        (lambda h: h.pop("system_hash"), "lacks key 'system_hash'"),
+        (lambda h: h.update(T=9.0), "T must be an integer, got 9.0"),
+        (_negative_K_T, "negative dimension K, T"),
+        (lambda h: h.update(blobs="C.bin"), "blobs must be an object, got 'C.bin'"),
+    ]
+    path = tmp_path / "ds"
+    for edit, message in edits:
+        _saved_dataset(path)
+        meta = json.loads((path / "meta.json").read_text())
+        edit(meta)
+        (path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(IOError, match=message):
+            load_dataset(path)
+
+
 def test_load_dataset_refuses_format_1(tmp_path):
     # format 1 kept the system in meta.json and the sequences in data.csv
     path = tmp_path / "ds"
