@@ -15,7 +15,6 @@ exactly through the linearization; the unmatched cross terms vanish at
 rate log m / sqrt(m) by the concentration bounds.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ import numpy as np
 
 from .linalg import frob, lag_ladder
 from .losses import sequence_loss
+from .store import write_json
 from .student import forward_rescaled
 from .teacher import impulse_response
 
@@ -213,6 +213,4 @@ def save_comparator(comp, report, path):
         "report": {k: (float(v) if isinstance(v, (int, float)) else v)
                    for k, v in (report or {}).items()},
     }
-    with open(os.path.join(path, "comparator.json"), "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True, default=float)
-        f.write("\n")
+    write_json(os.path.join(path, "comparator.json"), doc)

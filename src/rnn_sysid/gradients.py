@@ -24,11 +24,6 @@ class GradientPair:
     loss: float          # (1/T) sum_t L(y_t, f_t)
 
     @property
-    def grad_W(self):
-        """The dense m x m gradient w.r.t. the rescaled W; only tests form it."""
-        return self.rho * (self.Lam[1:].T @ self.G[:-1])
-
-    @property
     def grad_W_frob(self):
         """||grad_W||_F = rho sqrt(<Lam Lam^T, G G^T>) over T x T Grams."""
         L, G = self.Lam[1:], self.G[:-1]

@@ -15,6 +15,7 @@ import hashlib
 import inspect
 import json
 import math
+import numbers
 import os
 
 import numpy as np
@@ -24,6 +25,7 @@ from .existence import construct_comparator, save_comparator, verify_existence
 from .linalg import fit_loglog_slope
 from .losses import make_loss
 from .schedule import MULTIPLIER_FIELDS, theory_schedule
+from .store import write_json
 from .student import init_student
 from .teacher import generate_dataset, load_dataset, random_stable_system
 from .trainer import running_average, sgd_train
@@ -119,12 +121,23 @@ def _fill(spec, section, path):
     return filled
 
 
+def _seed(value, name):
+    """`value` as a seed: numpy's generators take non-negative integers only."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < 0):
+        raise ConfigError(f"config field {name} must be a non-negative "
+                          f"integer, got {value!r}")
+    return int(value)
+
+
 def resolve_config(config, seed_override=None):
     """`config` checked against SCHEMA at every depth, defaults filled in.
 
-    Raises ConfigError naming the dotted path of an unknown field or of a
-    value whose JSON type differs from its default's.  The defaults that
-    need the teacher or the width are left to `_derive`.
+    Raises ConfigError naming the dotted path of an unknown field, of a
+    value whose JSON type differs from its default's, or of a seed
+    (`seed`, after `seed_override`, each `seeds` entry and `teacher.seed`)
+    that is not a non-negative integer.  The defaults that need the
+    teacher or the width are left to `_derive`.
     """
     kind = config.get("kind")
     if kind not in SCHEMA:
@@ -132,9 +145,14 @@ def resolve_config(config, seed_override=None):
     c = _fill(SCHEMA[kind], config, "")
     if seed_override is not None:
         c["seed"] = seed_override
-    c["seed"] = int(c["seed"])
-    if "seeds" in c and c["seeds"] is None:
-        c["seeds"] = [c["seed"]]
+    c["seed"] = _seed(c["seed"], "seed")
+    if "seeds" in c:
+        if c["seeds"] is None:
+            c["seeds"] = [c["seed"]]
+        _check_type(c["seeds"], [], "seeds")
+        c["seeds"] = [_seed(s, f"seeds[{n}]") for n, s in enumerate(c["seeds"])]
+    if "teacher" in c:
+        c["teacher"]["seed"] = _seed(c["teacher"]["seed"], "teacher.seed")
     if kind == "train" and c["dataset_path"] is not None:
         beside = [key for key in ("teacher", "data") if key in config]
         if beside:
@@ -221,12 +239,6 @@ def _release_freed_memory():
 def _stamp(cfg, seed):
     return {"config_hash": config_hash(cfg), "seed": seed,
             "version": __version__}
-
-
-def _write_json(path, doc):
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True, default=float)
-        f.write("\n")
 
 
 def _train_cell(c, sched, sys, dataset, out, seed):
@@ -366,7 +378,7 @@ def _run_sweep(c, cells, sys, out):
             cell, sched = cells[m]
             summary, _ = _train_cell(cell, sched, sys, None, cell_dir, s)
             summary = {"m": m, "seed": s, **summary}
-            _write_json(os.path.join(cell_dir, "summary.json"), summary)
+            write_json(os.path.join(cell_dir, "summary.json"), summary)
             rows.append(summary)
             _release_freed_memory()
     rows.sort(key=lambda r: (r["m"], r["seed"]))
@@ -381,8 +393,8 @@ _SWEEP_COLUMNS = ["m", "seed", "rho", "eta", "K_steps", "loss_kind",
 def _begin(out, cfg, c, stamp):
     """Writes the config as given (config.json) and as resolved."""
     os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "config.json"), {**cfg, "_meta": stamp})
-    _write_json(os.path.join(out, "resolved_config.json"), {**c, "out_dir": out})
+    write_json(os.path.join(out, "config.json"), {**cfg, "_meta": stamp})
+    write_json(os.path.join(out, "resolved_config.json"), {**c, "out_dir": out})
 
 
 def run_experiment(config, out_dir=None, seed_override=None):
@@ -402,7 +414,7 @@ def run_experiment(config, out_dir=None, seed_override=None):
         c, sched = _derive(c, sys, c["student"]["m"])
         _begin(out, cfg, c, stamp)
         summary, _ = _train_cell(c, sched, sys, dataset, out, seed)
-        _write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})
+        write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})
         return (1 if summary["aborted"] else 0), out
     if kind == "sweep":
         sys = random_stable_system(**c["teacher"])
@@ -414,15 +426,15 @@ def run_experiment(config, out_dir=None, seed_override=None):
             w.writeheader()
             for row in rows:
                 w.writerow(row)
-        _write_json(os.path.join(out, "summary.json"), {"cells": len(rows),
-                                                        "_meta": stamp})
+        write_json(os.path.join(out, "summary.json"), {"cells": len(rows),
+                                                       "_meta": stamp})
         return 0, out
     _begin(out, cfg, c, stamp)
     if kind == "verify":
         results, ok = _run_verify(c, out)
-        _write_json(os.path.join(out, "summary.json"),
-                    {"results": results, "all_passed": ok, "_meta": stamp})
+        write_json(os.path.join(out, "summary.json"),
+                   {"results": results, "all_passed": ok, "_meta": stamp})
         return (0 if ok else 1), out
     summary, ok = _run_existence(c, out)
-    _write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})
+    write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})
     return (0 if ok else 1), out

@@ -6,9 +6,9 @@ f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0}: the first walks a transition
 matrix over time (or over lag, as `lag_ladder`), the second sums per-lag
 transfer matrices against an input sequence.
 
-Operator norms: `operator_norm` is power iteration on M^T M, for the
-small matrices of the teacher;
-`operator_norm_fast` is scipy's Lanczos `svds` from a seeded start; and
+Operator norms: `operator_norm` is the exact norm from a full SVD, for
+the small matrices of the teacher; `operator_norm_fast` is scipy's
+Lanczos `svds` from a seeded start, for large ones; and
 `matrix_power_opnorm` estimates norms of matrix powers by block Krylov
 iteration (the Rayleigh-Ritz value over every block it builds), never
 forming the power.
@@ -70,35 +70,15 @@ def spectral_radius(M):
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def operator_norm(M, iters=200, tol=1e-10, seed=0):
-    """2-norm (largest singular value) of a rectangular matrix.
-
-    Power iteration on M^T M with a seeded start vector; deterministic.
-    """
+def operator_norm(M):
+    """2-norm (largest singular value) of a rectangular matrix: the exact
+    value from a full SVD, for the small matrices of the teacher."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={M.ndim}")
     if min(M.shape) == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=M.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        u = M @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        v = M.T @ (u / nu)
-        sigma_new = np.linalg.norm(v)
-        if sigma_new == 0.0:
-            return 0.0
-        v /= sigma_new
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1.0):
-            sigma = sigma_new
-            break
-        sigma = sigma_new
-    return float(sigma)
+    return float(np.linalg.norm(M, 2))
 
 
 def operator_norm_fast(M):

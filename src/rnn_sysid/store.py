@@ -1,9 +1,11 @@
-"""Array store: a JSON header plus one raw float64 blob per array.
+"""Array store: a JSON header plus one raw float64 blob per array, and
+the one writer of the package's JSON documents.
 
 Checkpoints and saved datasets are both a directory holding a header file
 and one `<name>.bin` per array, little-endian float64 in row-major order.
 The header's `blobs` table records each array's `file`, `shape` and
-`length`; `load_arrays` is the one reader of a blob.
+`length`; `load_arrays` is the one reader of a blob.  `write_json` writes
+every header, config, summary, comparator and lemma report.
 """
 
 import json
@@ -11,6 +13,16 @@ import math
 import os
 
 import numpy as np
+
+
+def write_json(path, doc):
+    """Writes `doc` as strict JSON: indent 1, sorted keys, numpy scalars as
+    floats, and a trailing newline.  A NaN or infinite value raises
+    ValueError, since strict JSON has no token for it."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1, sort_keys=True, default=float,
+                  allow_nan=False)
+        f.write("\n")
 
 
 def save_arrays(path, header_file, header, arrays):
@@ -22,9 +34,7 @@ def save_arrays(path, header_file, header, arrays):
         blobs[name] = {"file": name + ".bin", "shape": list(M.shape),
                        "length": int(M.size)}
         M.tofile(os.path.join(path, name + ".bin"))
-    with open(os.path.join(path, header_file), "w") as f:
-        json.dump({**header, "blobs": blobs}, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(path, header_file), {**header, "blobs": blobs})
 
 
 _KINDS = {int: "an integer", float: "a number in text", str: "a string",

@@ -7,8 +7,8 @@ inequality as an (observed, bound) pair.  Probabilistic claims are
 asserted via pass fractions, never per-trial hard assertions.
 """
 
-import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -17,6 +17,7 @@ from .gradients import tangent_states
 from .linalg import (causal_fir, frob, lag_ladder, matrix_power_opnorm,
                      operator_norm_fast, power_dtype, recurrence)
 from .schedule import rho_1_of_m, theory_schedule
+from .store import write_json
 from .student import linearized_forward, linearized_kernel
 from .teacher import ParameterError
 
@@ -46,10 +47,7 @@ class LemmaReport:
         return asdict(self)
 
     def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=True,
-                      default=float, allow_nan=False)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
 
 def _at_most(o, b):  # elementwise for a vector instance
@@ -516,13 +514,19 @@ ALL_LEMMAS = {
 
 def lemma_kwargs(name, **kwargs):
     """The keywords `run_lemma` passes to lemma `name`: those given as None
-    are dropped (each takes its default), and `trials` < 1 is refused,
-    since a report over no trials tests nothing."""
+    are dropped (each takes its default), and `trials`, `m` and `seed` must
+    be integers of at least 1, 2 and 0: a report over no trials tests
+    nothing, below m = 2 the bounds' log m is zero or undefined, and
+    numpy's generators take no negative seed."""
     if name not in ALL_LEMMAS:
         raise ValueError(f"unknown lemma {name!r}; choose from {sorted(ALL_LEMMAS)}")
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    if kwargs.get("trials", 1) < 1:
-        raise ParameterError(f"trials must be >= 1, got {kwargs['trials']}")
+    for key, low in (("trials", 1), ("m", 2), ("seed", 0)):
+        value = kwargs.get(key, low)
+        if not isinstance(value, numbers.Integral):
+            raise ParameterError(f"{key} must be an integer, got {value!r}")
+        if value < low:
+            raise ParameterError(f"{key} must be >= {low}, got {value!r}")
     return kwargs
 
 

@@ -2,9 +2,10 @@
 
 Central finite differences, literal power-series sums of the rescaled
 series f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0} and of its directional
-derivatives, an extended-precision forward with its tangent, and the
-dense form and the spectrum of a factored comparator.  They share no
-code with the recurrences under test.
+derivatives, an extended-precision forward with its tangent, the dense
+form of a factored loss gradient, and the dense form and the spectrum of
+a factored comparator.  They share no code with the recurrences under
+test.
 """
 
 import numpy as np
@@ -98,6 +99,12 @@ def longdouble_forward(W, A, B, rho, x, Z_W, Z_A):
         F.append(B @ h)
         dF.append(B @ u)
     return np.array(F), np.array(dF)
+
+
+def dense_grad_W(pair):
+    """The m x m gradient w.r.t. the rescaled W that a `GradientPair` keeps
+    as its factors: rho Lam[1:]^T G[:-1]."""
+    return pair.rho * (pair.Lam[1:].T @ pair.G[:-1])
 
 
 def comparator_rank_profile(comp):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from rnn_sysid.existence import construct_comparator, verify_existence
-from oracles import brute_jvp_A, brute_jvp_W, finite_difference_check
+from oracles import (brute_jvp_A, brute_jvp_W, dense_grad_W,
+                     finite_difference_check)
 from rnn_sysid.gradients import jvp_f_all_t, loss_gradients_bptt
 from rnn_sysid.harness import generalization_gap, run_experiment
 from rnn_sysid.linalg import fit_loglog_slope
@@ -62,7 +63,7 @@ def test_01_gradient_correctness():
         loss = make_loss(kind, d_y=2)
         pair = loss_gradients_bptt(rnn.W, rnn.A, rnn.B, rnn.rho, x, y, loss)
         for params, grad, setter in [
-            (rnn.W, pair.grad_W, lambda W: (W, rnn.A)),
+            (rnn.W, dense_grad_W(pair), lambda W: (W, rnn.A)),
             (rnn.A, pair.grad_A, lambda A: (rnn.W, A)),
         ]:
             Z = rng.normal(size=params.shape)

@@ -16,6 +16,7 @@ from rnn_sysid.cli import main
 from rnn_sysid.harness import (ConfigError, config_hash, generalization_gap,
                                run_experiment)
 from rnn_sysid.losses import make_loss
+from rnn_sysid.store import write_json
 from rnn_sysid.student import init_student
 from rnn_sysid.teacher import (ParameterError, generate_dataset,
                                random_stable_system, save_dataset)
@@ -374,6 +375,44 @@ def test_verify_kind(tmp_path):
     assert report["lemma_id"] == "tail"
     summary = json.loads((tmp_path / "v" / "summary.json").read_text())
     assert "tail" in summary["results"]
+
+
+@pytest.mark.parametrize("cfg, seed_override, field", [
+    ({"kind": "train", "seed": -1}, None, "seed"),
+    ({"kind": "verify"}, -1, "seed"),
+    ({"kind": "existence", "m_grid": [16], "seeds": [0, -2]}, None, "seeds[1]"),
+    ({"kind": "sweep", "m_grid": [16], "seeds": [1.5]}, None, "seeds[0]"),
+    ({"kind": "existence", "teacher": {"seed": -1}}, None, "teacher.seed"),
+])
+def test_seeds_must_be_non_negative_integers(tmp_path, cfg, seed_override,
+                                             field):
+    # numpy's generators refuse them; the run must stop before it writes
+    # its config rather than die at the first draw
+    out = tmp_path / "r"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"config field {field} must be a non-negative integer")):
+        run_experiment(cfg, out_dir=str(out), seed_override=seed_override)
+    assert not out.exists()
+
+
+def test_cli_refuses_a_negative_seed(tmp_path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(TRAIN_CFG))
+    with pytest.raises(ConfigError, match="seed must be a non-negative"):
+        main(["train", "--config", str(cfg_path), "--out",
+              str(tmp_path / "r"), "--seed", "-1"])
+    assert not (tmp_path / "r").exists()
+
+
+def test_json_artifacts_are_strict(tmp_path):
+    # summaries, configs, comparators and headers share one writer: sorted
+    # keys, numpy scalars as numbers, and no bare NaN or Infinity
+    path = tmp_path / "s.json"
+    write_json(path, {"b": 1, "a": np.float64(0.5)})
+    assert path.read_text() == '{\n "a": 0.5,\n "b": 1\n}\n'
+    for bad in (float("nan"), np.float64("inf"), -math.inf):
+        with pytest.raises(ValueError):
+            write_json(path, {"loss_ratio": bad})
 
 
 def test_verify_config_with_no_trials_is_refused(tmp_path):

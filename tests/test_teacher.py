@@ -32,6 +32,21 @@ def test_certificate_holds():
             c_est * sys.rho_C**k * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("seed, dims", [(0, (4, 2, 2)), (3, (6, 3, 2)),
+                                        (7, (3, 5, 1))])
+def test_certificate_is_the_exact_maximum(seed, dims):
+    # c_rho against C^k D formed one product at a time, each norm the top
+    # singular value of a full SVD: equal up to roundoff, so never a lower
+    # estimate of the maximum
+    sys = random_stable_system(*dims, 0.8, seed)
+    M, ref = sys.D, 0.0
+    for k in range(201):
+        ref = max(ref, np.linalg.svd(M, compute_uv=False)[0] / 0.8**k)
+        M = sys.C @ M
+    assert abs(sys.c_rho - ref) <= 1e-14 * ref
+    assert stability_certificate(sys, 200) == (sys.c_rho, True)
+
+
 def test_invalid_rho_rejected():
     with pytest.raises(ParameterError):
         random_stable_system(4, 3, 2, 1.5, 0)

@@ -83,3 +83,21 @@ def test_summarize_keeps_workloads_apart():
     assert doc["certify"]["metrics"]["compute_s"]["change_wins"] == 2
     assert doc["train_small"]["metrics"]["compute_s"]["change_wins"] == 0
     assert doc["train_small"]["metrics"]["compute_s"]["change_over_parent"] == 1.5
+
+
+def test_gain_shown_needs_nine_wins_in_ten_and_a_gap_past_the_iqr():
+    # parent quartiles 10.125 and 10.875 around a median of 10.5: IQR 0.75
+    parent = [10.0, 10.0, 10.0, 10.5, 10.5, 10.5, 10.5, 11.0, 11.0, 11.0]
+
+    def shown(change):
+        doc = bench_pairs.summarize(pairs(parent, change), {"compute_s": 0.24})
+        return doc["certify"]["metrics"]["compute_s"]["gain_shown"]
+
+    # 9/10 wins (the last pair ties), medians 10.5 against 9.0: a gap of
+    # 1.5 past the IQR
+    assert shown([9.0] * 9 + [11.0]) is True
+    # 8/10 wins (one tie, one loss) with the same gap
+    assert shown([9.0] * 8 + [11.0, 11.5]) is False
+    # 10/10 wins, medians 10.5 against 10.1: a gap of 0.4 inside the IQR
+    assert shown([9.9, 9.9, 9.9, 10.1, 10.1, 10.1, 10.1, 10.6, 10.6,
+                  10.6]) is False

@@ -231,8 +231,8 @@ def test_concentration_cross_terms_match_literal_pairs():
 
 
 def test_concentration_and_tail_read_exact_norms(monkeypatch):
-    # operator_norm is power iteration and can stop short of the norm, on
-    # the favourable side of an upper bound; neither lemma may call it
+    # operator_norm is a full SVD, sized for the teacher's small matrices;
+    # neither lemma may call it
     def refuse(*args, **kwargs):
         raise AssertionError("operator_norm called")
 
@@ -354,6 +354,19 @@ def test_run_lemma_refuses_fewer_than_one_trial(name):
     for trials in (0, -1):
         with pytest.raises(ParameterError, match="trials"):
             run_lemma(name, m=16, trials=trials)
+
+
+@pytest.mark.parametrize("key, value", [("m", 1), ("m", 0), ("m", -3),
+                                        ("m", 2.5), ("trials", 2.5),
+                                        ("seed", -1)])
+@pytest.mark.parametrize("name", sorted(ALL_LEMMAS))
+def test_run_lemma_refuses_a_bad_width_trial_count_or_seed(name, key, value):
+    # below m = 2 the bounds' log m is zero or undefined: a lemma would
+    # crash part way, or report on a width the claims say nothing about;
+    # a fractional count or a negative seed would crash at its first use
+    kwargs = {"m": 16, "trials": 1, "seed": 0, key: value}
+    with pytest.raises(ParameterError, match=f"^{key} must be"):
+        run_lemma(name, **kwargs)
 
 
 def test_spectral_has_a_default_width():

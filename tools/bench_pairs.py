@@ -16,7 +16,10 @@ every metric; ties count for neither side).  A metric is `unresolved`
 when the parent's interquartile spread over its median exceeds the
 metric's bound in the repo's BENCHMARK.json (read, never written), unless
 every change call beat every parent call: the runs then spread too widely
-to tell a change within the bound from none.  It also lists, per workload,
+to tell a change within the bound from none.  A metric's `gain_shown` is
+the repo's rule for claiming a gain: the change wins at least nine pairs
+in ten, and the parent's median exceeds the change's by more than the
+parent's interquartile distance.  It also lists, per workload,
 the artifacts whose hashes differ between the two calls of any pair
 (`artifacts_differ`; both calls of a pair run the same seed), so "same
 outputs" is measured rather than assumed.  After each pair it prints both
@@ -64,7 +67,9 @@ def summarize(pairs, bound):
                     for side in ("parent", "change")}
             q = {side: [float(x) for x in np.percentile(v, [25, 50, 75])]
                  for side, v in vals.items()}
-            spread = (q["parent"][2] - q["parent"][0]) / q["parent"][1]
+            iqr = q["parent"][2] - q["parent"][0]
+            spread = iqr / q["parent"][1]
+            wins = int(np.sum(vals["change"] < vals["parent"]))
             metrics[name] = {
                 "parent_spread": spread,
                 "unresolved": bool(spread > bound[name] and not
@@ -72,7 +77,9 @@ def summarize(pairs, bound):
                 "parent_q1_median_q3": q["parent"],
                 "change_q1_median_q3": q["change"],
                 "change_over_parent": q["change"][1] / q["parent"][1],
-                "change_wins": int(np.sum(vals["change"] < vals["parent"])),
+                "change_wins": wins,
+                "gain_shown": bool(10 * wins >= 9 * len(rows) and
+                                   q["parent"][1] - q["change"][1] > iqr),
                 "pairs": len(rows)}
         summary[workload] = {
             "seeds": [p["seed"] for p in rows],
