@@ -1,13 +1,15 @@
 """Command-line entry point.
 
     sysid train|verify|existence|sweep --config path.json [--out dir] [--seed n]
-    sysid verify --lemma spectral --m 1024 --trials 20 --seed 0 --out report.json
+    sysid verify --lemma spectral --m 1024 --trials 20 --seed 0 --out dir
     sysid verify --lemma all --m 1024 --out reports   # reports/report_<name>.json
 
 The config file is a single JSON document; see the README for the schema.
-`--lemma`, `--m` and `--trials` run a lemma directly and are refused
-beside `--config`, whose `lemmas`, `m` and `trials` fields they would
-otherwise be mistaken for.
+`--lemma`, `--m` and `--trials` run lemmas without a config file: they
+become the verify config {"lemmas": ..., "m": ..., "trials": ...}, which
+runs as a config run does and writes the same run directory, `--out` or
+else runs/verify_<hash>.  They are refused beside `--config`, whose
+`lemmas`, `m` and `trials` fields they would otherwise be mistaken for.
 """
 
 import argparse
@@ -16,7 +18,7 @@ import os
 import sys
 
 from .harness import ConfigError, run_experiment
-from .verify import ALL_LEMMAS, run_lemma
+from .verify import ALL_LEMMAS
 
 
 def _add_common(p):
@@ -57,34 +59,28 @@ def _load_config(path, kind):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "verify" and args.lemma and not args.config:
-        lemmas = sorted(ALL_LEMMAS) if args.lemma == "all" else [args.lemma]
-        code = 0
-        for name in lemmas:
-            report = run_lemma(name, m=args.m, trials=args.trials,
-                               seed=args.seed)
-            line = "%-14s pass_fraction=%.3f %s" % (
-                name, report.pass_fraction, "PASS" if report.passed else "FAIL")
-            print(line)
-            if args.out and len(lemmas) == 1:
-                report.save(args.out)
-            elif args.out:
-                os.makedirs(args.out, exist_ok=True)
-                report.save(os.path.join(args.out, f"report_{name}.json"))
-            code = code or (0 if report.passed else 1)
-        return code
-    if not args.config:
+    if args.config:
+        beside = ["--" + flag for flag in ("lemma", "m", "trials")
+                  if getattr(args, flag, None) is not None]
+        if beside:
+            print(f"error: {', '.join(beside)} cannot be used with --config; "
+                  "set them in the config", file=sys.stderr)
+            return 2
+        cfg = _load_config(args.config, args.command)
+    elif args.command == "verify" and args.lemma:
+        cfg = {"kind": "verify", "lemmas": args.lemma, "m": args.m,
+               "trials": args.trials}
+    else:
         print("error: --config is required (or --lemma for verify)",
               file=sys.stderr)
         return 2
-    beside = ["--" + flag for flag in ("lemma", "m", "trials")
-              if getattr(args, flag, None) is not None]
-    if beside:
-        print(f"error: {', '.join(beside)} cannot be used with --config; "
-              "set them in the config", file=sys.stderr)
-        return 2
-    cfg = _load_config(args.config, args.command)
     code, out = run_experiment(cfg, out_dir=args.out, seed_override=args.seed)
+    if args.command == "verify":
+        with open(os.path.join(out, "summary.json")) as f:
+            results = json.load(f)["results"]
+        for name, r in results.items():
+            print("%-14s pass_fraction=%.3f %s" % (
+                name, r["pass_fraction"], "PASS" if r["passed"] else "FAIL"))
     print(f"{args.command}: artifacts in {out} (exit {code})")
     return code
 

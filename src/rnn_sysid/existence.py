@@ -34,13 +34,12 @@ class ConditioningError(RuntimeError):
 
 @dataclass
 class GramInverses:
-    P1: list   # P1[a] inverts B W0^a (W0^a)^T B^T, a = 0..horizon-1
+    P1: list   # P1[a] inverts B W0^a (W0^a)^T B^T, a = 0..T_max-1
     P2: list   # P2[b] inverts (W0^b A0)^T W0^b A0
-    horizon: int
     cond_max: float
     resid_max: float
-    L: np.ndarray   # L[a] = B W0^a, horizon x d_y x m
-    R: np.ndarray   # R[b] = (W0^b A0)^T, horizon x d x m
+    L: np.ndarray   # L[a] = B W0^a, T_max x d_y x m
+    R: np.ndarray   # R[b] = (W0^b A0)^T, T_max x d x m
 
 
 class FactoredW:
@@ -72,11 +71,11 @@ class ComparatorParams:
     right: np.ndarray        # Rcat, (T_max-1) d x m
     dist_W: float
     dist_A: float
-    distance_bound: float
+    distance_bound: float       # on max(dist_W, dist_A)
+    theorem_error_bound: float  # on the fit error of (W*, A*)
     T_max: int
     b: float
     rho: float
-    fit_error: float = float("nan")
     meta: dict = field(default_factory=dict)
 
 
@@ -105,22 +104,22 @@ def gram_inverses(W0, A0, B, T_max):
             P[tag].append(Pk)
             cond_max = max(cond_max, c)
             resid_max = max(resid_max, r)
-    return GramInverses(**P, horizon=int(T_max),
-                        cond_max=cond_max, resid_max=resid_max, L=L, R=R)
+    return GramInverses(**P, cond_max=cond_max, resid_max=resid_max, L=L, R=R)
 
 
-def construct_comparator(W0, A0, B, teacher, rho, T_max, b=None):
+def construct_comparator(W0, A0, B, teacher, rho, T_max):
     """Build (W*, A*) for lags 0..T_max-1 of the teacher's response.
 
     Requires rho > rho_C so the rho^{-t0} weights stay summable against
     the teacher's decay.  The W* correction is kept as its factors
     (left, core, right) = (Lcat, Core, Rcat) and never materialized:
     dist_W = ||left^T core right||_F comes from the two small Grams,
-    ||.||_F^2 = <core^T (left left^T) core, right right^T>.
+    ||.||_F^2 = <core^T (left left^T) core, right right^T>.  The two
+    claimed bounds, on the distances and on the fit error, are computed
+    here with b = sqrt(log(e T_max)).
     """
-    m = W0.shape[0]
-    if b is None:
-        b = math.sqrt(math.log(T_max * math.e))
+    m, d = A0.shape
+    b = math.sqrt(math.log(T_max * math.e))
     grams = gram_inverses(W0, A0, B, T_max)
     L, R = grams.L, grams.R
     ir = impulse_response(teacher, T_max)  # G C^k D, k = 0..T_max-1
@@ -149,22 +148,26 @@ def construct_comparator(W0, A0, B, teacher, rho, T_max, b=None):
         dist_W=dist_W,
         dist_A=frob(A_star - A0),
         distance_bound=2.0 * teacher.c_rho * b * T_max**2 / math.sqrt(m),
+        theorem_error_bound=(
+            b * d**2 * teacher.c_rho * T_max**3 * math.log(m) / math.sqrt(m)
+            + teacher.c_rho * rho**T_max / (1.0 - rho)),
         T_max=int(T_max),
-        b=float(b),
+        b=b,
         rho=float(rho),
         meta={"cond_max": grams.cond_max, "resid_max": grams.resid_max,
               "rho_C": teacher.rho_C},
     )
 
 
-def verify_existence(comp, teacher, dataset, loss, W0, A0, B):
-    """Evaluate the comparator on real sequences.
+def verify_existence(comp, dataset, loss, W0, B):
+    """Evaluate the comparator on real sequences; returns the cell report.
 
     fit_error = max over (sequence, t <= T_max) of ||f_t(W*, A*) - y~_t||;
     the horizon cap keeps the comparison inside the lag range the
     construction covers.  W* runs factored (`FactoredW`), so no m x m array
-    besides W0 is formed.  Also reports the averaged loss gap to the
-    teacher's own outputs and the two claimed bound values.
+    besides W0 is formed.  The report adds the averaged loss gap to the
+    teacher's own outputs, and carries the comparator's distances and
+    claimed bounds as they are; `comp` is left unchanged.
     """
     T_eval = min(dataset.T, comp.T_max)
     W_star = FactoredW(W0, comp.left, comp.core, comp.right)
@@ -178,13 +181,6 @@ def verify_existence(comp, teacher, dataset, loss, W0, A0, B):
         fit_error = max(fit_error, float(np.max(np.linalg.norm(F - ytil, axis=1))))
         gap += sequence_loss(loss, yobs, F) - sequence_loss(loss, yobs, ytil)
     gap /= dataset.K
-    comp.fit_error = fit_error
-    m = W0.shape[0]
-    d = A0.shape[1]
-    theorem_error_bound = (
-        comp.b * d**2 * teacher.c_rho * comp.T_max**3 * math.log(m) / math.sqrt(m)
-        + teacher.c_rho * comp.rho**comp.T_max / (1.0 - comp.rho)
-    )
     return {
         "fit_error": fit_error,
         "loss_gap": gap,
@@ -192,25 +188,17 @@ def verify_existence(comp, teacher, dataset, loss, W0, A0, B):
         "dist_A": comp.dist_A,
         "distance_bound": comp.distance_bound,
         "distances_ok": bool(max(comp.dist_W, comp.dist_A) <= comp.distance_bound),
-        "theorem_error_bound": theorem_error_bound,
+        "theorem_error_bound": comp.theorem_error_bound,
         "T_eval": T_eval,
-        "m": m,
+        "m": W0.shape[0],
     }
 
 
 def save_comparator(comp, report, path):
+    """Writes `path`/comparator.json (format 2): the comparator's T_max, b
+    and rho, its Gram metadata and the cell `report` of `verify_existence`,
+    each key once and each value a JSON number or boolean."""
     os.makedirs(path, exist_ok=True)
-    doc = {
-        "format_version": 1,
-        "T_max": comp.T_max,
-        "b": "%.17g" % comp.b,
-        "rho": "%.17g" % comp.rho,
-        "dist_W": "%.17g" % comp.dist_W,
-        "dist_A": "%.17g" % comp.dist_A,
-        "distance_bound": "%.17g" % comp.distance_bound,
-        "fit_error": "%.17g" % comp.fit_error,
-        "meta": {k: float(v) for k, v in comp.meta.items()},
-        "report": {k: (float(v) if isinstance(v, (int, float)) else v)
-                   for k, v in (report or {}).items()},
-    }
+    doc = {"format_version": 2, "T_max": comp.T_max, "b": comp.b,
+           "rho": comp.rho, **comp.meta, **report}
     write_json(os.path.join(path, "comparator.json"), doc)

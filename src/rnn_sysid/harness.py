@@ -262,19 +262,32 @@ def _train_cell(c, sched, sys, dataset, out, seed):
         holdout=holdout)
     losses = trace.losses()
     window = max(1, min(len(losses) // 4, 500))
-    avg = running_average(losses, window)
     summary = {
         "m": student["m"], "rho": student["rho"], "eta": train["eta"],
         "K_steps": train["K_steps"],
         "loss_kind": loss.kind,
-        "initial_avg_loss": float(avg[window - 1] if len(avg) >= window else avg[0]),
+        "aborted": trace.aborted,
+        "window": window,
+    }
+    if sched is not None:
+        summary["schedule"] = sched.to_dict()
+    if not trace.records:
+        # aborted at its first step: there is no loss to average, and strict
+        # JSON has no NaN, so every field derived from the losses is null
+        derived = ["initial_avg_loss", "final_avg_loss", "loss_ratio",
+                   "dW_frob_final", "dA_frob_final"]
+        if holdout is not None:
+            derived += ["gap_exponent", "final_gap", "final_holdout_avg",
+                        "holdout_ratio"]
+        return {**summary, **dict.fromkeys(derived)}, trace
+    avg = running_average(losses, window)
+    summary.update({
+        "initial_avg_loss": float(avg[window - 1]),
         "final_avg_loss": float(avg[-1]),
         "loss_ratio": float(avg[-1] / max(avg[window - 1], 1e-300)),
         "dW_frob_final": trace.records[-1]["dW_frob"],
         "dA_frob_final": trace.records[-1]["dA_frob"],
-        "aborted": trace.aborted,
-        "window": window,
-    }
+    })
     if holdout is not None:
         gap = generalization_gap(trace, dataset, holdout, loss)
         summary["gap_exponent"] = gap["exponent"]
@@ -283,13 +296,11 @@ def _train_cell(c, sched, sys, dataset, out, seed):
         summary["final_holdout_avg"] = float(ho_avg[-1])
         summary["holdout_ratio"] = float(
             ho_avg[-1] / max(summary["final_avg_loss"], 1e-300))
-    if sched is not None:
-        summary["schedule"] = sched.to_dict()
     return summary, trace
 
 
-def generalization_gap(trace, train_dataset, holdout_dataset, loss, n_points=20):
-    """|running train loss - running holdout loss| at log-spaced step counts.
+def generalization_gap(trace, train_dataset, holdout_dataset, loss):
+    """|running train loss - running holdout loss| at 20 log-spaced step counts.
 
     Both curves are online means over the same steps, so the gap isolates
     the train/holdout mismatch rather than the optimization trend.  Step
@@ -304,7 +315,7 @@ def generalization_gap(trace, train_dataset, holdout_dataset, loss, n_points=20)
         raise ValueError("trace does not carry per-step holdout losses")
     K = len(tr)
     ks = sorted(set(min(int(k), K)
-                    for k in np.geomspace(max(10, K // 50), K, n_points)))
+                    for k in np.geomspace(max(10, K // 50), K, 20)))
     gaps = [abs(float(np.mean(tr[:k]) - np.mean(ho[:k]))) for k in ks]
     exponent = None
     pos = [(k, g) for k, g in zip(ks, gaps) if g > 0]
@@ -313,13 +324,8 @@ def generalization_gap(trace, train_dataset, holdout_dataset, loss, n_points=20)
     return {"ks": ks, "gaps": gaps, "exponent": exponent}
 
 
-def _run_verify(c, out):
-    """Runs every lemma of `c`; each one's keywords are checked before the
-    first runs, so a refused lemma leaves no report behind."""
-    calls = {name: lemma_kwargs(name, **{"m": c["m"], "trials": c["trials"],
-                                         "seed": c["seed"],
-                                         **c["lemma_params"][name]})
-             for name in c["lemmas"]}
+def _run_verify(calls, out):
+    """Runs each lemma with its keywords, as `lemma_kwargs` checked them."""
     all_pass = True
     results = {}
     for name, kwargs in calls.items():
@@ -343,7 +349,7 @@ def _existence_cell(c, sys, loss, m, s, out):
     dataset = generate_dataset(sys, **{**DATA, "T": T_max, **c["probe"]},
                                seed=s + 500)
     comp = construct_comparator(W0, A0, B, sys, float(c["rho"]), T_max)
-    report = verify_existence(comp, sys, dataset, loss, W0, A0, B)
+    report = verify_existence(comp, dataset, loss, W0, B)
     save_comparator(comp, report, os.path.join(out, f"cell_m{m}_s{s}"))
     return report
 
@@ -429,12 +435,19 @@ def run_experiment(config, out_dir=None, seed_override=None):
         write_json(os.path.join(out, "summary.json"), {"cells": len(rows),
                                                        "_meta": stamp})
         return 0, out
-    _begin(out, cfg, c, stamp)
     if kind == "verify":
-        results, ok = _run_verify(c, out)
+        # every lemma's keywords are checked before anything is written, so
+        # a refused lemma leaves no run directory behind
+        calls = {name: lemma_kwargs(name, **{"m": c["m"], "trials": c["trials"],
+                                             "seed": c["seed"],
+                                             **c["lemma_params"][name]})
+                 for name in c["lemmas"]}
+        _begin(out, cfg, c, stamp)
+        results, ok = _run_verify(calls, out)
         write_json(os.path.join(out, "summary.json"),
                    {"results": results, "all_passed": ok, "_meta": stamp})
         return (0 if ok else 1), out
+    _begin(out, cfg, c, stamp)
     summary, ok = _run_existence(c, out)
     write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})
     return (0 if ok else 1), out

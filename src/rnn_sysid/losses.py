@@ -21,14 +21,13 @@ class LossFunction:
     l0: float = 1.0
 
 
-def make_loss(kind, delta=1.0, l0=None, d_y=1):
+def make_loss(kind, delta=1.0, d_y=1):
     if kind not in KINDS:
         raise ParameterError(f"unknown loss kind {kind!r}")
-    if l0 is None:
-        # square: grad = y_hat - y, so ||grad|| <= 2C <= 2(1 + C)
-        cap = min(delta, 1.0) if kind == "huber" else 1.0
-        l0 = 2.0 if kind == "square" else float(np.sqrt(d_y)) * cap
-    return LossFunction(kind=kind, delta=float(delta), l0=float(l0))
+    # square: grad = y_hat - y, so ||grad|| <= 2C <= 2(1 + C)
+    cap = min(delta, 1.0) if kind == "huber" else 1.0
+    l0 = 2.0 if kind == "square" else float(np.sqrt(d_y)) * cap
+    return LossFunction(kind=kind, delta=float(delta), l0=l0)
 
 
 def eval_loss(loss, y, y_hat):

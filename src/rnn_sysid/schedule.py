@@ -53,13 +53,13 @@ def rho_1_of_m(m):
     return 1.0 / (1.0 + 10.0 * math.log(m) ** 2 / math.sqrt(m))
 
 
-def solve_T_max(epsilon, delta, rho_0, c_rho, m, multiplier=1.0,
-                max_iters=100, tol=1e-10):
+def solve_T_max(epsilon, delta, rho_0, c_rho, m, multiplier=1.0):
     """Fixed point of T = (1/log(1/rho_0)) { 2 log(c_rho/(1-rho_0))
-    + log(1/eps) + log sqrt(log(T/delta)) + (1/2) log m }."""
+    + log(1/eps) + log sqrt(log(T/delta)) + (1/2) log m }, iterated to a
+    relative step of 1e-10 within 100 iterations."""
     inv = 1.0 / math.log(1.0 / rho_0)
     T = 10.0
-    for _ in range(max_iters):
+    for _ in range(100):
         inner = math.log(max(T, 2.0) / delta)
         T_new = multiplier * inv * (
             2.0 * math.log(c_rho / (1.0 - rho_0))
@@ -68,10 +68,10 @@ def solve_T_max(epsilon, delta, rho_0, c_rho, m, multiplier=1.0,
             + 0.5 * math.log(m)
         )
         T_new = max(T_new, 2.0)
-        if abs(T_new - T) <= tol * max(1.0, abs(T_new)):
+        if abs(T_new - T) <= 1e-10 * max(1.0, abs(T_new)):
             return max(2, int(math.ceil(T_new)))
         T = T_new
-    raise ScheduleError("T_max fixed point did not converge in %d iterations" % max_iters)
+    raise ScheduleError("T_max fixed point did not converge in 100 iterations")
 
 
 def theory_schedule(epsilon, delta, rho_0, c_rho, m, l0=1.0, multipliers=None):

@@ -69,12 +69,12 @@ def stability_certificate(sys, horizon):
     return float(c_rho), bool(ok)
 
 
-def random_stable_system(d_p, d, d_y, rho_C, seed, cert_horizon=200):
+def random_stable_system(d_p, d, d_y, rho_C, seed):
     """Teacher with C = rho_C * Q for Haar-orthogonal Q.
 
     The orthogonal factor makes spectral_radius(C) == rho_C exactly and
     ||C^k D|| == rho_C^k ||D||, so c_rho == ||D||.  D and G are Gaussian,
-    rescaled to unit operator norm.
+    rescaled to unit operator norm; c_rho is certified over 200 lags.
     """
     if not (0.0 < rho_C < 1.0):
         raise ParameterError(f"rho_C must lie in (0, 1), got {rho_C}")
@@ -87,7 +87,7 @@ def random_stable_system(d_p, d, d_y, rho_C, seed, cert_horizon=200):
     G = rng.normal(size=(d_y, d_p))
     G /= operator_norm(G)
     sys = StableLinearSystem(C=C, D=D, G=G, rho_C=rho_C)
-    sys.c_rho, ok = stability_certificate(sys, cert_horizon)
+    sys.c_rho, ok = stability_certificate(sys, 200)
     if not ok:
         raise ParameterError(
             f"spectral radius of C exceeds rho_C = {rho_C} (seed {seed})")

@@ -23,8 +23,9 @@ from rnn_sysid.student import forward_rescaled, init_student
 from rnn_sysid.teacher import (generate_dataset, impulse_response,
                                random_stable_system, simulate)
 from rnn_sysid.trainer import running_average, sgd_train
-from rnn_sysid.verify import (verify_concentration, verify_linearization,
-                              verify_spectral, verify_truncation)
+from rnn_sysid.verify import (sample_init, verify_concentration,
+                              verify_linearization, verify_spectral,
+                              verify_truncation)
 
 pytestmark = pytest.mark.acceptance
 
@@ -165,14 +166,11 @@ def test_07_existence():
     for m in (256, 1024, 4096):
         errs = []
         for s in range(10):
-            rng = np.random.default_rng([s, m])
-            W0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, m))
-            A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, 2))
-            B = rng.normal(0.0, np.sqrt(1.0 / 2), size=(2, m))
+            W0, A0, B = sample_init(np.random.default_rng([s, m]), m, 2, 2)
             comp = construct_comparator(W0, A0, B, teacher, rho, T_max)
             ds = generate_dataset(teacher, "iid_gaussian_unit", 0.0, T_max,
                                   4, seed=s + 500)
-            rep = verify_existence(comp, teacher, ds, loss, W0, A0, B)
+            rep = verify_existence(comp, ds, loss, W0, B)
             all_dist_ok = all_dist_ok and rep["distances_ok"]
             errs.append(rep["fit_error"])
         means.append(float(np.mean(errs)))

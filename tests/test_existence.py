@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import tracemalloc
 
@@ -18,11 +20,7 @@ from rnn_sysid.verify import sample_init
 
 
 def _init(m, d, d_y, seed=0):
-    rng = np.random.default_rng(seed)
-    W0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, m))
-    A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, d))
-    B = rng.normal(0.0, np.sqrt(1.0 / d_y), size=(d_y, m))
-    return W0, A0, B
+    return sample_init(np.random.default_rng(seed), m, d, d_y)
 
 
 TEACHER = random_stable_system(4, 3, 2, 0.8, seed=7)
@@ -91,14 +89,36 @@ def test_verify_existence_report(tmp_path):
     comp = construct_comparator(W0, A0, B, TEACHER, 0.9, 10)
     ds = generate_dataset(TEACHER, "iid_gaussian_unit", 0.0, 10, 4, seed=5)
     loss = make_loss("square", d_y=2)
-    report = verify_existence(comp, TEACHER, ds, loss, W0, A0, B)
+    report = verify_existence(comp, ds, loss, W0, B)
     assert report["distances_ok"]
     assert report["fit_error"] < 1.5  # coarse scale check at small m
     # square loss against the teacher's own outputs: gap <= fit_error^2
     assert report["loss_gap"] <= report["fit_error"] ** 2 + 1e-12
     save_comparator(comp, report, tmp_path / "comp")
     doc = json.loads((tmp_path / "comp" / "comparator.json").read_text())
-    assert float(doc["fit_error"]) == report["fit_error"]
+    # format 2: one flat record, each value once, as JSON numbers and booleans
+    assert doc == {"format_version": 2, "T_max": 10, "b": comp.b,
+                   "rho": 0.9, **comp.meta, **report}
+    assert sorted(doc) == sorted(
+        ["format_version", "T_max", "b", "rho", "cond_max", "resid_max",
+         "rho_C", "fit_error", "loss_gap", "dist_W", "dist_A",
+         "distance_bound", "distances_ok", "theorem_error_bound", "T_eval",
+         "m"])
+    assert doc["distances_ok"] is True
+    assert type(doc["m"]) is int and doc["m"] == 512
+    assert type(doc["T_eval"]) is int and type(doc["T_max"]) is int
+
+
+def test_verify_existence_leaves_the_comparator_unchanged():
+    W0, A0, B = _init(256, 3, 2, seed=4)
+    comp = construct_comparator(W0, A0, B, TEACHER, 0.9, 8)
+    before = copy.deepcopy(comp)
+    ds = generate_dataset(TEACHER, "iid_gaussian_unit", 0.0, 8, 2, seed=5)
+    report = verify_existence(comp, ds, make_loss("square", d_y=2), W0, B)
+    for f in dataclasses.fields(comp):
+        np.testing.assert_array_equal(getattr(comp, f.name),
+                                      getattr(before, f.name), err_msg=f.name)
+    assert report["theorem_error_bound"] == comp.theorem_error_bound
 
 
 def test_fit_error_shrinks_with_m():
@@ -108,7 +128,7 @@ def test_fit_error_shrinks_with_m():
         comp = construct_comparator(W0, A0, B, TEACHER, 0.9, 8)
         ds = generate_dataset(TEACHER, "iid_gaussian_unit", 0.0, 8, 3, seed=8)
         loss = make_loss("square", d_y=2)
-        report = verify_existence(comp, TEACHER, ds, loss, W0, A0, B)
+        report = verify_existence(comp, ds, loss, W0, B)
         errs.append(report["fit_error"])
     assert errs[1] < errs[0]
 
@@ -133,8 +153,7 @@ def test_factored_comparator_matches_dense_W_star(m):
     W0, A0, B = _init(m, 3, 2, seed=9)
     comp = construct_comparator(W0, A0, B, TEACHER, 0.9, 10)
     ds = generate_dataset(TEACHER, "iid_gaussian_unit", 0.0, 10, 3, seed=11)
-    report = verify_existence(comp, TEACHER, ds, make_loss("square", d_y=2),
-                              W0, A0, B)
+    report = verify_existence(comp, ds, make_loss("square", d_y=2), W0, B)
     W_star = dense_W_star(comp, W0)
     fit_error = max(float(np.max(np.linalg.norm(
         forward_rescaled(W_star, comp.A_star, B, 0.9, x) - y, axis=1)))
@@ -153,7 +172,7 @@ def test_existence_cell_holds_one_m_by_m_array():
     try:
         W0, A0, B = sample_init(np.random.default_rng([0, m]), m, 3, 2)
         comp = construct_comparator(W0, A0, B, TEACHER, 0.9, T_max)
-        verify_existence(comp, TEACHER, ds, loss, W0, A0, B)
+        verify_existence(comp, ds, loss, W0, B)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

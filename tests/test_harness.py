@@ -278,6 +278,32 @@ def test_holdout_follows_dataset_path(tmp_path, monkeypatch):
     assert "teacher" not in resolved and "data" not in resolved
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("holdout", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, 1e200])
+def test_run_that_aborts_at_its_first_step_writes_a_summary(tmp_path, bad,
+                                                            holdout):
+    # NaN, or a finite output whose square loss overflows, at one time step
+    # of every sequence: the first step's loss is not finite
+    sys_ = random_stable_system(3, 2, 2, 0.8, 0)
+    ds = generate_dataset(sys_, "iid_gaussian_unit", 0.0, 12, 5, seed=4)
+    ds.observed_outputs[:, 3, 0] = bad
+    save_dataset(ds, sys_, str(tmp_path / "ds"))
+    cfg = {"kind": "train", "dataset_path": str(tmp_path / "ds"),
+           "student": {"m": 16}, "train": {"K_steps": 20, "holdout": holdout}}
+    code, _ = run_experiment(cfg, out_dir=str(tmp_path / "t"))
+    assert code == 1
+    assert (tmp_path / "t" / "checkpoints" / "abort_000000").is_dir()
+    summary = json.loads((tmp_path / "t" / "summary.json").read_text())
+    assert summary["aborted"] is True
+    derived = ["initial_avg_loss", "final_avg_loss", "loss_ratio",
+               "dW_frob_final", "dA_frob_final"]
+    if holdout:
+        derived += ["gap_exponent", "final_gap", "final_holdout_avg",
+                    "holdout_ratio"]
+    assert {k: summary[k] for k in derived} == dict.fromkeys(derived)
+
+
 @pytest.mark.parametrize("section", ["teacher", "data"])
 def test_section_beside_dataset_path_rejected(section, tmp_path):
     _saved_dataset(tmp_path / "ds")
@@ -307,11 +333,14 @@ def test_verify_passes_trials_and_m_only_when_given(tmp_path, monkeypatch):
     assert seen == [{"seed": 0}, {"m": 8, "trials": 3, "seed": 0}]
 
 
-def test_cli_direct_lemma_passes_trials_only_when_given(monkeypatch, capsys):
+def test_cli_direct_lemma_passes_trials_only_when_given(tmp_path, monkeypatch,
+                                                         capsys):
+    # a direct run is a verify config run, whose seed defaults to 0
+    monkeypatch.chdir(tmp_path)
     seen = _recording_lemma(monkeypatch)
     main(["verify", "--lemma", "tail", "--m", "8"])
     main(["verify", "--lemma", "tail", "--trials", "2", "--seed", "5"])
-    assert seen == [{"m": 8}, {"trials": 2, "seed": 5}]
+    assert seen == [{"m": 8, "seed": 0}, {"trials": 2, "seed": 5}]
 
 
 def test_train_kind_writes_artifacts(tmp_path):
@@ -417,7 +446,7 @@ def test_json_artifacts_are_strict(tmp_path):
 
 def test_verify_config_with_no_trials_is_refused(tmp_path):
     # run as `sysid verify --config`: a non-zero exit naming the field, and
-    # no report, rather than a report that tested nothing
+    # no run directory, rather than a report that tested nothing
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"kind": "verify", "trials": 0}))
     done = subprocess.run(
@@ -426,7 +455,7 @@ def test_verify_config_with_no_trials_is_refused(tmp_path):
         env=_env_with_src(), capture_output=True, text=True, timeout=120)
     assert done.returncode != 0
     assert "ParameterError: trials must be >= 1" in done.stderr
-    assert not list((tmp_path / "v").glob("report_*.json"))
+    assert not (tmp_path / "v").exists()
 
 
 def test_verify_refuses_a_later_lemma_before_any_report(tmp_path):
@@ -435,7 +464,12 @@ def test_verify_refuses_a_later_lemma_before_any_report(tmp_path):
            "trials": 1, "lemma_params": {"linearization": {"trials": 0}}}
     with pytest.raises(ParameterError, match="trials must be >= 1"):
         run_experiment(cfg, out_dir=str(tmp_path / "v"))
-    assert not list((tmp_path / "v").glob("report_*.json"))
+    assert not (tmp_path / "v").exists()
+    # a direct run is refused the same way
+    with pytest.raises(ParameterError, match="m must be >= 2"):
+        main(["verify", "--lemma", "tail", "--m", "1",
+              "--out", str(tmp_path / "d")])
+    assert not (tmp_path / "d").exists()
 
 
 def test_existence_kind(tmp_path):
@@ -520,7 +554,8 @@ def test_cli_refuses_direct_flags_beside_config(tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
 
-def test_cli_direct_lemma(capsys):
+def test_cli_direct_lemma(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     code = main(["verify", "--lemma", "tail", "--m", "64", "--trials", "2"])
     out = capsys.readouterr().out
     assert "tail" in out and ("PASS" in out or "FAIL" in out)
@@ -529,15 +564,37 @@ def test_cli_direct_lemma(capsys):
 
 def test_cli_all_lemmas_write_one_report_each(tmp_path, capsys):
     out = tmp_path / "reports"
-    main(["verify", "--lemma", "all", "--m", "64", "--trials", "1",
-          "--out", str(out)])
+    code = main(["verify", "--lemma", "all", "--m", "64", "--trials", "1",
+                 "--out", str(out)])
     names = ("concentration", "linearization", "spectral", "tail",
              "truncation")
-    assert sorted(p.name for p in out.iterdir()) == \
-        ["report_%s.json" % n for n in names]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["config.json", "resolved_config.json", "summary.json"]
+        + ["report_%s.json" % n for n in names])
     for n in names:
         doc = json.loads((out / ("report_%s.json" % n)).read_text())
         assert doc["lemma_id"] == n
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary["results"]) == list(names)
+    assert code == (0 if summary["all_passed"] else 1)
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed[:5]] == list(names)
+
+
+def test_cli_direct_lemma_run_matches_its_config_run(tmp_path, capsys):
+    # the flags are the config {"lemmas", "m", "trials"}: same reports and
+    # exit code, and the same run directory but for its out_dir
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"kind": "verify", "lemmas": "tail",
+                                    "m": 32, "trials": 2}))
+    direct = main(["verify", "--lemma", "tail", "--m", "32", "--trials", "2",
+                   "--out", str(tmp_path / "a")])
+    config = main(["verify", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "b")])
+    assert direct == config
+    for name in ("config.json", "report_tail.json", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
 
 
 def test_artifacts_stamped_with_package_version(tmp_path):

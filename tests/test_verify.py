@@ -406,9 +406,7 @@ def test_tail_norms_match_literal_sums():
     m, d, d_y, rho, N = 64, 3, 2, 0.85, 20
     tau_grid = (1, 2, 5, 9)
     rng = np.random.default_rng(0)
-    W = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, m))
-    A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, d))
-    B = rng.normal(0.0, np.sqrt(1.0 / d_y), size=(d_y, m))
+    W, A0, B = sample_init(rng, m, d, d_y)
     Q = rng.normal(size=(m, d))
     Q2 = rng.normal(size=(m, m)) / np.sqrt(m)
     Z = rng.normal(size=(N + 1, d))
