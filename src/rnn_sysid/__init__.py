@@ -10,8 +10,8 @@ from .existence import (ComparatorParams, ConditioningError, GramInverses,
                         construct_comparator, gram_inverses, verify_existence)
 from .gradients import GradientPair, jvp_f_all_t, loss_gradients_bptt
 from .harness import generalization_gap, run_experiment
-from .linalg import (DimensionError, fit_loglog_slope, frob,
-                     matrix_power_opnorm, operator_norm, spectral_radius)
+from .linalg import (DimensionError, frob, log_slope, matrix_power_opnorm,
+                     operator_norm, spectral_radius)
 from .losses import LossFunction, eval_loss, make_loss, sequence_loss
 from .schedule import ScheduleError, TheorySchedule, theory_schedule
 from .student import (StudentRNN, forward_rescaled, init_student,

@@ -17,19 +17,21 @@ import json
 import math
 import numbers
 import os
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .existence import construct_comparator, save_comparator, verify_existence
-from .linalg import fit_loglog_slope
+from .linalg import log_slope
 from .losses import make_loss
-from .schedule import MULTIPLIER_FIELDS, theory_schedule
+from .schedule import theory_schedule
 from .store import write_json
 from .student import init_student
 from .teacher import generate_dataset, load_dataset, random_stable_system
 from .trainer import running_average, sgd_train
-from .verify import ALL_LEMMAS, lemma_kwargs, run_lemma, sample_init
+from .verify import (ALL_LEMMAS, _at_most, _finish, _near, lemma_kwargs,
+                     run_lemma, sample_init)
 
 
 class ConfigError(ValueError):
@@ -51,8 +53,7 @@ TEACHER = {"d_p": 4, "d": 2, "d_y": 2, "rho_C": 0.8, "seed": 0}  # random_stable
 DATA = {"input_spec": "iid_gaussian_unit", "noise_sigma": 0.0,    # generate_dataset
         "T": 20, "K": 64}
 LOSS = {"kind": "square", "delta": 1.0}                           # make_loss
-SCHEDULE = {"epsilon": 0.05, "delta": math.exp(-1.0),  # theory_schedule
-            "multipliers": Only(dict.fromkeys(MULTIPLIER_FIELDS, 1.0))}
+SCHEDULE = {"epsilon": 0.05, "delta": math.exp(-1.0)}  # theory_schedule
 STUDENT = {"rho_mode": "practical", "rho": 0.9, "rho_0": 0.9}
 TRAIN = {"K_steps": None, "eta": None, "holdout": False, "checkpoint_every": 500}
 TRAINING = {"teacher": TEACHER, "data": DATA, "student": STUDENT, "loss": LOSS,
@@ -164,9 +165,10 @@ def resolve_config(config, seed_override=None):
             c["lemmas"] = list(ALL_LEMMAS)
         elif isinstance(c["lemmas"], str):
             c["lemmas"] = [c["lemmas"]]
-        elif not isinstance(c["lemmas"], list):
+        elif not isinstance(c["lemmas"], list) or not c["lemmas"]:
+            # a run over no lemmas would test nothing
             raise ConfigError("config field lemmas must be a name or a list "
-                              f"of names, got {c['lemmas']!r}")
+                              f"of names, not empty, got {c['lemmas']!r}")
         bad = [name for name in c["lemmas"] if name not in ALL_LEMMAS]
         if bad:
             raise ConfigError(f"unknown lemmas {bad}; choose from "
@@ -317,16 +319,13 @@ def generalization_gap(trace, train_dataset, holdout_dataset, loss):
     ks = sorted(set(min(int(k), K)
                     for k in np.geomspace(max(10, K // 50), K, 20)))
     gaps = [abs(float(np.mean(tr[:k]) - np.mean(ho[:k]))) for k in ks]
-    exponent = None
     pos = [(k, g) for k, g in zip(ks, gaps) if g > 0]
-    if len(pos) >= 2:
-        exponent = fit_loglog_slope([p[0] for p in pos], [p[1] for p in pos])
+    exponent = log_slope(np.log([k for k, _ in pos]), [g for _, g in pos])
     return {"ks": ks, "gaps": gaps, "exponent": exponent}
 
 
 def _run_verify(calls, out):
     """Runs each lemma with its keywords, as `lemma_kwargs` checked them."""
-    all_pass = True
     results = {}
     for name, kwargs in calls.items():
         report = run_lemma(name, **kwargs)
@@ -334,8 +333,12 @@ def _run_verify(calls, out):
         _release_freed_memory()
         results[name] = {"passed": report.passed,
                          "pass_fraction": report.pass_fraction}
-        all_pass = all_pass and report.passed
-    return results, all_pass
+    return results
+
+
+EXISTENCE_THRESHOLD = 1.0  # every cell must meet the distance bound
+_EXISTENCE_COLUMNS = ("m", "seed", "fit_error", "dist_W", "dist_A",
+                      "distance_bound", "distances_ok", "loss_gap")
 
 
 def _existence_cell(c, sys, loss, m, s, out):
@@ -355,24 +358,32 @@ def _existence_cell(c, sys, loss, m, s, out):
 
 
 def _run_existence(c, out):
+    """Runs every (m, seed) cell; returns the summary.  Its verdict is
+    `_finish`'s over the cells' checks: `distance` is asserted, at
+    EXISTENCE_THRESHOLD, and `fit` and `slope` are recorded only."""
     sys = random_stable_system(**c["teacher"])
     loss = make_loss(**LOSS, d_y=sys.d_y)
-    rows = []
+    cells = []
     for m in c["m_grid"]:
         for s in c["seeds"]:
-            report = _existence_cell(c, sys, loss, m, s, out)
+            cells.append({**_existence_cell(c, sys, loss, m, s, out),
+                          "m": m, "seed": s})
             _release_freed_memory()
-            rows.append({"m": m, "seed": s, **{k: report[k] for k in
-                        ("fit_error", "dist_W", "dist_A", "distance_bound",
-                         "distances_ok", "loss_gap")}})
-    ms = sorted(set(r["m"] for r in rows))
-    slope = None
-    if len(ms) >= 2:
-        means = [float(np.mean([r["fit_error"] for r in rows if r["m"] == m]))
-                 for m in ms]
-        slope = fit_loglog_slope(ms, means)
-    ok = all(r["distances_ok"] for r in rows)
-    return {"rows": rows, "fit_error_slope_vs_m": slope, "distances_ok": ok}, ok
+    ms = sorted(set(cell["m"] for cell in cells))
+    slope = log_slope(np.log(ms), [
+        float(np.mean([cell["fit_error"] for cell in cells if cell["m"] == m]))
+        for m in ms])
+    table = {
+        "distance": (_at_most, [(max(cell["dist_W"], cell["dist_A"]),
+                                 cell["distance_bound"]) for cell in cells]),
+        "fit": (_at_most, [(cell["fit_error"], cell["theorem_error_bound"])
+                           for cell in cells]),
+        "slope": (_near, [] if slope is None else [(-slope, (0.5, 0.2))])}
+    verdict = _finish(SimpleNamespace(checks={}, threshold=EXISTENCE_THRESHOLD),
+                      table, ("distance",))
+    rows = [{key: cell[key] for key in _EXISTENCE_COLUMNS} for cell in cells]
+    return {"format_version": 2, "rows": rows,
+            "observed": {"fit_error_slope_vs_m": slope}, **vars(verdict)}
 
 
 def _run_sweep(c, cells, sys, out):
@@ -443,11 +454,12 @@ def run_experiment(config, out_dir=None, seed_override=None):
                                              **c["lemma_params"][name]})
                  for name in c["lemmas"]}
         _begin(out, cfg, c, stamp)
-        results, ok = _run_verify(calls, out)
+        results = _run_verify(calls, out)
+        ok = all(r["passed"] for r in results.values())
         write_json(os.path.join(out, "summary.json"),
                    {"results": results, "all_passed": ok, "_meta": stamp})
         return (0 if ok else 1), out
     _begin(out, cfg, c, stamp)
-    summary, ok = _run_existence(c, out)
+    summary = _run_existence(c, out)
     write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})
-    return (0 if ok else 1), out
+    return (0 if summary["passed"] else 1), out

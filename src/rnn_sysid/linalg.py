@@ -224,12 +224,9 @@ def haar_orthogonal(n, rng):
     return Q * d
 
 
-def fit_loglog_slope(x, y):
-    """Least-squares slope of log(y) against log(x)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 2:
-        raise ValueError("need at least two points for a slope fit")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("log-log fit requires positive data")
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+def log_slope(x, y):
+    """Least-squares slope of log(y) on x; None below two points or unless
+    every y > 0.  A log-log fit passes log(x)."""
+    if len(x) < 2 or not all(v > 0 for v in y):
+        return None
+    return float(np.polyfit(x, np.log(y), 1)[0])

@@ -2,21 +2,17 @@
 
 Every quantity is a closed-form function of (epsilon, delta, rho_0, c_rho,
 m, l0) except T_max, which is defined implicitly and solved by fixed-point
-iteration.  Asymptotic Theta-constants are set to 1; per-field multipliers
-can be supplied and are recorded on the schedule object.
+iteration.  Asymptotic Theta-constants are set to 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .teacher import ParameterError
 
 
 class ScheduleError(RuntimeError):
     pass
-
-
-MULTIPLIER_FIELDS = ("T_max", "eta", "K", "m_star", "nu")
 
 
 @dataclass
@@ -41,19 +37,16 @@ class TheorySchedule:
     tau: int = 0
     R: float = 0.0
     outside_theory_regime: bool = False
-    multipliers: dict = field(default_factory=dict)
 
     def to_dict(self):
-        d = dict(self.__dict__)
-        d["multipliers"] = dict(self.multipliers)
-        return d
+        return dict(self.__dict__)
 
 
 def rho_1_of_m(m):
     return 1.0 / (1.0 + 10.0 * math.log(m) ** 2 / math.sqrt(m))
 
 
-def solve_T_max(epsilon, delta, rho_0, c_rho, m, multiplier=1.0):
+def solve_T_max(epsilon, delta, rho_0, c_rho, m):
     """Fixed point of T = (1/log(1/rho_0)) { 2 log(c_rho/(1-rho_0))
     + log(1/eps) + log sqrt(log(T/delta)) + (1/2) log m }, iterated to a
     relative step of 1e-10 within 100 iterations."""
@@ -61,7 +54,7 @@ def solve_T_max(epsilon, delta, rho_0, c_rho, m, multiplier=1.0):
     T = 10.0
     for _ in range(100):
         inner = math.log(max(T, 2.0) / delta)
-        T_new = multiplier * inv * (
+        T_new = inv * (
             2.0 * math.log(c_rho / (1.0 - rho_0))
             + math.log(1.0 / epsilon)
             + math.log(math.sqrt(inner))
@@ -74,7 +67,7 @@ def solve_T_max(epsilon, delta, rho_0, c_rho, m, multiplier=1.0):
     raise ScheduleError("T_max fixed point did not converge in 100 iterations")
 
 
-def theory_schedule(epsilon, delta, rho_0, c_rho, m, l0=1.0, multipliers=None):
+def theory_schedule(epsilon, delta, rho_0, c_rho, m, l0=1.0):
     if not (0.0 < epsilon <= math.exp(-1.0)):
         raise ParameterError(f"epsilon must be in (0, e^-1], got {epsilon}")
     if not (0.0 < delta <= math.exp(-1.0)):
@@ -83,25 +76,18 @@ def theory_schedule(epsilon, delta, rho_0, c_rho, m, l0=1.0, multipliers=None):
         raise ParameterError(f"rho_0 must be in (0, 1), got {rho_0}")
     if m < 2:
         raise ParameterError("m must be >= 2")
-    mult = {k: 1.0 for k in MULTIPLIER_FIELDS}
-    if multipliers:
-        unknown = set(multipliers) - set(MULTIPLIER_FIELDS)
-        if unknown:
-            raise ParameterError(f"unknown multiplier fields {sorted(unknown)}")
-        mult.update(multipliers)
 
     rho_1 = rho_1_of_m(m)
     rho = rho_1 * rho_0**2
-    T_max = solve_T_max(epsilon, delta, rho_0, c_rho, m, mult["T_max"])
+    T_max = solve_T_max(epsilon, delta, rho_0, c_rho, m)
     b = math.sqrt(math.log(T_max / delta))
-    nu = mult["nu"] * epsilon**2 * (1.0 - rho_0) ** 12 / (
+    nu = epsilon**2 * (1.0 - rho_0) ** 12 / (
         T_max**4 * l0**6 * (1.0 + 2.0 * b) ** 6
     )
-    eta = mult["eta"] * nu * epsilon / (m * b**2)
-    K = max(1, int(math.ceil(mult["K"] * T_max**4 * b**4 / (nu * epsilon**2))))
-    m_star = mult["m_star"] * (
-        c_rho**2 * K**4 * (1.0 - rho_0) ** 8 * epsilon**2 / b**6
-    ) + 1.0 / delta
+    eta = nu * epsilon / (m * b**2)
+    K = max(1, int(math.ceil(T_max**4 * b**4 / (nu * epsilon**2))))
+    m_star = (c_rho**2 * K**4 * (1.0 - rho_0) ** 8 * epsilon**2 / b**6
+              + 1.0 / delta)
     omega_0 = 1.0 / rho_0 - 1.0
     omega = K * eta * 32.0 * math.sqrt(m) / (1.0 - rho_0) ** 3 * l0 * (1.0 + 2.0 * b)
     L_cutoff = max(1, int(math.sqrt(m) / math.log(m)))
@@ -126,5 +112,4 @@ def theory_schedule(epsilon, delta, rho_0, c_rho, m, l0=1.0, multipliers=None):
         tau=T_max,
         R=b * T_max**2,
         outside_theory_regime=bool(m < m_star),
-        multipliers=mult,
     )

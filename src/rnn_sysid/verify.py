@@ -14,8 +14,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .gradients import tangent_states
-from .linalg import (causal_fir, frob, lag_ladder, matrix_power_opnorm,
-                     operator_norm_fast, power_dtype, recurrence)
+from .linalg import (causal_fir, frob, lag_ladder, log_slope,
+                     matrix_power_opnorm, operator_norm_fast, power_dtype,
+                     recurrence)
 from .schedule import rho_1_of_m, theory_schedule
 from .store import write_json
 from .student import linearized_forward, linearized_kernel
@@ -77,7 +78,9 @@ def _finish(report, table, asserted):
     ok check's largest margin, null if not finite.  Checks outside
     `asserted`, but for a negative control, carry `asserted: false`.  The
     report's pass fraction is its worst asserted check, skipped ones
-    ignored (0, a failure, when all were: it tested nothing).
+    ignored (0, a failure, when all were: it tested nothing).  The
+    existence run's verdict comes from here too: `report` needs only
+    `checks` (filled in) and `threshold`.
     """
     for name, (test, pairs) in table.items():
         observed = np.array([o for o, _ in pairs], dtype=float)
@@ -98,13 +101,6 @@ def _finish(report, table, asserted):
     report.pass_fraction = float(min(fractions)) if fractions else 0.0
     report.passed = bool(fractions) and report.pass_fraction >= report.threshold
     return report
-
-
-def _log_slope(xs, ys):
-    """Least-squares slope of log(y) on x; None below two points or at y <= 0."""
-    if len(xs) < 2 or not all(y > 0 for y in ys):
-        return None
-    return float(np.polyfit(xs, np.log(ys), 1)[0])
 
 
 def _unit_frob(rng, shape):
@@ -415,7 +411,7 @@ def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
         x = rng.normal(size=(T, d)) / np.sqrt(d)
         residuals = linearization_residuals(W0, A0, B, U, V, rho_0, x, omega_grid)
         inst["bound"] += zip(residuals, bounds)
-        slope = _log_slope(np.log(omega_grid), residuals)
+        slope = log_slope(np.log(omega_grid), residuals)
         if slope is not None:
             slopes.append(slope)
             inst["slope"].append((slope, (2.0, 0.2)))
@@ -468,7 +464,7 @@ def verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20, 24, 28, 32),
         inst["bound"] += [(err, 8.0 * np.sqrt(m) * tau * rho_0**tau
                            / (1.0 - rho_0) ** 3)
                           for tau, err in zip(tau_grid, err_rows[-1])]
-        slope = _log_slope(tau_grid, err_rows[-1])
+        slope = log_slope(tau_grid, err_rows[-1])
         if slope is not None:
             slopes.append(slope)
             inst["slope_per_trial"].append((-slope, rate_tol))
@@ -491,7 +487,7 @@ def verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20, 24, 28, 32),
     )
     # The asserted slope is fit on the per-tau median error across trials;
     # single-trial slopes wobble ~0.015 around it and are recorded only.
-    pooled_slope = _log_slope(tau_grid, np.median(err_rows, axis=0))
+    pooled_slope = log_slope(tau_grid, np.median(err_rows, axis=0))
     report.observed = {"slopes": slopes,
                        "pooled_slope": pooled_slope,
                        "mean_slope": float(np.mean(slopes)) if slopes else None,

@@ -12,20 +12,18 @@ import math
 import numpy as np
 import pytest
 
-from rnn_sysid.existence import construct_comparator, verify_existence
 from oracles import (brute_jvp_A, brute_jvp_W, dense_grad_W,
                      finite_difference_check)
 from rnn_sysid.gradients import jvp_f_all_t, loss_gradients_bptt
 from rnn_sysid.harness import generalization_gap, run_experiment
-from rnn_sysid.linalg import fit_loglog_slope
+from rnn_sysid.linalg import log_slope
 from rnn_sysid.losses import make_loss, sequence_loss
 from rnn_sysid.student import forward_rescaled, init_student
 from rnn_sysid.teacher import (generate_dataset, impulse_response,
                                random_stable_system, simulate)
 from rnn_sysid.trainer import running_average, sgd_train
-from rnn_sysid.verify import (sample_init, verify_concentration,
-                              verify_linearization, verify_spectral,
-                              verify_truncation)
+from rnn_sysid.verify import (verify_concentration, verify_linearization,
+                              verify_spectral, verify_truncation)
 
 pytestmark = pytest.mark.acceptance
 
@@ -157,28 +155,20 @@ def test_06_truncation():
                                 rep.checks["app"]["pass_fraction"]))
 
 
-def test_07_existence():
-    teacher = random_stable_system(4, 2, 2, 0.8, seed=7)
-    loss = make_loss("square", d_y=2)
-    T_max, rho = 12, 0.9
-    means = []
-    all_dist_ok = True
-    for m in (256, 1024, 4096):
-        errs = []
-        for s in range(10):
-            W0, A0, B = sample_init(np.random.default_rng([s, m]), m, 2, 2)
-            comp = construct_comparator(W0, A0, B, teacher, rho, T_max)
-            ds = generate_dataset(teacher, "iid_gaussian_unit", 0.0, T_max,
-                                  4, seed=s + 500)
-            rep = verify_existence(comp, ds, loss, W0, B)
-            all_dist_ok = all_dist_ok and rep["distances_ok"]
-            errs.append(rep["fit_error"])
-        means.append(float(np.mean(errs)))
-    slope = fit_loglog_slope([256, 1024, 4096], means)
+def test_07_existence(tmp_path):
+    # ten draws per width, each probed with 4 sequences of length T_max
+    cfg = {"kind": "existence",
+           "teacher": {"d_p": 4, "d": 2, "d_y": 2, "rho_C": 0.8, "seed": 7},
+           "m_grid": [256, 1024, 4096], "seeds": list(range(10)),
+           "T_max": 12, "rho": 0.9}
+    code, _ = run_experiment(cfg, out_dir=str(tmp_path / "x"))
+    summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+    dist_ok = code == 0 and summary["passed"]
+    slope = summary["observed"]["fit_error_slope_vs_m"]
     slope_ok = abs(slope - (-0.5)) <= 0.2
-    _verdict("7 comparator existence", all_dist_ok and slope_ok,
+    _verdict("7 comparator existence", dist_ok and slope_ok,
              "distances within 2 c_rho b T^2/sqrt(m) in every trial: %s; "
-             "fit_error slope %.3f (-0.5 +- 0.2)" % (all_dist_ok, slope))
+             "fit_error slope %.3f (-0.5 +- 0.2)" % (dist_ok, slope))
 
 
 def test_08_end_to_end_learning(tmp_path):
@@ -217,7 +207,7 @@ def test_09_generalization_gap():
         curves.append(gap)
     ks = curves[0]["ks"]
     mean_gaps = np.mean([c["gaps"] for c in curves], axis=0)
-    exponent = fit_loglog_slope(ks, mean_gaps)
+    exponent = log_slope(np.log(ks), mean_gaps)
     decreasing = mean_gaps[-1] < mean_gaps[0]
     ok = decreasing and -0.75 <= exponent <= -0.25
     _verdict("9 generalization gap", ok,

@@ -68,8 +68,8 @@ _UNKNOWN_FIELDS = [
     ({"kind": "sweep", "student": {"m": 64}}, "student.m"),
     ({"kind": "verify", "lemma_params": {"tail": {"tau": 3}}},
      "lemma_params.tail.tau"),
-    ({"kind": "train", "schedule": {"multipliers": {"etta": 2.0}}},
-     "schedule.multipliers.etta"),
+    ({"kind": "train", "schedule": {"multipliers": {}}},
+     "schedule.multipliers"),
     # worked out from the loss
     ({"kind": "train", "schedule": {"l0": 1.0}}, "schedule.l0"),
     # knobs that could only loosen a verdict
@@ -102,9 +102,6 @@ _WRONG_TYPES = [
     # values of sections that fill nothing in
     ({"kind": "verify", "lemmas": ["tail"],
       "lemma_params": {"tail": {"trials": "2"}}}, "lemma_params.tail.trials"),
-    ({**_TINY, "student": {"m": 8, "rho_mode": "theory"},
-      "schedule": {"multipliers": {"eta": "2"}}, "train": {"K_steps": 2}},
-     "schedule.multipliers.eta"),
 ]
 
 
@@ -130,6 +127,14 @@ def test_lemmas_take_a_name_or_a_list():
         harness.resolve_config({"kind": "verify", "lemmas": "tial"})
     with pytest.raises(ConfigError, match="a name or a list of names"):
         harness.resolve_config({"kind": "verify", "lemmas": 3})
+
+
+def test_verify_over_no_lemmas_is_refused(tmp_path):
+    # a run over no lemmas tests nothing, so it must not pass
+    with pytest.raises(ConfigError, match="config field lemmas"):
+        run_experiment({"kind": "verify", "lemmas": []},
+                       out_dir=str(tmp_path / "v"))
+    assert not (tmp_path / "v").exists()
 
 
 def test_section_must_be_an_object(tmp_path):
@@ -193,8 +198,7 @@ def test_empty_sections_match_written_out_defaults(tmp_path):
         "loss": {"kind": "square", "delta": 1.0},
         "train": {"K_steps": 30, "eta": 1e-2 / 24, "holdout": False,
                   "checkpoint_every": 500},
-        "schedule": {"epsilon": 0.05, "delta": math.exp(-1.0),
-                     "multipliers": {}},
+        "schedule": {"epsilon": 0.05, "delta": math.exp(-1.0)},
     }
     docs = {}
     for name, cfg in (("empty", empty), ("written", written)):
@@ -480,8 +484,27 @@ def test_existence_kind(tmp_path):
     code, out = run_experiment(cfg, out_dir=str(tmp_path / "x"))
     assert code == 0
     summary = json.loads((tmp_path / "x" / "summary.json").read_text())
-    assert summary["distances_ok"]
+    assert summary["passed"] and summary["threshold"] == 1.0
+    distance = summary["checks"]["distance"]
+    assert distance["n_instances"] == 2 and distance["pass_fraction"] == 1.0
+    assert "asserted" not in distance
+    # the fit bound and the slope are recorded beside the verdict
+    assert summary["checks"]["fit"]["asserted"] is False
+    assert summary["checks"]["slope"]["asserted"] is False
+    assert summary["observed"]["fit_error_slope_vs_m"] is not None
     assert len(summary["rows"]) == 2
+
+
+@pytest.mark.parametrize("grid", ["m_grid", "seeds"])
+def test_existence_over_no_cells_fails(grid, tmp_path):
+    # an empty grid meets the distance bound nowhere: it tested nothing
+    code, _ = run_experiment({"kind": "existence", grid: []},
+                             out_dir=str(tmp_path / "x"))
+    summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+    assert code == 1
+    assert summary["checks"]["distance"]["status"] == "skipped"
+    assert summary["pass_fraction"] == 0 and summary["passed"] is False
+    assert summary["rows"] == []
 
 
 def test_gap_zero_when_holdout_equals_train():

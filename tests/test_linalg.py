@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import subspace_power_opnorm
-from rnn_sysid.linalg import (DimensionError, causal_fir, fit_loglog_slope,
-                              frob, haar_orthogonal, matrix_power_opnorm,
+from rnn_sysid.linalg import (DimensionError, causal_fir, frob,
+                              haar_orthogonal, log_slope, matrix_power_opnorm,
                               operator_norm, operator_norm_fast, recurrence,
                               spectral_radius, transposed_copy)
 from rnn_sysid.verify import POWER_ITERS, sample_W0
@@ -159,15 +159,18 @@ def test_frob():
     assert frob(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
 
 
-def test_fit_loglog_slope_recovers_power_law():
+def test_log_slope_recovers_power_law():
     x = np.array([1.0, 2.0, 4.0, 8.0])
     y = 3.0 * x**-0.5
-    assert fit_loglog_slope(x, y) == pytest.approx(-0.5, abs=1e-12)
+    assert log_slope(np.log(x), y) == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_fit_loglog_slope_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        fit_loglog_slope([1.0, 2.0], [0.0, 1.0])
+def test_log_slope_is_none_without_a_fit():
+    # a y <= 0 has no logarithm, and one point no slope
+    assert log_slope([1.0, 2.0], [0.0, 1.0]) is None
+    assert log_slope([1.0, 2.0], [-1.0, 1.0]) is None
+    assert log_slope([1.0], [1.0]) is None
+    assert log_slope([], []) is None
 
 
 def test_recurrence_vector_rows_match_step_loop():

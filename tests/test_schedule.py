@@ -52,20 +52,6 @@ def test_eta_decreases_with_m():
     assert s2.eta < s1.eta
 
 
-def test_multipliers_scale_fields():
-    base = theory_schedule(0.05, math.exp(-1.0), 0.9, 1.0, 512)
-    boosted = theory_schedule(0.05, math.exp(-1.0), 0.9, 1.0, 512,
-                              multipliers={"eta": 10.0})
-    assert boosted.eta == pytest.approx(10.0 * base.eta)
-    assert boosted.multipliers["eta"] == 10.0
-
-
-def test_unknown_multiplier_rejected():
-    with pytest.raises(ParameterError):
-        theory_schedule(0.05, math.exp(-1.0), 0.9, 1.0, 512,
-                        multipliers={"speed": 2.0})
-
-
 def test_epsilon_range_enforced():
     with pytest.raises(ParameterError):
         theory_schedule(0.5, math.exp(-1.0), 0.9, 1.0, 512)
@@ -78,4 +64,3 @@ def test_to_dict_roundtrips_scalars():
     d = sched.to_dict()
     assert d["T_max"] == sched.T_max
     assert d["rho"] == sched.rho
-    assert isinstance(d["multipliers"], dict)

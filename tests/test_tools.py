@@ -16,13 +16,14 @@ def side(value, hashes, failed=0):
                        "failed": failed, "attempted": 4}}
 
 
-def pairs(parent, change, workload="certify", hashes=None):
+def pairs(parent, change, workload="certify", hashes=None, failed=(0, 0)):
     """One pair per (parent, change) value; `hashes` maps a pair's index to
-    its change side's artifact hashes (the parent's are {"a": "1"})."""
+    its change side's artifact hashes (the parent's are {"a": "1"}), and
+    `failed` is each side's failed operations per call, of 4 attempted."""
     hashes = hashes or {}
     return [{"workload": workload, "seed": 100 + n, "first": "parent",
-             "parent": side(p, {"a": "1"}),
-             "change": side(c, hashes.get(n, {"a": "1"}))}
+             "parent": side(p, {"a": "1"}, failed[0]),
+             "change": side(c, hashes.get(n, {"a": "1"}), failed[1])}
             for n, (p, c) in enumerate(zip(parent, change))]
 
 
@@ -101,3 +102,19 @@ def test_gain_shown_needs_nine_wins_in_ten_and_a_gap_past_the_iqr():
     # 10/10 wins, medians 10.5 against 10.1: a gap of 0.4 inside the IQR
     assert shown([9.9, 9.9, 9.9, 10.1, 10.1, 10.1, 10.1, 10.6, 10.6,
                   10.6]) is False
+
+
+def test_gain_shown_is_refused_when_more_operations_fail():
+    # 10/10 wins with medians 10.5 against 9.0, a gap of 1.5 past the IQR
+    parent = [10.0, 10.0, 10.0, 10.5, 10.5, 10.5, 10.5, 11.0, 11.0, 11.0]
+
+    def shown(failed):
+        doc = bench_pairs.summarize(pairs(parent, [9.0] * 10, failed=failed),
+                                    {"compute_s": 0.24})
+        return doc["certify"]["metrics"]["compute_s"]["gain_shown"]
+
+    assert shown((0, 0)) is True and shown((1, 1)) is True
+    assert shown((1, 0)) is True
+    # one of 4 operations fails in each change call, none in the parent's
+    assert shown((0, 1)) is False
+    assert shown((1, 2)) is False

@@ -18,12 +18,13 @@ metric's bound in the repo's BENCHMARK.json (read, never written), unless
 every change call beat every parent call: the runs then spread too widely
 to tell a change within the bound from none.  A metric's `gain_shown` is
 the repo's rule for claiming a gain: the change wins at least nine pairs
-in ten, and the parent's median exceeds the change's by more than the
-parent's interquartile distance.  It also lists, per workload,
-the artifacts whose hashes differ between the two calls of any pair
-(`artifacts_differ`; both calls of a pair run the same seed), so "same
-outputs" is measured rather than assumed.  After each pair it prints both
-sides' value of every end-to-end metric.
+in ten, the parent's median exceeds the change's by more than the
+parent's interquartile distance, and the change's share of failed
+operations (failed over attempted) is no larger than the parent's.  It
+also lists, per workload, the artifacts whose hashes differ between the
+two calls of any pair (`artifacts_differ`; both calls of a pair run the
+same seed), so "same outputs" is measured rather than assumed.  After
+each pair it prints both sides' value of every end-to-end metric.
 """
 
 import argparse
@@ -60,6 +61,12 @@ def summarize(pairs, bound):
     summary = {}
     for workload in sorted({p["workload"] for p in pairs}):
         rows = [p for p in pairs if p["workload"] == workload]
+        failed, attempted = ({side: sum(p[side]["result"][key] for p in rows)
+                              for side in ("parent", "change")}
+                             for key in ("failed", "attempted"))
+        # change failed / attempted > parent failed / attempted, cross-multiplied
+        more_failed = (failed["change"] * attempted["parent"]
+                       > failed["parent"] * attempted["change"])
         metrics = {}
         for name in rows[0]["parent"]["result"]["metrics"]:
             vals = {side: np.array([p[side]["result"]["metrics"][name]["value"]
@@ -79,14 +86,13 @@ def summarize(pairs, bound):
                 "change_over_parent": q["change"][1] / q["parent"][1],
                 "change_wins": wins,
                 "gain_shown": bool(10 * wins >= 9 * len(rows) and
-                                   q["parent"][1] - q["change"][1] > iqr),
+                                   q["parent"][1] - q["change"][1] > iqr
+                                   and not more_failed),
                 "pairs": len(rows)}
         summary[workload] = {
             "seeds": [p["seed"] for p in rows],
-            "failed": {side: sum(p[side]["result"]["failed"] for p in rows)
-                       for side in ("parent", "change")},
-            "attempted": {side: sum(p[side]["result"]["attempted"] for p in rows)
-                          for side in ("parent", "change")},
+            "failed": failed,
+            "attempted": attempted,
             "artifacts_differ": artifacts_differ(rows),
             "metrics": metrics}
     return summary
