@@ -27,11 +27,11 @@ from .linalg import log_slope
 from .losses import make_loss
 from .schedule import theory_schedule
 from .store import write_json
-from .student import init_student
+from .student import init_student, sample_init
 from .teacher import generate_dataset, load_dataset, random_stable_system
 from .trainer import running_average, sgd_train
 from .verify import (ALL_LEMMAS, _at_most, _finish, _near, lemma_kwargs,
-                     run_lemma, sample_init)
+                     run_lemma)
 
 
 class ConfigError(ValueError):
@@ -70,7 +70,8 @@ SCHEMA = {
     "verify": {**COMMON, "lemmas": "all", "m": None, "trials": None,
                "lemma_params": {
                    name: Only({key: p.default for key, p in
-                               inspect.signature(fn).parameters.items()})
+                               inspect.signature(fn).parameters.items()
+                               if key != "seed"})  # the run's seed
                    for name, fn in ALL_LEMMAS.items()}},
 }
 
@@ -80,9 +81,9 @@ def config_hash(cfg):
     return hashlib.sha256(blob).hexdigest()
 
 
-# The JSON type a value must have, by the type of its field's default
-# (a None default is worked out at run time and checked there).  bool is
-# a subclass of int in Python, so int and float fields refuse it apart.
+# The JSON type of a value, and of each list entry, by its default's (a
+# None default is worked out at run time and checked there).  bool is a
+# subclass of int in Python, so int and float fields refuse it apart.
 _JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
                float: ((int, float), "a number"), str: ((str,), "a string"),
                list: ((list,), "a list"), tuple: ((list,), "a list")}
@@ -93,6 +94,8 @@ def _check_type(value, default, name):
     if not isinstance(value, types) or (isinstance(value, bool)
                                         and not isinstance(default, bool)):
         raise ConfigError(f"config field {name} must be {what}, got {value!r}")
+    for n, entry in enumerate(value if types == (list,) and default else ()):
+        _check_type(entry, default[0], f"{name}[{n}]")
 
 
 def _fill(spec, section, path):
@@ -346,12 +349,11 @@ def _existence_cell(c, sys, loss, m, s, out):
 
     Its W0 is freed on return, so no two cells' W0 are held at once.
     """
-    T_max = int(c["T_max"])
     W0, A0, B = sample_init(np.random.default_rng([int(s), m]), m, sys.d, sys.d_y)
     # probe sequences of length T_max, drawn like the default data
-    dataset = generate_dataset(sys, **{**DATA, "T": T_max, **c["probe"]},
+    dataset = generate_dataset(sys, **{**DATA, "T": c["T_max"], **c["probe"]},
                                seed=s + 500)
-    comp = construct_comparator(W0, A0, B, sys, float(c["rho"]), T_max)
+    comp = construct_comparator(W0, A0, B, sys, float(c["rho"]), c["T_max"])
     report = verify_existence(comp, dataset, loss, W0, B)
     save_comparator(comp, report, os.path.join(out, f"cell_m{m}_s{s}"))
     return report

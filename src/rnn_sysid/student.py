@@ -45,20 +45,51 @@ class StudentRNN:
         return self.B.shape[0]
 
 
-def init_student(m, d, d_y, rho, seed):
-    """W~ ~ N(0, rho/m), A ~ N(0, 1/m), B ~ N(0, 1/d_y), all i.i.d.
+DRAW_ROWS = 256   # sample_W0's row block: 8 MB of float64 at m = 4096
 
-    The student holds W = W~ / rho, with W0 = W and A0 = A as anchors.
+
+def sample_W0(rng, m, dtype=np.float64):
+    """W0 ~ N(0, 1/m) i.i.d., drawn DRAW_ROWS rows at a time into `dtype`.
+
+    The generator fills values in order, so the row blocks hold the values
+    of one (m, m) draw, cast to `dtype`; no float64 m x m array is held
+    beside a narrower copy.  Each block is filled by `standard_normal` and
+    scaled in place: the values and the generator's end state are those of
+    `rng.normal(0, sqrt(1/m))`, without its temporary.  A float64 W0 is
+    filled in place, a narrower one through one float64 row block.
     """
+    W0 = np.empty((m, m), dtype=dtype)
+    buf = None if W0.dtype == np.float64 else np.empty((min(DRAW_ROWS, m), m))
+    for i in range(0, m, DRAW_ROWS):
+        rows = W0[i:i + DRAW_ROWS]
+        block = rows if buf is None else buf[:len(rows)]
+        rng.standard_normal(out=block)
+        block *= np.sqrt(1.0 / m)
+        if buf is not None:
+            rows[...] = block
+    return W0
+
+
+def sample_init(rng, m, d, d_y):
+    """The initialization (W0, A0, B), drawn from `rng` in that order."""
+    W0 = sample_W0(rng, m)
+    A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, d))
+    B = rng.normal(0.0, np.sqrt(1.0 / d_y), size=(d_y, m))
+    return W0, A0, B
+
+
+def init_student(m, d, d_y, rho, seed):
+    """`sample_init(default_rng(seed), m, d, d_y)` with W scaled by
+    rho^(-1/2), and W0 = W and A0 = A as anchors."""
     if not (0.0 < rho < 1.0):
         raise ParameterError(f"rho must lie in (0, 1), got {rho}")
     if m < 1 or d < 1 or d_y < 1:
         raise DimensionError("dimensions must be positive")
-    rng = np.random.default_rng(seed)
-    W = rng.normal(0.0, np.sqrt(rho / m), size=(m, m))
-    W /= rho
-    A = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, d))
-    B = rng.normal(0.0, np.sqrt(1.0 / d_y), size=(d_y, m))
+    W, A, B = sample_init(np.random.default_rng(seed), m, d, d_y)
+    # W~ = rho W ~ N(0, rho/m), not the lemmas' N(0, 1/m): that law fails
+    # train_small's loss_ratio <= 0.01 gate at 6 of seeds 0-15 (schema.md,
+    # "Student initialization"), so it waits for a change of its own
+    W *= rho ** -0.5
     return StudentRNN(W=W, A=A, B=B, rho=float(rho), W0=W.copy(), A0=A.copy(),
                       seed=int(seed))
 

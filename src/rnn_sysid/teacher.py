@@ -13,8 +13,6 @@ from .linalg import (DimensionError, haar_orthogonal, lag_ladder,
                      operator_norm, recurrence, spectral_radius)
 from .store import load_arrays, save_arrays
 
-INPUT_SPECS = ("iid_gaussian_unit", "iid_uniform_sphere")
-
 # rho(C) == rho_C exactly for the orthogonal teacher construction, so the
 # certificate accepts equality up to roundoff.
 _RADIUS_SLACK = 1e-9
@@ -129,14 +127,6 @@ class SequenceDataset:
     def T(self):
         return self.inputs.shape[1]
 
-    @property
-    def d(self):
-        return self.inputs.shape[2]
-
-    @property
-    def d_y(self):
-        return self.clean_outputs.shape[2]
-
 
 def _draw_inputs(rng, T, d, input_spec):
     if input_spec == "iid_gaussian_unit":
@@ -163,8 +153,6 @@ def generate_dataset(sys, input_spec, noise_sigma, T, K, seed):
         raise ParameterError("T and K must be positive")
     if noise_sigma < 0:
         raise ParameterError("noise_sigma must be >= 0")
-    if input_spec not in INPUT_SPECS:
-        raise ParameterError(f"unknown input_spec {input_spec!r}")
     X = np.empty((K, T, sys.d))
     Yc = np.empty((K, T, sys.d_y))
     Yo = np.empty((K, T, sys.d_y))

@@ -7,6 +7,7 @@ inequality as an (observed, bound) pair.  Probabilistic claims are
 asserted via pass fractions, never per-trial hard assertions.
 """
 
+import inspect
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -19,13 +20,13 @@ from .linalg import (causal_fir, frob, lag_ladder, log_slope,
                      recurrence)
 from .schedule import rho_1_of_m, theory_schedule
 from .store import write_json
-from .student import linearized_forward, linearized_kernel
+from .student import (linearized_forward, linearized_kernel, sample_init,
+                      sample_W0)
 from .teacher import ParameterError
 
 REPORT_FORMAT_VERSION = 2
 THRESHOLD = 0.95  # every report's pass fraction is scored against it
 POWER_ITERS = 4   # block Krylov iterations of (c) at k <= 3; one fewer above
-DRAW_ROWS = 256   # sample_W0's row block: 8 MB of float64 at m = 4096
 
 
 @dataclass
@@ -112,36 +113,6 @@ def _unit_frob(rng, shape):
 def _unit_vec(rng, n):
     v = rng.normal(size=n)
     return v / np.linalg.norm(v)
-
-
-def sample_W0(rng, m, dtype=np.float64):
-    """W0 ~ N(0, 1/m) i.i.d., drawn DRAW_ROWS rows at a time into `dtype`.
-
-    The generator fills values in order, so the row blocks hold the values
-    of one (m, m) draw, cast to `dtype`; no float64 m x m array is held
-    beside a narrower copy.  Each block is filled by `standard_normal` and
-    scaled in place: the values and the generator's end state are those of
-    `rng.normal(0, sqrt(1/m))`, without its temporary.  A float64 W0 is
-    filled in place, a narrower one through one float64 row block.
-    """
-    W0 = np.empty((m, m), dtype=dtype)
-    buf = None if W0.dtype == np.float64 else np.empty((min(DRAW_ROWS, m), m))
-    for i in range(0, m, DRAW_ROWS):
-        rows = W0[i:i + DRAW_ROWS]
-        block = rows if buf is None else buf[:len(rows)]
-        rng.standard_normal(out=block)
-        block *= np.sqrt(1.0 / m)
-        if buf is not None:
-            rows[...] = block
-    return W0
-
-
-def sample_init(rng, m, d, d_y):
-    """The initialization (W0, A0, B), drawn from `rng` in that order."""
-    W0 = sample_W0(rng, m)
-    A0 = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, d))
-    B = rng.normal(0.0, np.sqrt(1.0 / d_y), size=(d_y, m))
-    return W0, A0, B
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +358,12 @@ def linearization_residuals(W0, A0, B, U, V, rho, x, omega_grid):
         for omega in omega_grid]
 
 
+def _check_omega_grid(omega_grid, rho_0):  # the bound holds on the ball only
+    if max(omega_grid, default=0.0) > 1.0 / rho_0 - 1.0:
+        raise ParameterError(f"omega {max(omega_grid)} exceeds omega_0 "
+                             f"{1.0 / rho_0 - 1.0}")
+
+
 def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
                          trials=20, seed=0, rho_0=0.9, T=12, d=4, d_y=2):
     """Residual of the first-order expansion of f_t around initialization.
@@ -396,9 +373,7 @@ def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
     at least two points).  Uses the practical decay rho = rho_0.
     """
     omega_grid = sorted(omega_grid)
-    omega_0 = 1.0 / rho_0 - 1.0
-    if max(omega_grid, default=0.0) > omega_0:
-        raise ValueError(f"omega {omega_grid[-1]} exceeds omega_0 {omega_0}")
+    _check_omega_grid(omega_grid, rho_0)
     inst = {"bound": [], "slope": []}
     bounds = [768.0 * np.sqrt(m) * omega**2 / (1.0 - rho_0) ** 5
               for omega in omega_grid]
@@ -509,11 +484,11 @@ ALL_LEMMAS = {
 
 
 def lemma_kwargs(name, **kwargs):
-    """The keywords `run_lemma` passes to lemma `name`: those given as None
-    are dropped (each takes its default), and `trials`, `m` and `seed` must
-    be integers of at least 1, 2 and 0: a report over no trials tests
-    nothing, below m = 2 the bounds' log m is zero or undefined, and
-    numpy's generators take no negative seed."""
+    """The keywords `run_lemma` passes to lemma `name`, those given as None
+    dropped (each takes its default).  `trials`, `m` and `seed` must be
+    integers of at least 1, 2 and 0 (no trials test nothing, below m = 2
+    log m is zero or undefined, numpy's generators take no negative seed),
+    and linearization's `omega_grid` must lie in its omega_0 ball."""
     if name not in ALL_LEMMAS:
         raise ValueError(f"unknown lemma {name!r}; choose from {sorted(ALL_LEMMAS)}")
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
@@ -523,6 +498,10 @@ def lemma_kwargs(name, **kwargs):
             raise ParameterError(f"{key} must be an integer, got {value!r}")
         if value < low:
             raise ParameterError(f"{key} must be >= {low}, got {value!r}")
+    if name == "linearization":
+        args = inspect.signature(verify_linearization).bind(**kwargs)
+        args.apply_defaults()
+        _check_omega_grid(args.arguments["omega_grid"], args.arguments["rho_0"])
     return kwargs
 
 

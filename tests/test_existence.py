@@ -13,10 +13,10 @@ from rnn_sysid.existence import (ConditioningError, construct_comparator,
 from rnn_sysid.harness import run_experiment
 from rnn_sysid.linalg import frob
 from rnn_sysid.losses import make_loss
-from rnn_sysid.student import forward_rescaled, linearized_forward
+from rnn_sysid.student import (forward_rescaled, linearized_forward,
+                               sample_init)
 from rnn_sysid.teacher import (generate_dataset, impulse_response,
                                random_stable_system)
-from rnn_sysid.verify import sample_init
 
 
 def _init(m, d, d_y, seed=0):

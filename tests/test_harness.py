@@ -21,7 +21,7 @@ from rnn_sysid.student import init_student
 from rnn_sysid.teacher import (ParameterError, generate_dataset,
                                random_stable_system, save_dataset)
 from rnn_sysid.trainer import sgd_train
-from rnn_sysid.verify import ALL_LEMMAS, verify_tail
+from rnn_sysid.verify import ALL_LEMMAS, verify_linearization, verify_tail
 
 TRAIN_CFG = {
     "kind": "train",
@@ -79,6 +79,9 @@ _UNKNOWN_FIELDS = [
      "lemma_params.tail.threshold"),
     ({"kind": "verify", "lemma_params": {"spectral": {"power_iters": 1}}},
      "lemma_params.spectral.power_iters"),
+    # the top-level seed is every lemma's
+    ({"kind": "verify", "lemma_params": {"tail": {"seed": 1}}},
+     "lemma_params.tail.seed"),
 ]
 
 
@@ -102,6 +105,15 @@ _WRONG_TYPES = [
     # values of sections that fill nothing in
     ({"kind": "verify", "lemmas": ["tail"],
       "lemma_params": {"tail": {"trials": "2"}}}, "lemma_params.tail.trials"),
+    # each list entry has the type of its default's entries
+    ({"kind": "existence", "m_grid": [64.0], "seeds": [0]}, "m_grid[0]"),
+    ({"kind": "sweep", "m_grid": [16, True], "seeds": [0]}, "m_grid[1]"),
+    ({"kind": "verify", "lemmas": ["tail"], "m": 16, "trials": 1,
+      "lemma_params": {"tail": {"tau_grid": [1, 2.5]}}},
+     "lemma_params.tail.tau_grid[1]"),
+    ({"kind": "verify", "lemmas": ["linearization"], "m": 16, "trials": 1,
+      "lemma_params": {"linearization": {"omega_grid": ["0.01"]}}},
+     "lemma_params.linearization.omega_grid[0]"),
 ]
 
 
@@ -116,6 +128,9 @@ def test_wrong_value_type_rejected(cfg, path, tmp_path):
 def test_integer_accepted_for_a_float_field():
     c = harness.resolve_config({"kind": "train", "data": {"noise_sigma": 0}})
     assert c["data"]["noise_sigma"] == 0
+    c = harness.resolve_config({"kind": "verify", "lemma_params": {
+        "linearization": {"omega_grid": [0, 0.01]}}})
+    assert c["lemma_params"]["linearization"]["omega_grid"] == [0, 0.01]
 
 
 def test_lemmas_take_a_name_or_a_list():
@@ -474,6 +489,24 @@ def test_verify_refuses_a_later_lemma_before_any_report(tmp_path):
         main(["verify", "--lemma", "tail", "--m", "1",
               "--out", str(tmp_path / "d")])
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("params", [
+    {"omega_grid": [0.5]},
+    # the default grid reaches 0.03, past omega_0 = 1/0.99 - 1
+    {"rho_0": 0.99}])
+def test_verify_refuses_an_omega_past_omega_0_before_any_report(tmp_path,
+                                                                params):
+    # the bound holds on the omega_0 ball only; the run stops before it
+    # writes its config or the earlier lemma's report
+    cfg = {"kind": "verify", "lemmas": ["tail", "linearization"], "m": 16,
+           "trials": 1, "lemma_params": {"linearization": params}}
+    with pytest.raises(ParameterError, match="exceeds omega_0"):
+        run_experiment(cfg, out_dir=str(tmp_path / "v"))
+    assert not (tmp_path / "v").exists()
+    # a direct call reaches the same check
+    with pytest.raises(ParameterError, match="exceeds omega_0"):
+        verify_linearization(m=16, trials=1, **params)
 
 
 def test_existence_kind(tmp_path):

@@ -10,7 +10,8 @@ from rnn_sysid.linalg import (DimensionError, causal_fir, frob,
                               haar_orthogonal, log_slope, matrix_power_opnorm,
                               operator_norm, operator_norm_fast, recurrence,
                               spectral_radius, transposed_copy)
-from rnn_sysid.verify import POWER_ITERS, sample_W0
+from rnn_sysid.student import sample_W0
+from rnn_sysid.verify import POWER_ITERS
 
 
 def test_spectral_radius_diagonal():

@@ -6,7 +6,7 @@ import pytest
 from rnn_sysid.gradients import jvp_f_all_t
 from rnn_sysid.student import (forward_rescaled, init_student,
                                linearized_forward, load_checkpoint,
-                               save_checkpoint)
+                               sample_init, save_checkpoint)
 from rnn_sysid.teacher import ParameterError
 
 
@@ -17,11 +17,26 @@ def _setup(m=48, d=3, d_y=2, rho=0.9, seed=0, T=10):
 
 
 def test_init_scales():
+    # sample_init's W0 ~ N(0, 1/m), scaled by rho^(-1/2): the trained
+    # recurrence matrix W~ = rho W is N(0, rho/m)
     rnn = init_student(4096, 3, 2, 0.9, 1)
+    assert np.std(rnn.W) == pytest.approx(np.sqrt(1.0 / (0.9 * 4096)), rel=0.05)
     W_tilde = rnn.rho * rnn.W
     assert np.std(W_tilde) == pytest.approx(np.sqrt(0.9 / 4096), rel=0.05)
     assert np.std(rnn.A) == pytest.approx(np.sqrt(1.0 / 4096), rel=0.05)
     assert np.std(rnn.B) == pytest.approx(np.sqrt(1.0 / 2), rel=0.05)
+
+
+@pytest.mark.parametrize("m, rho, seed", [(64, 0.9, 7), (300, 0.5, 0)])
+def test_init_student_is_sample_init_with_w_scaled(m, rho, seed):
+    # one sampler: A0 and B are sample_init's, bit for bit, and W0 is its
+    # W0 after the one scale by rho^(-1/2)
+    rnn = init_student(m, 3, 2, rho, seed)
+    W0, A0, B = sample_init(np.random.default_rng(seed), m, 3, 2)
+    W0 *= rho ** -0.5
+    assert rnn.A0.tobytes() == A0.tobytes() and rnn.B.tobytes() == B.tobytes()
+    assert rnn.W0.tobytes() == W0.tobytes()
+    assert rnn.W.tobytes() == W0.tobytes() and rnn.A.tobytes() == A0.tobytes()
 
 
 def test_init_rejects_bad_rho():

@@ -11,7 +11,8 @@ spec.loader.exec_module(bench_pairs)
 
 
 def side(value, hashes, failed=0):
-    return {"info": {"artifact_hashes": hashes},
+    op = ["train.loss_ratio", False, "0.01139 <= 0.01"]
+    return {"info": {"artifact_hashes": hashes, "failed_ops": [op] * failed},
             "result": {"metrics": {"compute_s": {"value": value}},
                        "failed": failed, "attempted": 4}}
 
@@ -19,7 +20,8 @@ def side(value, hashes, failed=0):
 def pairs(parent, change, workload="certify", hashes=None, failed=(0, 0)):
     """One pair per (parent, change) value; `hashes` maps a pair's index to
     its change side's artifact hashes (the parent's are {"a": "1"}), and
-    `failed` is each side's failed operations per call, of 4 attempted."""
+    `failed` is each side's failed operations per call, of 4 attempted,
+    each listed in its `info` line's `failed_ops`."""
     hashes = hashes or {}
     return [{"workload": workload, "seed": 100 + n, "first": "parent",
              "parent": side(p, {"a": "1"}, failed[0]),
@@ -42,6 +44,7 @@ def test_summarize_medians_quartiles_and_wins():
     assert row["unresolved"] is False
     assert doc["certify"]["seeds"] == [100, 101, 102, 103, 104]
     assert doc["certify"]["failed"] == {"parent": 0, "change": 0}
+    assert doc["certify"]["failed_ops"] == {"parent": [], "change": []}
     assert doc["certify"]["attempted"] == {"parent": 20, "change": 20}
 
 
@@ -118,3 +121,14 @@ def test_gain_shown_is_refused_when_more_operations_fail():
     # one of 4 operations fails in each change call, none in the parent's
     assert shown((0, 1)) is False
     assert shown((1, 2)) is False
+
+
+def test_summary_names_each_failed_operation_with_its_seed():
+    rows = pairs([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], failed=(0, 1))
+    rows[1]["parent"] = side(1.0, {"a": "1"}, failed=2)
+    doc = bench_pairs.summarize(rows, {"compute_s": 0.24})
+    op = ["train.loss_ratio", "0.01139 <= 0.01"]
+    assert doc["certify"]["failed_ops"] == {
+        "parent": [[101, *op], [101, *op]],
+        "change": [[100, *op], [101, *op], [102, *op]]}
+    assert doc["certify"]["failed"] == {"parent": 2, "change": 3}

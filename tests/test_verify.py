@@ -10,11 +10,12 @@ import rnn_sysid.verify
 from oracles import longdouble_forward
 from rnn_sysid.linalg import operator_norm_fast, power_dtype
 from rnn_sysid.schedule import rho_1_of_m
+from rnn_sysid.student import sample_init, sample_W0
 from rnn_sysid.teacher import ParameterError
 from rnn_sysid.verify import (ALL_LEMMAS, LemmaReport, _at_most, _finish,
                               _power_norms, _unit_frob, _unit_vec,
                               linearization_residuals,
-                              run_lemma, sample_init, sample_W0, tail_norms,
+                              run_lemma, tail_norms,
                               verify_concentration,
                               verify_linearization, verify_spectral,
                               verify_tail, verify_truncation)

@@ -20,11 +20,14 @@ to tell a change within the bound from none.  A metric's `gain_shown` is
 the repo's rule for claiming a gain: the change wins at least nine pairs
 in ten, the parent's median exceeds the change's by more than the
 parent's interquartile distance, and the change's share of failed
-operations (failed over attempted) is no larger than the parent's.  It
-also lists, per workload, the artifacts whose hashes differ between the
-two calls of any pair (`artifacts_differ`; both calls of a pair run the
-same seed), so "same outputs" is measured rather than assumed.  After
-each pair it prints both sides' value of every end-to-end metric.
+operations (failed over attempted) is no larger than the parent's.  The
+summary names each side's failed operations as [seed, op, detail], read
+from the `failed_ops` of the stored `info` lines, so a changed failed
+share names its seeds.  It also lists, per workload, the artifacts whose
+hashes differ between the two calls of any pair (`artifacts_differ`;
+both calls of a pair run the same seed), so "same outputs" is measured
+rather than assumed.  After each pair it prints both sides' value of
+every end-to-end metric.
 """
 
 import argparse
@@ -92,6 +95,9 @@ def summarize(pairs, bound):
         summary[workload] = {
             "seeds": [p["seed"] for p in rows],
             "failed": failed,
+            "failed_ops": {side: [[p["seed"], op, detail] for p in rows for
+                                  op, _, detail in p[side]["info"]["failed_ops"]]
+                           for side in ("parent", "change")},
             "attempted": attempted,
             "artifacts_differ": artifacts_differ(rows),
             "metrics": metrics}
