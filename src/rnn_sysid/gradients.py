@@ -2,7 +2,8 @@
 
 Directional derivatives (JVPs) run a tangent copy of the forward
 recurrence; full loss gradients use the reverse-mode adjoint recursion.
-Forward, tangent and adjoint are each one call to `linalg.recurrence`.
+Forward and adjoint are each one call to `linalg.recurrence`, the
+tangent one to `linalg.tangent_recurrence`.
 The W-gradient has rank <= T-1 and stays as its two T x m factors.
 """
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import recurrence
+from .linalg import recurrence, tangent_recurrence
 from .losses import eval_loss
 
 
@@ -34,16 +35,12 @@ def tangent_states(W, A, rho, x, Z_W, Z_A):
     """Tangent states u_t along (Z_W, Z_A); either direction may be None.
 
     Tangent recurrence u_t = rho W u_{t-1} + rho Z_W g_{t-1} + Z_A x_t over
-    the forward states g_t; its drive is formed for all t at once.
+    the forward states g_t: one `tangent_recurrence` call.
     """
     x = np.asarray(x, dtype=float)
     G = recurrence(x @ A.T, W.T, rho)
-    drive = np.zeros_like(G)
-    if Z_A is not None:
-        drive += x @ Z_A.T
-    if Z_W is not None:
-        drive[1:] += rho * (G[:-1] @ Z_W.T)
-    return recurrence(drive, W.T, rho)
+    return tangent_recurrence(G, None if Z_W is None else Z_W.T, W.T, rho,
+                              None if Z_A is None else x @ Z_A.T)
 
 
 def jvp_f_all_t(W, A, B, rho, x, Z_W=None, Z_A=None):

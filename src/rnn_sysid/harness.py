@@ -138,10 +138,11 @@ def resolve_config(config, seed_override=None):
     """`config` checked against SCHEMA at every depth, defaults filled in.
 
     Raises ConfigError naming the dotted path of an unknown field, of a
-    value whose JSON type differs from its default's, or of a seed
-    (`seed`, after `seed_override`, each `seeds` entry and `teacher.seed`)
-    that is not a non-negative integer.  The defaults that need the
-    teacher or the width are left to `_derive`.
+    value whose JSON type differs from its default's, of a seed (`seed`,
+    after `seed_override`, each `seeds` entry and `teacher.seed`) that is
+    not a non-negative integer, or of a width or count (`T_max`,
+    `probe.K`, `student.m`, each `m_grid` entry) below 1.  The defaults
+    that need the teacher or the width are left to `_derive`.
     """
     kind = config.get("kind")
     if kind not in SCHEMA:
@@ -157,6 +158,12 @@ def resolve_config(config, seed_override=None):
         c["seeds"] = [_seed(s, f"seeds[{n}]") for n, s in enumerate(c["seeds"])]
     if "teacher" in c:
         c["teacher"]["seed"] = _seed(c["teacher"]["seed"], "teacher.seed")
+    sizes = {"T_max": c.get("T_max"), "probe.K": c.get("probe", {}).get("K"),
+             "student.m": c.get("student", {}).get("m"),
+             **{f"m_grid[{n}]": m for n, m in enumerate(c.get("m_grid", ()))}}
+    for name, value in sizes.items():  # none may be 0: the run would die part way
+        if value is not None and value < 1:
+            raise ConfigError(f"config field {name} must be >= 1, got {value!r}")
     if kind == "train" and c["dataset_path"] is not None:
         beside = [key for key in ("teacher", "data") if key in config]
         if beside:

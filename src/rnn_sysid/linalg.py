@@ -36,6 +36,17 @@ def recurrence(U, M, scale=1.0):
     return G
 
 
+def tangent_recurrence(G, Z, M, scale=1.0, U=None):
+    """Tangent of G = recurrence(., M, scale) along M -> M + Z: the
+    recurrence driven by scale G[t-1] @ Z, every block row in one GEMM,
+    plus U[t] where the drive moved too.  A Z or U of None is zero."""
+    drive = np.zeros(G.shape) if U is None else np.array(U, dtype=float)
+    if Z is not None:
+        rows = G[:-1].reshape(-1, G.shape[-1])
+        drive[1:] += scale * (rows @ Z).reshape(G[:-1].shape)
+    return recurrence(drive, M, scale)
+
+
 def lag_ladder(W, A, rho, tau):
     """(rho^j W^j A)^T for j = 0..tau, stacked as a (tau+1) x d x m array.
 

@@ -42,8 +42,14 @@ class TheorySchedule:
         return dict(self.__dict__)
 
 
-def rho_1_of_m(m):
-    return 1.0 / (1.0 + 10.0 * math.log(m) ** 2 / math.sqrt(m))
+def decay_split(rho_0, m):
+    """(rho_1, rho, omega_0, L) at width m: the width's decay rho_1, the
+    theory rate rho = rho_1 rho_0^2, the radius omega_0 = 1/rho_0 - 1 of
+    the ball around W0, and the spectral bounds' cutoff L = max(1,
+    floor(sqrt(m) / log m))."""
+    rho_1 = 1.0 / (1.0 + 10.0 * math.log(m) ** 2 / math.sqrt(m))
+    return (rho_1, rho_1 * rho_0**2, 1.0 / rho_0 - 1.0,
+            max(1, int(math.sqrt(m) / math.log(m))))
 
 
 def solve_T_max(epsilon, delta, rho_0, c_rho, m):
@@ -77,8 +83,7 @@ def theory_schedule(epsilon, delta, rho_0, c_rho, m, l0=1.0):
     if m < 2:
         raise ParameterError("m must be >= 2")
 
-    rho_1 = rho_1_of_m(m)
-    rho = rho_1 * rho_0**2
+    rho_1, rho, omega_0, L_cutoff = decay_split(rho_0, m)
     T_max = solve_T_max(epsilon, delta, rho_0, c_rho, m)
     b = math.sqrt(math.log(T_max / delta))
     nu = epsilon**2 * (1.0 - rho_0) ** 12 / (
@@ -88,28 +93,10 @@ def theory_schedule(epsilon, delta, rho_0, c_rho, m, l0=1.0):
     K = max(1, int(math.ceil(T_max**4 * b**4 / (nu * epsilon**2))))
     m_star = (c_rho**2 * K**4 * (1.0 - rho_0) ** 8 * epsilon**2 / b**6
               + 1.0 / delta)
-    omega_0 = 1.0 / rho_0 - 1.0
     omega = K * eta * 32.0 * math.sqrt(m) / (1.0 - rho_0) ** 3 * l0 * (1.0 + 2.0 * b)
-    L_cutoff = max(1, int(math.sqrt(m) / math.log(m)))
     return TheorySchedule(
-        epsilon=float(epsilon),
-        delta=float(delta),
-        rho_0=float(rho_0),
-        c_rho=float(c_rho),
-        m=int(m),
-        l0=float(l0),
-        rho_1=rho_1,
-        rho=rho,
-        T_max=T_max,
-        b=b,
-        nu=nu,
-        eta=eta,
-        K=K,
-        m_star=m_star,
-        omega=omega,
-        omega_0=omega_0,
-        L_cutoff=L_cutoff,
-        tau=T_max,
-        R=b * T_max**2,
-        outside_theory_regime=bool(m < m_star),
-    )
+        epsilon=float(epsilon), delta=float(delta), rho_0=float(rho_0),
+        c_rho=float(c_rho), m=int(m), l0=float(l0), rho_1=rho_1, rho=rho,
+        T_max=T_max, b=b, nu=nu, eta=eta, K=K, m_star=m_star, omega=omega,
+        omega_0=omega_0, L_cutoff=L_cutoff, tau=T_max, R=b * T_max**2,
+        outside_theory_regime=bool(m < m_star))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, causal_fir, lag_ladder, recurrence
+from .linalg import (DimensionError, causal_fir, lag_ladder, recurrence,
+                     tangent_recurrence)
 from .store import load_arrays, save_arrays
 from .teacher import ParameterError
 
@@ -109,14 +110,12 @@ def forward_rescaled(W, A, B, rho, x):
 
 def linearized_kernel(W0, A0, dW, A, B, rho, tau):
     """The `causal_fir` kernel of `linearized_forward` at lags 0..tau."""
-    # per-lag ladders: [M0_j | M_j] = rho^j W0^j [A0 | A], and the
-    # W-directional term S_j = rho W0 S_{j-1} + rho dW M0_{j-1}
-    m, d = A0.shape
+    # per-lag ladders: [M0_j | M_j] = rho^j W0^j [A0 | A], and M0's tangent
+    # along dW, S_j = rho W0 S_{j-1} + rho dW M0_{j-1}
+    d = A0.shape[1]
     ladder = lag_ladder(W0, np.hstack([A0, A]), rho, tau)
-    M0 = ladder[:-1, :d]
-    drive = np.zeros((len(ladder), d, m))
-    drive[1:] = rho * (M0.reshape(-1, m) @ dW.T).reshape(M0.shape)
-    return (ladder[:, d:] + recurrence(drive, W0.T, rho)) @ B.T
+    return (ladder[:, d:]
+            + tangent_recurrence(ladder[:, :d], dW.T, W0.T, rho)) @ B.T
 
 
 def linearized_forward(W0, A0, dW, A, B, rho, x, taus):

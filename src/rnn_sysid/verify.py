@@ -17,8 +17,8 @@ import numpy as np
 from .gradients import tangent_states
 from .linalg import (causal_fir, frob, lag_ladder, log_slope,
                      matrix_power_opnorm, operator_norm_fast, power_dtype,
-                     recurrence)
-from .schedule import rho_1_of_m, theory_schedule
+                     recurrence, tangent_recurrence)
+from .schedule import decay_split, theory_schedule
 from .store import write_json
 from .student import (linearized_forward, linearized_kernel, sample_init,
                       sample_W0)
@@ -156,10 +156,7 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8):
     (rho (s + omega_0))^t, an upper value over the whole ball by Weyl's
     inequality (schema.md).
     """
-    rho_1 = rho_1_of_m(m)
-    L = max(1, int(np.sqrt(m) / np.log(m)))
-    omega_0 = 1.0 / rho_0 - 1.0
-    rho = rho_1 * rho_0**2
+    rho_1, rho, omega_0, L = decay_split(rho_0, m)
     ks_c = np.unique(np.round(np.geomspace(1, 2 * L, grid_points))
                      .astype(int)).tolist()
     ks_ab = sorted(set(ks_c) | {4 * L})
@@ -269,17 +266,14 @@ def tail_norms(W, A0, B, Q, Q2, Z, rho, tau_grid):
     Reversed-drive recurrences give every H[t] = sum_{s >= t} (rho W)^{s-t}
     A0 Z_s at once (and likewise with Q), and the ladder P[j] = rho^j B W^j
     shifts each to its lag.  The double tail is the Q2-tangent of
-    P[tau-1] rho H[tau]: one tangent recurrence for each factor.
+    P[tau-1] rho H[tau]: one `tangent_recurrence` for each factor, H's on
+    the time-reversed states.
     """
     P = lag_ladder(W.T, B.T, rho, max(tau_grid))
     HQ = recurrence((Z @ Q.T)[::-1], W.T, rho)[::-1]
-    H = recurrence((Z @ A0.T)[::-1], W.T, rho)[::-1]
-    drive = np.zeros_like(H)
-    drive[:-1] = rho * (H[1:] @ Q2.T)
-    dH = recurrence(drive[::-1], W.T, rho)[::-1]
-    drive = np.zeros_like(P)
-    drive[1:] = rho * (P[:-1] @ Q2)
-    dP = recurrence(drive, W, rho)
+    H_rev = recurrence((Z @ A0.T)[::-1], W.T, rho)
+    H, dH = H_rev[::-1], tangent_recurrence(H_rev, Q2.T, W.T, rho)[::-1]
+    dP = tangent_recurrence(P, Q2, W, rho)
     singles = [np.linalg.norm(P[tau] @ HQ[tau]) for tau in tau_grid]
     doubles = [np.linalg.norm(rho * (dP[j] @ H[j + 1] + P[j] @ dH[j + 1]))
                for j in (max(tau, 1) - 1 for tau in tau_grid)]
@@ -299,8 +293,7 @@ def verify_tail(m=256, tau_grid=(1, 2, 4, 8, 16, 30), trials=20, seed=0,
     monotone: neither tail grows with tau (to 1e-12); one pair per instance
     """
     tau_grid = sorted(tau_grid)
-    rho = rho_1_of_m(m) * rho_0**2
-    omega_0 = 1.0 / rho_0 - 1.0
+    _, rho, omega_0, _ = decay_split(rho_0, m)
     N = max(tau_grid) + 40
     inst = {"single": [], "double": [], "monotone": []}
     for r in range(trials):
@@ -351,17 +344,19 @@ def linearization_residuals(W0, A0, B, U, V, rho, x, omega_grid):
     U j_{t-1}, e_{-1} = 0: it is propagated, not differenced.
     """
     J = tangent_states(W0, A0, rho, x, U, V)
+    # not a tangent at the states' own matrix: the remainder runs on
+    # W0 + omega U, and this one drive serves every omega
     drive = np.zeros_like(J)
-    drive[1:] = rho * (J[:-1] @ U.T)  # shared across omega
+    drive[1:] = rho * (J[:-1] @ U.T)
     return [float(np.max(np.linalg.norm(recurrence(
         omega**2 * drive, (omega * U + W0).T, rho) @ B.T, axis=1)))
         for omega in omega_grid]
 
 
-def _check_omega_grid(omega_grid, rho_0):  # the bound holds on the ball only
-    if max(omega_grid, default=0.0) > 1.0 / rho_0 - 1.0:
-        raise ParameterError(f"omega {max(omega_grid)} exceeds omega_0 "
-                             f"{1.0 / rho_0 - 1.0}")
+def _check_omega_grid(omega_grid, rho_0, m):  # the bound holds on the ball only
+    omega_0 = decay_split(rho_0, m)[2]
+    if max(omega_grid, default=0.0) > omega_0:
+        raise ParameterError(f"omega {max(omega_grid)} exceeds omega_0 {omega_0}")
 
 
 def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
@@ -373,7 +368,7 @@ def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
     at least two points).  Uses the practical decay rho = rho_0.
     """
     omega_grid = sorted(omega_grid)
-    _check_omega_grid(omega_grid, rho_0)
+    _check_omega_grid(omega_grid, rho_0, m)
     inst = {"bound": [], "slope": []}
     bounds = [768.0 * np.sqrt(m) * omega**2 / (1.0 - rho_0) ** 5
               for omega in omega_grid]
@@ -488,10 +483,14 @@ def lemma_kwargs(name, **kwargs):
     dropped (each takes its default).  `trials`, `m` and `seed` must be
     integers of at least 1, 2 and 0 (no trials test nothing, below m = 2
     log m is zero or undefined, numpy's generators take no negative seed),
-    and linearization's `omega_grid` must lie in its omega_0 ball."""
+    every grid (`*_grid`, `grid_points`) must hold a point, and
+    linearization's `omega_grid` must lie in its omega_0 ball."""
     if name not in ALL_LEMMAS:
         raise ValueError(f"unknown lemma {name!r}; choose from {sorted(ALL_LEMMAS)}")
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
+    for key, value in kwargs.items():  # a grid of no points tests nothing
+        if "grid" in key and (len(value) if key.endswith("_grid") else value) < 1:
+            raise ParameterError(f"{key} must hold at least one point, got {value!r}")
     for key, low in (("trials", 1), ("m", 2), ("seed", 0)):
         value = kwargs.get(key, low)
         if not isinstance(value, numbers.Integral):
@@ -501,7 +500,7 @@ def lemma_kwargs(name, **kwargs):
     if name == "linearization":
         args = inspect.signature(verify_linearization).bind(**kwargs)
         args.apply_defaults()
-        _check_omega_grid(args.arguments["omega_grid"], args.arguments["rho_0"])
+        _check_omega_grid(*map(args.arguments.get, ("omega_grid", "rho_0", "m")))
     return kwargs
 
 

@@ -443,6 +443,43 @@ def test_seeds_must_be_non_negative_integers(tmp_path, cfg, seed_override,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg, field", [
+    ({"kind": "existence", "m_grid": [16], "T_max": 0}, "T_max"),
+    ({"kind": "existence", "m_grid": [16], "probe": {"K": 0}}, "probe.K"),
+    ({"kind": "existence", "m_grid": [16, 0]}, "m_grid[1]"),
+    ({"kind": "sweep", "m_grid": [0]}, "m_grid[0]"),
+    ({"kind": "train", "student": {"m": 0}}, "student.m"),
+    ({"kind": "train", "student": {"m": -4}}, "student.m"),
+])
+def test_widths_and_counts_below_one_are_refused(tmp_path, cfg, field):
+    # each would die part way (a ZeroDivisionError, or a ParameterError
+    # from the dataset), after config.json is written
+    out = tmp_path / "r"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"config field {field} must be >= 1")):
+        run_experiment(cfg, out_dir=str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lemma, params", [
+    ("spectral", {"grid_points": 0}),
+    ("tail", {"tau_grid": []}),
+    ("truncation", {"tau_grid": []}),
+    ("linearization", {"omega_grid": []}),
+])
+def test_verify_refuses_an_empty_lemma_grid_before_writing(tmp_path, lemma,
+                                                           params):
+    # a grid of no points leaves asserted checks without instances: the
+    # spectral report would pass on (a) alone, tail and truncation die in
+    # max(), and linearization runs to a failing report
+    (key,) = params
+    cfg = {"kind": "verify", "lemmas": [lemma], "m": 16, "trials": 1,
+           "lemma_params": {lemma: params}}
+    with pytest.raises(ParameterError, match=f"^{key} must hold at least one"):
+        run_experiment(cfg, out_dir=str(tmp_path / "v"))
+    assert not (tmp_path / "v").exists()
+
+
 def test_cli_refuses_a_negative_seed(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(TRAIN_CFG))

@@ -5,11 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import subspace_power_opnorm
+from oracles import longdouble_forward, subspace_power_opnorm
 from rnn_sysid.linalg import (DimensionError, causal_fir, frob,
-                              haar_orthogonal, log_slope, matrix_power_opnorm,
-                              operator_norm, operator_norm_fast, recurrence,
-                              spectral_radius, transposed_copy)
+                              haar_orthogonal, lag_ladder, log_slope,
+                              matrix_power_opnorm, operator_norm,
+                              operator_norm_fast, recurrence, spectral_radius,
+                              tangent_recurrence, transposed_copy)
 from rnn_sysid.student import sample_W0
 from rnn_sysid.verify import POWER_ITERS
 
@@ -194,6 +195,45 @@ def test_recurrence_block_rows_give_lag_ladder():
         np.testing.assert_allclose(
             ladder[j], 0.5**j * U[0] @ np.linalg.matrix_power(M, j),
             rtol=1e-12)
+
+
+@pytest.mark.parametrize("directions", ["W", "A", "both"])
+def test_tangent_recurrence_time_rows_match_longdouble_tangent(directions):
+    # the states' tangent along Z_W (through the shifted drive), along Z_A
+    # (through U) or both, against the extended-precision tangent loop read
+    # out with B = I
+    m, d, T, rho = 32, 3, 12, 0.85
+    rng = np.random.default_rng(7)
+    W = rng.normal(size=(m, m)) / np.sqrt(m)
+    A = rng.normal(size=(m, d)) / np.sqrt(m)
+    x = rng.normal(size=(T, d))
+    Z_W = rng.normal(size=(m, m)) if directions != "A" else np.zeros((m, m))
+    Z_A = rng.normal(size=(m, d)) if directions != "W" else np.zeros((m, d))
+    G = recurrence(x @ A.T, W.T, rho)
+    got = tangent_recurrence(G, None if directions == "A" else Z_W.T, W.T,
+                             rho, None if directions == "W" else x @ Z_A.T)
+    ref = longdouble_forward(W, A, np.eye(m), rho, x, Z_W, Z_A)[1]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_tangent_recurrence_block_rows_match_per_lag_loop():
+    # a lag ladder's tangent along Z: every block row meets Z in one GEMM,
+    # against S_j = rho S_{j-1} W^T + rho G_{j-1} Z one lag at a time
+    m, d, tau, rho = 48, 2, 9, 0.9
+    rng = np.random.default_rng(8)
+    W = rng.normal(size=(m, m)) / np.sqrt(m)
+    Z = rng.normal(size=(m, m)) / np.sqrt(m)
+    G = lag_ladder(W, rng.normal(size=(m, d)), rho, tau)
+    got = tangent_recurrence(G, Z, W.T, rho)
+    S = np.zeros((d, m))
+    for j in range(1, tau + 1):
+        S = rho * (S @ W.T) + rho * (G[j - 1] @ Z)
+        np.testing.assert_allclose(got[j], S, rtol=1e-12, atol=1e-14)
+    assert not got[0].any()
+    # with no direction the tangent is zero, with only U it is U's own run
+    assert not tangent_recurrence(G, None, W.T, rho).any()
+    np.testing.assert_array_equal(tangent_recurrence(G, None, W.T, rho, G),
+                                  recurrence(G, W.T, rho))
 
 
 def test_causal_fir_matches_literal_sum():

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rnn_sysid.schedule import rho_1_of_m, solve_T_max, theory_schedule
+from rnn_sysid.schedule import solve_T_max, theory_schedule
 from rnn_sysid.teacher import ParameterError
 
 
 def test_rho_splits_into_factors():
     sched = theory_schedule(0.05, math.exp(-1.0), 0.9, 1.0, 1024)
     assert sched.rho == pytest.approx(sched.rho_1 * 0.9**2)
-    assert sched.rho_1 == pytest.approx(rho_1_of_m(1024))
     assert sched.rho_1 == pytest.approx(
         1.0 / (1.0 + 10.0 * math.log(1024) ** 2 / math.sqrt(1024)))
 

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -132,3 +133,24 @@ def test_summary_names_each_failed_operation_with_its_seed():
         "parent": [[101, *op], [101, *op]],
         "change": [[100, *op], [101, *op], [102, *op]]}
     assert doc["certify"]["failed"] == {"parent": 2, "change": 3}
+
+
+def test_a_failed_call_prints_its_side_seed_exit_code_and_stderr_tail(
+        tmp_path, capsys):
+    # a stub checkout whose perfbench/run.py fails after a long stderr
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "for n in range(100):\n"
+        "    print('line', n, file=sys.stderr)\n"
+        "print('RuntimeError: boom', file=sys.stderr)\n"
+        "sys.exit(1)\n")
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_pairs.call("change", str(tmp_path), "certify", 7, 1)
+    err = capsys.readouterr().err
+    assert ("change call failed: workload certify, seed 7, exit code 1"
+            in err)
+    assert err.rstrip().endswith("RuntimeError: boom")
+    # only the tail: the last STDERR_TAIL lines, not the first ones
+    assert "line 99\n" in err and "line 0\n" not in err
+    assert err.count("line ") == bench_pairs.STDERR_TAIL - 1

@@ -14,12 +14,13 @@ import os
 
 import pytest
 
-from rnn_sysid.verify import THRESHOLD, run_lemma
+from rnn_sysid.verify import ALL_LEMMAS, THRESHOLD
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "verdicts_golden.json")
 
-# the Tier-1 calls of each lemma at widths up to 1024, and one tau grid
-# too short for a slope
+# the Tier-1 calls of each lemma at widths up to 1024, one tau grid too
+# short for a slope, and an empty omega grid; each runs its verifier
+# directly, as `run_lemma` refuses the empty grid before it runs
 CASES = {
     "spectral_m128": ("spectral", {"m": 128, "trials": 5, "seed": 0}),
     "spectral_m64_seed4": ("spectral", {"m": 64, "trials": 3, "seed": 4}),
@@ -65,7 +66,7 @@ def test_verdicts_match_the_golden(case):
     with open(GOLDEN) as f:
         want = json.load(f)[case]
     lemma, kwargs = CASES[case]
-    got = verdicts(run_lemma(lemma, **kwargs))
+    got = verdicts(ALL_LEMMAS[lemma](**kwargs))
     if case == "truncation_single_tau":
         # one tau fits no line: the format 1 code fit one anyway and failed
         # the pooled slope check on it; that check is now skipped, like its

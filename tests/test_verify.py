@@ -9,7 +9,6 @@ import pytest
 import rnn_sysid.verify
 from oracles import longdouble_forward
 from rnn_sysid.linalg import operator_norm_fast, power_dtype
-from rnn_sysid.schedule import rho_1_of_m
 from rnn_sysid.student import sample_init, sample_W0
 from rnn_sysid.teacher import ParameterError
 from rnn_sysid.verify import (ALL_LEMMAS, LemmaReport, _at_most, _finish,
@@ -114,7 +113,7 @@ def test_spectral_upper_values_cover_exact_power_norms(m):
     # norm is sigma_1 + omega_0 exactly (the band of s is what covers it)
     rho_0 = 0.9
     omega_0 = 1.0 / rho_0 - 1.0
-    rho = rho_1_of_m(m) * rho_0**2
+    rho = rho_0**2 / (1.0 + 10.0 * np.log(m) ** 2 / np.sqrt(m))
     ks = range(1, 4 * max(1, int(np.sqrt(m) / np.log(m))) + 1)
     for r in range(3):
         rng = np.random.default_rng([0, r])

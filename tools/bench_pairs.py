@@ -42,11 +42,26 @@ BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                          "BENCHMARK.json")
 
 
-def call(checkout, workload, seed, seconds):
+STDERR_TAIL = 20  # lines of a failed call's stderr that are printed
+
+
+def call(side, checkout, workload, seed, seconds):
+    """One perfbench call in `checkout`: its `info` and result documents.
+
+    A call that exits non-zero prints the side, workload, seed, exit code
+    and the last STDERR_TAIL lines of its stderr, then raises
+    CalledProcessError.
+    """
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if out.returncode:
+        print(f"{side} call failed: workload {workload}, seed {seed}, exit "
+              f"code {out.returncode}; its stderr ends:", file=sys.stderr)
+        print("\n".join(out.stderr.splitlines()[-STDERR_TAIL:]),
+              file=sys.stderr, flush=True)
+        out.check_returncode()
     lines = out.stdout.strip().splitlines()
     return {"info": json.loads(lines[-2])["info"], "result": json.loads(lines[-1])}
 
@@ -124,7 +139,7 @@ def main():
         order = ("parent", "change") if n % 2 == 0 else ("change", "parent")
         pair = {"workload": args.workload, "seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = call(getattr(args, side), args.workload, seed,
+            pair[side] = call(side, getattr(args, side), args.workload, seed,
                               args.seconds)
         doc["pairs"].append(pair)
         doc["summary"] = summarize(doc["pairs"], bound)
