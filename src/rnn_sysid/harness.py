@@ -15,14 +15,14 @@ import hashlib
 import inspect
 import json
 import math
-import numbers
 import os
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .existence import construct_comparator, save_comparator, verify_existence
+from .existence import (check_decay, construct_comparator, save_comparator,
+                        verify_existence)
 from .linalg import log_slope
 from .losses import make_loss
 from .schedule import theory_schedule
@@ -84,6 +84,8 @@ def config_hash(cfg):
 # The JSON type of a value, and of each list entry, by its default's (a
 # None default is worked out at run time and checked there).  bool is a
 # subclass of int in Python, so int and float fields refuse it apart.
+# The default gives the floor too: an integer field whose default is at
+# least 1 is a count, at least 1; every other number is at least 0.
 _JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
                float: ((int, float), "a number"), str: ((str,), "a string"),
                list: ((list,), "a list"), tuple: ((list,), "a list")}
@@ -94,8 +96,14 @@ def _check_type(value, default, name):
     if not isinstance(value, types) or (isinstance(value, bool)
                                         and not isinstance(default, bool)):
         raise ConfigError(f"config field {name} must be {what}, got {value!r}")
-    for n, entry in enumerate(value if types == (list,) and default else ()):
-        _check_type(entry, default[0], f"{name}[{n}]")
+    if types == (list,):
+        for n, entry in enumerate(value if default else ()):
+            _check_type(entry, default[0], f"{name}[{n}]")
+    elif type(default) in (int, float):
+        low = 1 if type(default) is int and default >= 1 else 0
+        if not value >= low:  # NaN too
+            raise ConfigError(f"config field {name} must be >= {low}, "
+                              f"got {value!r}")
 
 
 def _fill(spec, section, path):
@@ -125,45 +133,26 @@ def _fill(spec, section, path):
     return filled
 
 
-def _seed(value, name):
-    """`value` as a seed: numpy's generators take non-negative integers only."""
-    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or value < 0):
-        raise ConfigError(f"config field {name} must be a non-negative "
-                          f"integer, got {value!r}")
-    return int(value)
-
-
 def resolve_config(config, seed_override=None):
     """`config` checked against SCHEMA at every depth, defaults filled in.
 
-    Raises ConfigError naming the dotted path of an unknown field, of a
-    value whose JSON type differs from its default's, of a seed (`seed`,
-    after `seed_override`, each `seeds` entry and `teacher.seed`) that is
-    not a non-negative integer, or of a width or count (`T_max`,
-    `probe.K`, `student.m`, each `m_grid` entry) below 1.  The defaults
-    that need the teacher or the width are left to `_derive`.
+    Raises ConfigError naming the dotted path of an unknown field, or of
+    a value whose JSON type differs from its default's or that lies below
+    the floor its default gives (`_check_type`); `seed_override` and each
+    `seeds` entry are checked as `seed` is.  The defaults that need the
+    teacher or the width are left to `_derive`.
     """
     kind = config.get("kind")
     if kind not in SCHEMA:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     c = _fill(SCHEMA[kind], config, "")
     if seed_override is not None:
+        _check_type(seed_override, 0, "seed")
         c["seed"] = seed_override
-    c["seed"] = _seed(c["seed"], "seed")
     if "seeds" in c:
         if c["seeds"] is None:
             c["seeds"] = [c["seed"]]
-        _check_type(c["seeds"], [], "seeds")
-        c["seeds"] = [_seed(s, f"seeds[{n}]") for n, s in enumerate(c["seeds"])]
-    if "teacher" in c:
-        c["teacher"]["seed"] = _seed(c["teacher"]["seed"], "teacher.seed")
-    sizes = {"T_max": c.get("T_max"), "probe.K": c.get("probe", {}).get("K"),
-             "student.m": c.get("student", {}).get("m"),
-             **{f"m_grid[{n}]": m for n, m in enumerate(c.get("m_grid", ()))}}
-    for name, value in sizes.items():  # none may be 0: the run would die part way
-        if value is not None and value < 1:
-            raise ConfigError(f"config field {name} must be >= 1, got {value!r}")
+        _check_type(c["seeds"], [0], "seeds")
     if kind == "train" and c["dataset_path"] is not None:
         beside = [key for key in ("teacher", "data") if key in config]
         if beside:
@@ -189,20 +178,21 @@ def resolve_config(config, seed_override=None):
 def _derive(c, sys, m):
     """One train cell of `c` at width m, derived defaults filled in.
 
-    Returns (config, theory schedule or None).  train.eta defaults to
-    1e-2/m and train.K_steps to 2000 in practical mode, and both to the
-    schedule's values in theory mode, where student.rho is the schedule's.
-    A theory schedule outside its regime asks for an astronomically long
+    Returns (config, theory schedule or None, loss).  train.eta defaults
+    to 1e-2/m and train.K_steps to 2000 in practical mode, and both to the
+    schedule's values in theory mode, where student.rho is the schedule's;
+    a given value must have its derived default's type and floor.  A
+    theory schedule outside its regime asks for an astronomically long
     run, so it is refused unless train.K_steps is given.
     """
-    student = {**c["student"], "m": int(m)}
+    student = {**c["student"], "m": m}
     train = dict(c["train"])
+    loss = make_loss(**c["loss"], d_y=sys.d_y)
     mode = student["rho_mode"]
     sched = None
     if mode == "theory":
         sched = theory_schedule(**c["schedule"], rho_0=student["rho_0"],
-                                c_rho=sys.c_rho, m=student["m"],
-                                l0=make_loss(**c["loss"], d_y=sys.d_y).l0)
+                                c_rho=sys.c_rho, m=m, l0=loss.l0)
         if sched.outside_theory_regime and train["K_steps"] is None:
             raise ConfigError(
                 f"student.rho_mode 'theory' at m={m} is outside the theory "
@@ -213,15 +203,15 @@ def _derive(c, sys, m):
         derived = {"eta": sched.eta, "K_steps": sched.K}
     elif mode == "practical":
         student["rho"] = float(student["rho"])
-        derived = {"eta": 1e-2 / student["m"], "K_steps": 2000}
+        derived = {"eta": 1e-2 / m, "K_steps": 2000}
     else:
         raise ConfigError(f"unknown student.rho_mode {mode!r}")
     for key, value in derived.items():
         if train[key] is None:
             train[key] = value
+        _check_type(train[key], value, "train." + key)
     train["eta"] = float(train["eta"])
-    train["K_steps"] = int(train["K_steps"])
-    return {**c, "student": student, "train": train}, sched
+    return {**c, "student": student, "train": train}, sched, loss
 
 
 def _find_malloc_trim():
@@ -253,11 +243,10 @@ def _stamp(cfg, seed):
             "version": __version__}
 
 
-def _train_cell(c, sched, sys, dataset, out, seed):
-    """Trains one cell of a derived config; returns (summary, trace)."""
+def _train_cell(c, sched, loss, sys, dataset, out, seed):
+    """Trains one `_derive`d cell; returns (summary, trace)."""
     if dataset is None:
         dataset = generate_dataset(sys, **c["data"], seed=seed)
-    loss = make_loss(**c["loss"], d_y=sys.d_y)
     student, train = c["student"], c["train"]
     holdout = None
     if train["holdout"]:
@@ -366,11 +355,10 @@ def _existence_cell(c, sys, loss, m, s, out):
     return report
 
 
-def _run_existence(c, out):
+def _run_existence(c, sys, out):
     """Runs every (m, seed) cell; returns the summary.  Its verdict is
     `_finish`'s over the cells' checks: `distance` is asserted, at
     EXISTENCE_THRESHOLD, and `fit` and `slope` are recorded only."""
-    sys = random_stable_system(**c["teacher"])
     loss = make_loss(**LOSS, d_y=sys.d_y)
     cells = []
     for m in c["m_grid"]:
@@ -401,8 +389,7 @@ def _run_sweep(c, cells, sys, out):
     for m in c["m_grid"]:
         for s in c["seeds"]:
             cell_dir = os.path.join(out, f"cell_m{m}_s{s}")
-            cell, sched = cells[m]
-            summary, _ = _train_cell(cell, sched, sys, None, cell_dir, s)
+            summary, _ = _train_cell(*cells[m], sys, None, cell_dir, s)
             summary = {"m": m, "seed": s, **summary}
             write_json(os.path.join(cell_dir, "summary.json"), summary)
             rows.append(summary)
@@ -437,9 +424,9 @@ def run_experiment(config, out_dir=None, seed_override=None):
             dataset, sys = None, random_stable_system(**c["teacher"])
         else:
             dataset, sys = load_dataset(c["dataset_path"])
-        c, sched = _derive(c, sys, c["student"]["m"])
+        c, sched, loss = _derive(c, sys, c["student"]["m"])
         _begin(out, cfg, c, stamp)
-        summary, _ = _train_cell(c, sched, sys, dataset, out, seed)
+        summary, _ = _train_cell(c, sched, loss, sys, dataset, out, seed)
         write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})
         return (1 if summary["aborted"] else 0), out
     if kind == "sweep":
@@ -468,7 +455,9 @@ def run_experiment(config, out_dir=None, seed_override=None):
         write_json(os.path.join(out, "summary.json"),
                    {"results": results, "all_passed": ok, "_meta": stamp})
         return (0 if ok else 1), out
+    sys = random_stable_system(**c["teacher"])
+    check_decay(c["rho"], sys.rho_C)
     _begin(out, cfg, c, stamp)
-    summary = _run_existence(c, out)
+    summary = _run_existence(c, sys, out)
     write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})
     return (0 if summary["passed"] else 1), out

@@ -1,4 +1,5 @@
 import ctypes
+import importlib.util
 import inspect
 import json
 import math
@@ -13,15 +14,17 @@ import pytest
 import rnn_sysid
 from rnn_sysid import harness
 from rnn_sysid.cli import main
+from rnn_sysid.existence import construct_comparator
 from rnn_sysid.harness import (ConfigError, config_hash, generalization_gap,
                                run_experiment)
 from rnn_sysid.losses import make_loss
 from rnn_sysid.store import write_json
-from rnn_sysid.student import init_student
+from rnn_sysid.student import init_student, sample_init
 from rnn_sysid.teacher import (ParameterError, generate_dataset,
                                random_stable_system, save_dataset)
 from rnn_sysid.trainer import sgd_train
-from rnn_sysid.verify import ALL_LEMMAS, verify_linearization, verify_tail
+from rnn_sysid.verify import (ALL_LEMMAS, run_lemma, verify_linearization,
+                              verify_tail)
 
 TRAIN_CFG = {
     "kind": "train",
@@ -174,11 +177,15 @@ def _resolved(cfg, tmp_path, monkeypatch):
     return json.loads((tmp_path / "r" / "resolved_config.json").read_text())
 
 
-def test_resolved_config_of_the_readme_example(tmp_path, monkeypatch):
+def _readme_train_config():
     readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
                                "README.md")).read()
     example = readme.split("A train config looks like:")[1]
-    cfg = json.loads(example.split("```json")[1].split("```")[0])
+    return json.loads(example.split("```json")[1].split("```")[0])
+
+
+def test_resolved_config_of_the_readme_example(tmp_path, monkeypatch):
+    cfg = _readme_train_config()
     resolved = _resolved(cfg, tmp_path, monkeypatch)
     assert resolved["train"]["eta"] == 1e-2 / 512
     assert resolved["train"]["checkpoint_every"] == 500
@@ -425,6 +432,14 @@ def test_verify_kind(tmp_path):
     assert "tail" in summary["results"]
 
 
+def _refused_before_writing(tmp_path, cfg, message, seed_override=None,
+                            error=ConfigError):
+    out = tmp_path / "r"
+    with pytest.raises(error, match=message):
+        run_experiment(cfg, out_dir=str(out), seed_override=seed_override)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cfg, seed_override, field", [
     ({"kind": "train", "seed": -1}, None, "seed"),
     ({"kind": "verify"}, -1, "seed"),
@@ -436,11 +451,8 @@ def test_seeds_must_be_non_negative_integers(tmp_path, cfg, seed_override,
                                              field):
     # numpy's generators refuse them; the run must stop before it writes
     # its config rather than die at the first draw
-    out = tmp_path / "r"
-    with pytest.raises(ConfigError, match=re.escape(
-            f"config field {field} must be a non-negative integer")):
-        run_experiment(cfg, out_dir=str(out), seed_override=seed_override)
-    assert not out.exists()
+    _refused_before_writing(tmp_path, cfg, re.escape(
+        f"config field {field} must be ") + "(>= 0|an integer)", seed_override)
 
 
 @pytest.mark.parametrize("cfg, field", [
@@ -454,11 +466,8 @@ def test_seeds_must_be_non_negative_integers(tmp_path, cfg, seed_override,
 def test_widths_and_counts_below_one_are_refused(tmp_path, cfg, field):
     # each would die part way (a ZeroDivisionError, or a ParameterError
     # from the dataset), after config.json is written
-    out = tmp_path / "r"
-    with pytest.raises(ConfigError, match=re.escape(
-            f"config field {field} must be >= 1")):
-        run_experiment(cfg, out_dir=str(out))
-    assert not out.exists()
+    _refused_before_writing(tmp_path, cfg, re.escape(
+        f"config field {field} must be >= 1"))
 
 
 @pytest.mark.parametrize("lemma, params", [
@@ -475,18 +484,186 @@ def test_verify_refuses_an_empty_lemma_grid_before_writing(tmp_path, lemma,
     (key,) = params
     cfg = {"kind": "verify", "lemmas": [lemma], "m": 16, "trials": 1,
            "lemma_params": {lemma: params}}
+    if key == "grid_points":  # a count: the config's floor refuses it first
+        _refused_before_writing(tmp_path, cfg, re.escape(
+            f"config field lemma_params.{lemma}.{key} must be >= 1"))
+    else:
+        _refused_before_writing(tmp_path, cfg, f"^{key} must hold at least one",
+                                error=ParameterError)
+    # a direct run is refused by the lemma's own keyword check
     with pytest.raises(ParameterError, match=f"^{key} must hold at least one"):
-        run_experiment(cfg, out_dir=str(tmp_path / "v"))
-    assert not (tmp_path / "v").exists()
+        run_lemma(lemma, m=16, trials=1, **params)
 
 
 def test_cli_refuses_a_negative_seed(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(TRAIN_CFG))
-    with pytest.raises(ConfigError, match="seed must be a non-negative"):
+    with pytest.raises(ConfigError, match="config field seed must be >= 0"):
         main(["train", "--config", str(cfg_path), "--out",
               str(tmp_path / "r"), "--seed", "-1"])
     assert not (tmp_path / "r").exists()
+
+
+# A small run of each kind, so that a field the floor rule missed runs
+# quickly instead of at its default width.
+_SMALL = {
+    "train": {"student": {"m": 8}, "data": {"T": 4, "K": 2},
+              "train": {"K_steps": 2}},
+    "sweep": {"m_grid": [8], "data": {"T": 4, "K": 2}, "train": {"K_steps": 2}},
+    "existence": {"m_grid": [16], "T_max": 2, "probe": {"K": 1}},
+    "verify": {"lemmas": ["tail"], "m": 16, "trials": 1},
+}
+
+
+def _numbers(spec, path=""):
+    """(dotted path, default) of every number in a SCHEMA section; a list
+    stands for its entries, given as a one-entry list."""
+    for key, default in spec.items():
+        if isinstance(default, dict):
+            yield from _numbers(default, f"{path}{key}.")
+        elif isinstance(default, (list, tuple)) and default:
+            if type(default[0]) in (int, float):
+                yield f"{path}{key}[0]", default[0]
+        elif type(default) in (int, float):
+            yield path + key, default
+
+
+def _with(kind, path, value):
+    """`_SMALL[kind]` with `path` set to `value` (a list entry as `[value]`),
+    running only the lemma whose field it is."""
+    cfg = json.loads(json.dumps({"kind": kind, **_SMALL[kind]}))
+    *sections, key = path.split(".")
+    if key.endswith("[0]"):
+        key, value = key[:-3], [value]
+    if sections[:1] == ["lemma_params"]:
+        cfg["lemmas"] = [sections[1]]
+    section = cfg
+    for name in sections:
+        section = section.setdefault(name, {})
+    section[key] = value
+    return cfg
+
+
+_FLOORS = [(kind, path, default) for kind in harness.SCHEMA
+           for path, default in _numbers(harness.SCHEMA[kind])]
+
+
+@pytest.mark.parametrize("kind, path, default", _FLOORS,
+                         ids=[f"{kind}-{path}" for kind, path, _ in _FLOORS])
+def test_every_number_below_its_floor_is_refused(tmp_path, kind, path,
+                                                 default):
+    # the floor comes from the default, so a field added to SCHEMA is
+    # covered here as it is: a count (an integer field whose default is at
+    # least 1) is at least 1, every other number at least 0
+    low = 1 if type(default) is int and default >= 1 else 0
+    below = low - 1 if type(default) is int else -0.5
+    _refused_before_writing(tmp_path, _with(kind, path, below), re.escape(
+        f"config field {path} must be >= {low}, got {below}"))
+    harness.resolve_config(_with(kind, path, low))  # the floor itself passes
+
+
+def test_the_floor_walk_reaches_every_kind_and_section():
+    paths = {f"{kind}-{path}" for kind, path, _ in _FLOORS}
+    assert {"train-student.m", "train-train.checkpoint_every",
+            "sweep-m_grid[0]", "existence-probe.K", "existence-teacher.seed",
+            "verify-seed", "verify-lemma_params.tail.tau_grid[0]",
+            "verify-lemma_params.concentration.tau"} <= paths
+
+
+_TINY_DATA = {"T": 4, "K": 2}
+
+
+@pytest.mark.parametrize("cfg, field, message", [
+    ({"kind": "train", "student": {"m": 8}, "train": {"K_steps": 0}},
+     "K_steps", ">= 1, got 0"),
+    ({"kind": "train", "student": {"m": 8}, "train": {"K_steps": 1.5}},
+     "K_steps", "an integer, got 1.5"),
+    ({"kind": "train", "student": {"m": 8}, "train": {"K_steps": 2, "eta": -1}},
+     "eta", ">= 0, got -1"),
+    ({"kind": "sweep", "m_grid": [8], "train": {"K_steps": 0}},
+     "K_steps", ">= 1, got 0"),
+    ({"kind": "train", "student": {"m": 8, "rho_mode": "theory"},
+      "train": {"K_steps": 0}}, "K_steps", ">= 1, got 0"),
+])
+def test_a_given_derived_train_value_is_checked_as_its_default(tmp_path, cfg,
+                                                               field, message):
+    # train.K_steps and train.eta default to values worked out from the
+    # width; a given one has their type and floor (K_steps 1.5 ran 1 step)
+    _refused_before_writing(tmp_path, {**cfg, "data": _TINY_DATA}, re.escape(
+        f"config field train.{field} must be {message}"))
+
+
+@pytest.mark.parametrize("kind", ["train", "sweep"])
+def test_an_unknown_loss_is_refused_before_writing(tmp_path, kind):
+    _refused_before_writing(tmp_path, {"kind": kind, "loss": {"kind": "l2"}},
+                            "unknown loss kind 'l2'", error=ParameterError)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"rho": 0.5}, {"rho": 0.8}, {"rho": 1}, {"rho": 1.5},
+    {"teacher": {"rho_C": 1.5}}])
+def test_existence_refuses_a_decay_outside_rho_C_to_1(tmp_path, cfg):
+    # below rho_C the comparator's weights are not summable and at 1 its fit
+    # bound divides by zero; the run stops before it writes its config
+    _refused_before_writing(tmp_path, {"kind": "existence", "m_grid": [16],
+                                       "T_max": 2, **cfg},
+                            "rho(_C)? must lie in", error=ParameterError)
+    if "rho" in cfg:  # a direct call reaches the same check
+        sys_ = random_stable_system(2, 2, 2, 0.8, 0)
+        W0, A0, B = sample_init(np.random.default_rng(0), 16, 2, 2)
+        with pytest.raises(ParameterError, match=r"rho must lie in \(rho_C, 1\)"):
+            construct_comparator(W0, A0, B, sys_, cfg["rho"], 2)
+
+
+_WORKLOADS = importlib.util.spec_from_file_location(
+    "perfbench_workloads", os.path.join(os.path.dirname(__file__), os.pardir,
+                                        "perfbench", "workloads.py"))
+workloads = importlib.util.module_from_spec(_WORKLOADS)
+_WORKLOADS.loader.exec_module(workloads)
+
+# config_hash of each shipped config as resolved before the floor rule
+# (seed 0): the benchmark's workloads, full and small, and the README's
+# train example
+_SHIPPED = {
+    "readme": "f541782f0f6023466cd1c15cdfdc46a48d1b69326334097aeae841ed4dfeb115",
+    "train_small-full-train":
+        "aba8bbd4c91000e0b82614597adc03b3a40fffc101a380d14e93bce02d9bdf76",
+    "train_small-small-train":
+        "3831cc755ff2afd22b3ea5a60b21823abdb803cb4e5611112f839bca4d8905b4",
+    "train_large-full-train":
+        "1bcc2ee67b3b2e2d21b61c5c278f8009ce8c18831137c07ce891cff07af1e33a",
+    "train_large-small-train":
+        "b44555adfa8c4066eb8fee40ab3a3d4745fae295bc134126fb56087a09e2d6fb",
+    "certify-full-verify":
+        "ba1893a378a0568e0f39e50784b0bcf2859fa15701ceaf05e877452d27014ab3",
+    "certify-full-existence":
+        "1ada4486a5d274469514576769f0772dbce20fde10c6b1eacc3ad20d97c926b3",
+    "certify-small-verify":
+        "2408cf38a0ebb680a98ee1d056e0b6f657e10e83c8880d29f0ba33e7bde56f48",
+    "certify-small-existence":
+        "f0d6394407caf98211ffb0c2bf5849bf2e9100ef504b18186ba978eb25840476",
+}
+
+
+def test_shipped_configs_resolve_as_before(monkeypatch):
+    # every config the benchmark and the README run passes every check and
+    # resolves to the config it resolved to before; the run stops where it
+    # would write its resolved config
+    def begin(out, cfg, c, stamp):
+        raise _Started(c)
+
+    monkeypatch.setattr(harness, "_begin", begin)
+    configs = {"readme": _readme_train_config()}
+    for workload in workloads.WORKLOADS:
+        for size, small in (("full", False), ("small", True)):
+            for name, cfg in workloads.configs(workload, 0, small):
+                configs[f"{workload}-{size}-{name}"] = cfg
+    assert configs.keys() == _SHIPPED.keys()
+    for key, cfg in configs.items():
+        with pytest.raises(_Started) as started:
+            run_experiment(cfg, out_dir="unused")
+        (resolved,) = started.value.args
+        assert config_hash(resolved) == _SHIPPED[key], (key, resolved)
 
 
 def test_json_artifacts_are_strict(tmp_path):
@@ -515,12 +692,15 @@ def test_verify_config_with_no_trials_is_refused(tmp_path):
 
 
 def test_verify_refuses_a_later_lemma_before_any_report(tmp_path):
-    # trials: 0 on the second lemma is refused before the first one runs
+    # a bad keyword of the second lemma is refused before the first one
+    # runs: trials 0 by the config's floor, m 1 by the lemma's own check
     cfg = {"kind": "verify", "lemmas": ["tail", "linearization"], "m": 16,
            "trials": 1, "lemma_params": {"linearization": {"trials": 0}}}
-    with pytest.raises(ParameterError, match="trials must be >= 1"):
-        run_experiment(cfg, out_dir=str(tmp_path / "v"))
-    assert not (tmp_path / "v").exists()
+    _refused_before_writing(tmp_path, cfg, re.escape(
+        "config field lemma_params.linearization.trials must be >= 1"))
+    cfg["lemma_params"] = {"linearization": {"m": 1}}
+    _refused_before_writing(tmp_path, cfg, "m must be >= 2",
+                            error=ParameterError)
     # a direct run is refused the same way
     with pytest.raises(ParameterError, match="m must be >= 2"):
         main(["verify", "--lemma", "tail", "--m", "1",
