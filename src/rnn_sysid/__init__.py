@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 from .existence import (ComparatorParams, ConditioningError, GramInverses,
                         construct_comparator, gram_inverses, verify_existence)
-from .gradients import GradientPair, jvp_f_all_t, loss_gradients_bptt
+from .gradients import GradientPair, loss_gradients_bptt
 from .harness import generalization_gap, run_experiment
 from .linalg import (DimensionError, frob, log_slope, matrix_power_opnorm,
                      operator_norm, spectral_radius)

@@ -43,11 +43,6 @@ def tangent_states(W, A, rho, x, Z_W, Z_A):
                               None if Z_A is None else x @ Z_A.T)
 
 
-def jvp_f_all_t(W, A, B, rho, x, Z_W=None, Z_A=None):
-    """JVP of every f_t, B u_t; either direction may be None (zero)."""
-    return tangent_states(W, A, rho, x, Z_W, Z_A) @ B.T
-
-
 def loss_gradients_bptt(W, A, B, rho, x, y, loss):
     """(1/T) sum_t grad L(y_t, f_t) w.r.t. (W, A) by the adjoint recursion.
 

@@ -7,8 +7,9 @@ matrix over time (or over lag, as `lag_ladder`), the second sums per-lag
 transfer matrices against an input sequence.
 
 Operator norms: `operator_norm` is the exact norm from a full SVD, for
-the small matrices of the teacher; `operator_norm_fast` is scipy's
-Lanczos `svds` from a seeded start, for large ones; and
+the small matrices of the teacher; `operator_norm_fast` is a
+Golub-Kahan-Lanczos bidiagonalization from a seeded start, stopped on
+ARPACK's residual rule, for large ones; and
 `matrix_power_opnorm` estimates norms of matrix powers by block Krylov
 iteration (the Rayleigh-Ritz value over every block it builds), never
 forming the power.
@@ -92,17 +93,61 @@ def operator_norm(M):
     return float(np.linalg.norm(M, 2))
 
 
+def _orthogonalize(x, Q):
+    """x minus its projection on the orthonormal rows of Q, in place: two
+    classical Gram-Schmidt passes, so x stays orthogonal to Q even where
+    it lay almost inside their span."""
+    for _ in range(2):
+        x -= (Q @ x) @ Q
+    return x
+
+
+def _append(X, k, x):
+    """X with row k set to x; a full X first doubles its rows (8 at least)."""
+    if k == len(X):
+        X = np.concatenate([X, np.empty((max(k, 8), X.shape[1]))])
+    X[k] = x
+    return X
+
+
 def operator_norm_fast(M):
-    """2-norm via Lanczos (scipy svds), without the cost of a full SVD.
+    """2-norm (top singular value) by Golub-Kahan-Lanczos, without the
+    cost of a full SVD.
 
-    ARPACK starts from a seeded vector, so the result is the same in every
-    process (its default start vector is drawn from OS entropy).
+    From the seeded unit vector v_1, step k applies M to v_k and M^T to
+    the new u_k, each vector orthogonalized against every earlier one in
+    float64, and appends alpha_k, beta_k to the k x k upper bidiagonal
+    B_k = U_k^T M V_k.  The estimate is B_k's top singular value; its Ritz
+    pair leaves the residual ||M^T u - sigma v|| = beta_k |p_k|, p the top
+    left singular vector of B_k.  The iteration stops once that is at most
+    eps * sigma, eps of M's dtype (ARPACK's rule at tol = 0), or once the
+    Krylov space is exhausted (beta_k = 0, or k = min(m, n)).  The products
+    run in M's dtype (the vector is cast, never M); the bases grow with the
+    steps taken.  A zero matrix reads 0.0.
     """
-    from scipy.sparse.linalg import svds
-
     M = np.asarray(M)
-    v0 = np.random.default_rng(0).normal(size=min(M.shape))
-    return float(svds(M, k=1, v0=v0, return_singular_vectors=False)[0])
+    eps = np.finfo(M.dtype).eps
+    v = np.random.default_rng(0).normal(size=M.shape[1])
+    U = np.empty((0, M.shape[0]))
+    V = _append(np.empty((0, M.shape[1])), 0, v / frob(v))
+    alpha, beta = [], []
+    for k in range(min(M.shape)):
+        u = (M @ V[k].astype(M.dtype, copy=False)).astype(np.float64)
+        if k:
+            u -= beta[-1] * U[k - 1]
+        alpha.append(frob(_orthogonalize(u, U[:k])))
+        b = 0.0
+        if alpha[-1]:
+            U = _append(U, k, u / alpha[-1])
+            v = (M.T @ U[k].astype(M.dtype, copy=False)).astype(np.float64)
+            v -= alpha[-1] * V[k]
+            b = frob(_orthogonalize(v, V[:k + 1]))
+        beta.append(b)
+        P, S, _ = np.linalg.svd(np.diag(alpha) + np.diag(beta[:-1], 1))
+        if b * abs(P[-1, 0]) <= eps * S[0]:
+            break
+        V = _append(V, k + 1, v / b)
+    return float(S[0])
 
 
 def power_dtype(m):
@@ -218,11 +263,12 @@ def matrix_power_opnorm(W, k, iters=8, block=4, seed=0):
 
 
 def frob(M):
-    """Frobenius norm of a matrix.
+    """Frobenius norm of a matrix, or the 2-norm of a vector.
 
     A plain numpy reduction, not a BLAS dot, so the value is the same at
     every BLAS thread count.
     """
+    M = np.atleast_2d(M)
     return float(np.sqrt(np.einsum("ij,ij->", M, M)))
 
 

@@ -122,12 +122,12 @@ def _unit_vec(rng, n):
 def _power_norms(Wp, checks, seed):
     """(s, {name: [(observed ||W^k||_2, bound) for each (k, bound)]}).
 
-    With sigma = ||Wp||_2 from svds, s = sigma (1 + 2 eps sqrt(m)) is an
-    upper value of ||W||_2 (schema.md); the observed value is s^k where
-    that meets the bound.  Elsewhere it is a lower value: sigma at k = 1,
-    at k >= 2 a batched block Krylov `matrix_power_opnorm` estimate
-    (block 8; POWER_ITERS iterations at k <= 3, where 2 sqrt(k) is
-    tightest, one fewer above).  A bound of 0 always reads that.
+    With sigma = ||Wp||_2 from `operator_norm_fast`, s = sigma (1 + 2 eps
+    sqrt(m)) is an upper value of ||W||_2 (schema.md); the observed value
+    is s^k where that meets the bound.  Elsewhere it is a lower value:
+    sigma at k = 1, at k >= 2 a batched block Krylov `matrix_power_opnorm`
+    estimate (block 8; POWER_ITERS iterations at k <= 3, where 2 sqrt(k)
+    is tightest, one fewer above).  A bound of 0 always reads that.
     """
     sigma = operator_norm_fast(Wp)
     s = sigma * (1.0 + 2.0 * np.finfo(Wp.dtype).eps * np.sqrt(len(Wp)))

@@ -5,10 +5,13 @@ series f_t = sum_{t0} rho^t0 B W^t0 A x_{t-t0} and of its directional
 derivatives, an extended-precision forward with its tangent, the dense
 form of a factored loss gradient, and the dense form and the spectrum of
 a factored comparator.  They share no code with the recurrences under
-test.
+test.  `jvp_f_all_t` is the exception: the package's tangent states read
+out through B, the one JVP of every f_t that the tests hold against them.
 """
 
 import numpy as np
+
+from rnn_sysid.gradients import tangent_states
 
 
 def finite_difference_check(scalar_fn, params, direction, analytic,
@@ -32,6 +35,11 @@ def finite_difference_check(scalar_fn, params, direction, analytic,
         rows.append({"h": h, "numeric": numeric, "analytic": analytic,
                      "relerr": relerr})
     return {"rows": rows, "min_relerr": min(r["relerr"] for r in rows)}
+
+
+def jvp_f_all_t(W, A, B, rho, x, Z_W=None, Z_A=None):
+    """JVP of every f_t, B u_t; either direction may be None (zero)."""
+    return tangent_states(W, A, rho, x, Z_W, Z_A) @ B.T
 
 
 # literal-sum oracles, O(T^2 m^3); keep m <= 64, T <= 8

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from oracles import (brute_jvp_A, brute_jvp_W, dense_grad_W,
-                     finite_difference_check)
-from rnn_sysid.gradients import jvp_f_all_t, loss_gradients_bptt
+                     finite_difference_check, jvp_f_all_t)
+from rnn_sysid.gradients import loss_gradients_bptt
 from rnn_sysid.harness import generalization_gap, run_experiment
 from rnn_sysid.linalg import log_slope
 from rnn_sysid.losses import make_loss, sequence_loss

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import (brute_forward_powers, brute_jvp_A, brute_jvp_W,
-                     dense_grad_W, finite_difference_check)
-from rnn_sysid.gradients import jvp_f_all_t, loss_gradients_bptt
+                     dense_grad_W, finite_difference_check, jvp_f_all_t)
+from rnn_sysid.gradients import loss_gradients_bptt
 from rnn_sysid.losses import make_loss, sequence_loss
 from rnn_sysid.student import forward_rescaled, init_student
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,35 @@ def test_operator_norm_fast_exact_on_spectral_W(m):
         W += (1.0 / 0.9 - 1.0) * U / np.linalg.norm(U)
         exact = np.linalg.svd(W, compute_uv=False)[0]
         assert abs(operator_norm_fast(W) / exact - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("shape, rank", [((300, 40), 40), ((40, 300), 40),
+                                         ((64, 64), 3), ((1, 1), 1)])
+def test_operator_norm_fast_exact_beyond_square_gaussians(shape, rank):
+    # tall, wide, 1 x 1, and rank 3, whose Krylov space is exhausted long
+    # before min(m, n) steps
+    rng = np.random.default_rng([rank, *shape])
+    M = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+    exact = np.linalg.svd(M, compute_uv=False)[0]
+    assert abs(operator_norm_fast(M) / exact - 1.0) <= 1e-12
+
+
+def test_operator_norm_fast_zero_matrix():
+    assert operator_norm_fast(np.zeros((16, 16))) == 0.0
+
+
+def test_operator_norm_fast_never_casts_a_float32_matrix():
+    # the products cast the vector to M's dtype, so a float32 M is never
+    # copied to float64 (one such copy alone is 8 m^2 bytes)
+    m = 1024
+    M = np.random.default_rng(0).normal(size=(m, m)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        operator_norm_fast(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * m
 
 
 def test_matrix_power_opnorm_vs_dense_power():
@@ -286,7 +316,7 @@ verify_spectral(m=2048, trials=1, seed=0).save(sys.argv[1])
 
 
 def test_spectral_report_same_at_every_blas_thread_count(tmp_path):
-    # the batched GEMMs and the float32 svds split work across threads
+    # the batched GEMMs and the float32 Lanczos split work across threads
     # without changing any sum's order, so the report does not move
     paths = [tmp_path / f"report_{n}.json" for n in (1, 2)]
     for n, path in zip((1, 2), paths):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rnn_sysid.gradients import jvp_f_all_t
+from oracles import jvp_f_all_t
 from rnn_sysid.student import (forward_rescaled, init_student,
                                linearized_forward, load_checkpoint,
                                sample_init, save_checkpoint)

@@ -132,7 +132,7 @@ def test_spectral_upper_values_cover_exact_power_norms(m):
 
 
 def test_spectral_trial_draws_and_factors_only_W0(monkeypatch):
-    # (d) reads the ball value, so a trial takes one svds and draws no
+    # (d) reads the ball value, so a trial takes one k = 1 norm and draws no
     # perturbation
     calls = {"operator_norm_fast": 0, "_unit_frob": 0}
 
@@ -165,7 +165,7 @@ def test_spectral_trial_holds_one_narrow_W0():
     # one contiguous copy of W0^T.  Drawing in float64 and casting peaks at
     # 3.0 float32 m x m arrays
     m = 2048
-    verify_spectral(m=64, trials=1, seed=0)  # scipy's imports, untraced
+    verify_spectral(m=64, trials=1, seed=0)  # first-call imports, untraced
     tracemalloc.start()
     try:
         verify_spectral(m=m, trials=1, seed=0)
@@ -180,7 +180,7 @@ def test_spectral_shortcut_norm_from_float32_is_an_upper_value(seed):
     # the upper value s takes ||W0|| from the float32 copy of a trial's W0,
     # raised by the band 2 eps sqrt(m); on W0 plus a point of the omega_0
     # ball as well, that covers the float64 norm, and
-    # the float32 value lies within the band of it (measured <= 1.2e-7
+    # the float32 value lies within the band of it (measured <= 6e-9
     # relative at m = 2048 and 4096, against a band of 1.1e-5 and 1.5e-5)
     m = 2048
     rng = np.random.default_rng([seed, 0])
