@@ -25,7 +25,7 @@ from .linalg import frob, lag_ladder
 from .losses import sequence_loss
 from .store import write_json
 from .student import forward_rescaled
-from .teacher import ParameterError, impulse_response
+from .teacher import check_decay, impulse_response
 
 
 class ConditioningError(RuntimeError):
@@ -107,26 +107,18 @@ def gram_inverses(W0, A0, B, T_max):
     return GramInverses(**P, cond_max=cond_max, resid_max=resid_max, L=L, R=R)
 
 
-def check_decay(rho, rho_C):
-    """Refuses a student decay outside (rho_C, 1): the rho^{-t0} weights
-    are summable against the teacher's decay only above rho_C, and the
-    fit bound's 1 / (1 - rho) holds only below 1."""
-    if not rho_C < rho < 1.0:
-        raise ParameterError(f"rho must lie in (rho_C, 1) = ({rho_C}, 1), "
-                             f"got {rho}")
-
-
 def construct_comparator(W0, A0, B, teacher, rho, T_max):
     """Build (W*, A*) for lags 0..T_max-1 of the teacher's response.
 
-    Requires rho_C < rho < 1 (`check_decay`).  The W* correction is kept
-    as its factors (left, core, right) = (Lcat, Core, Rcat), never formed:
-    dist_W = ||left^T core right||_F comes from the two small Grams,
-    ||.||_F^2 = <core^T (left left^T) core, right right^T>.  The two
-    claimed bounds, on the distances and on the fit error, are computed
-    here with b = sqrt(log(e T_max)).
+    Requires rho_C < rho < 1: the rho^{-t0} weights are summable only above
+    rho_C, and the fit bound's 1 / (1 - rho) holds only below 1.  The W*
+    correction is kept as its factors (left, core, right) = (Lcat, Core,
+    Rcat), never formed: dist_W = ||left^T core right||_F comes from the
+    two small Grams, ||.||_F^2 = <core^T (left left^T) core, right
+    right^T>.  The two claimed bounds, on the distances and on the fit
+    error, are computed here with b = sqrt(log(e T_max)).
     """
-    check_decay(rho, teacher.rho_C)
+    check_decay("rho", rho, teacher.rho_C, "rho_C")
     m, d = A0.shape
     b = math.sqrt(math.log(T_max * math.e))
     grams = gram_inverses(W0, A0, B, T_max)

@@ -21,14 +21,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .existence import (check_decay, construct_comparator, save_comparator,
-                        verify_existence)
+from .existence import construct_comparator, save_comparator, verify_existence
 from .linalg import log_slope
 from .losses import make_loss
 from .schedule import theory_schedule
 from .store import write_json
 from .student import init_student, sample_init
-from .teacher import generate_dataset, load_dataset, random_stable_system
+from .teacher import (check_decay, generate_dataset, input_drawer,
+                      load_dataset, random_stable_system)
 from .trainer import running_average, sgd_train
 from .verify import (ALL_LEMMAS, _at_most, _finish, _near, lemma_kwargs,
                      run_lemma)
@@ -185,6 +185,8 @@ def _derive(c, sys, m):
     theory schedule outside its regime asks for an astronomically long
     run, so it is refused unless train.K_steps is given.
     """
+    if "data" in c:
+        input_drawer(c["data"]["input_spec"])
     student = {**c["student"], "m": m}
     train = dict(c["train"])
     loss = make_loss(**c["loss"], d_y=sys.d_y)
@@ -202,7 +204,7 @@ def _derive(c, sys, m):
         student["rho"] = sched.rho
         derived = {"eta": sched.eta, "K_steps": sched.K}
     elif mode == "practical":
-        student["rho"] = float(student["rho"])
+        check_decay("student.rho", student["rho"])  # a float: no int lies there
         derived = {"eta": 1e-2 / m, "K_steps": 2000}
     else:
         raise ConfigError(f"unknown student.rho_mode {mode!r}")
@@ -411,7 +413,8 @@ def _begin(out, cfg, c, stamp):
 
 
 def run_experiment(config, out_dir=None, seed_override=None):
-    """Execute one experiment; returns (exit_code, artifact_dir)."""
+    """Execute one experiment; returns (exit_code, artifact_dir).  Every
+    input is checked by the owner of its domain before the first write."""
     cfg = dict(config)
     c = resolve_config(cfg, seed_override)
     kind, seed = c["kind"], c["seed"]
@@ -443,8 +446,6 @@ def run_experiment(config, out_dir=None, seed_override=None):
                                                        "_meta": stamp})
         return 0, out
     if kind == "verify":
-        # every lemma's keywords are checked before anything is written, so
-        # a refused lemma leaves no run directory behind
         calls = {name: lemma_kwargs(name, **{"m": c["m"], "trials": c["trials"],
                                              "seed": c["seed"],
                                              **c["lemma_params"][name]})
@@ -456,7 +457,7 @@ def run_experiment(config, out_dir=None, seed_override=None):
                    {"results": results, "all_passed": ok, "_meta": stamp})
         return (0 if ok else 1), out
     sys = random_stable_system(**c["teacher"])
-    check_decay(c["rho"], sys.rho_C)
+    check_decay("rho", c["rho"], sys.rho_C, "rho_C")
     _begin(out, cfg, c, stamp)
     summary = _run_existence(c, sys, out)
     write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})

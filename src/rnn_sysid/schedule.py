@@ -8,7 +8,7 @@ iteration.  Asymptotic Theta-constants are set to 1.
 import math
 from dataclasses import dataclass
 
-from .teacher import ParameterError
+from .teacher import ParameterError, check_decay
 
 
 class ScheduleError(RuntimeError):
@@ -46,7 +46,10 @@ def decay_split(rho_0, m):
     """(rho_1, rho, omega_0, L) at width m: the width's decay rho_1, the
     theory rate rho = rho_1 rho_0^2, the radius omega_0 = 1/rho_0 - 1 of
     the ball around W0, and the spectral bounds' cutoff L = max(1,
-    floor(sqrt(m) / log m))."""
+    floor(sqrt(m) / log m)), owning the domain rho_0 in (0, 1), m >= 2."""
+    check_decay("rho_0", rho_0)
+    if m < 2:
+        raise ParameterError(f"m must be >= 2, got {m}")
     rho_1 = 1.0 / (1.0 + 10.0 * math.log(m) ** 2 / math.sqrt(m))
     return (rho_1, rho_1 * rho_0**2, 1.0 / rho_0 - 1.0,
             max(1, int(math.sqrt(m) / math.log(m))))
@@ -74,16 +77,11 @@ def solve_T_max(epsilon, delta, rho_0, c_rho, m):
 
 
 def theory_schedule(epsilon, delta, rho_0, c_rho, m, l0=1.0):
-    if not (0.0 < epsilon <= math.exp(-1.0)):
-        raise ParameterError(f"epsilon must be in (0, e^-1], got {epsilon}")
-    if not (0.0 < delta <= math.exp(-1.0)):
-        raise ParameterError(f"delta must be in (0, e^-1], got {delta}")
-    if not (0.0 < rho_0 < 1.0):
-        raise ParameterError(f"rho_0 must be in (0, 1), got {rho_0}")
-    if m < 2:
-        raise ParameterError("m must be >= 2")
-
+    """The schedule at epsilon, delta in (0, e^-1]; rho_0, m: `decay_split`."""
     rho_1, rho, omega_0, L_cutoff = decay_split(rho_0, m)
+    for name, value in (("epsilon", epsilon), ("delta", delta)):
+        if not 0.0 < value <= math.exp(-1.0):
+            raise ParameterError(f"{name} must be in (0, e^-1], got {value}")
     T_max = solve_T_max(epsilon, delta, rho_0, c_rho, m)
     b = math.sqrt(math.log(T_max / delta))
     nu = epsilon**2 * (1.0 - rho_0) ** 12 / (

@@ -17,7 +17,7 @@ import numpy as np
 from .linalg import (DimensionError, causal_fir, lag_ladder, recurrence,
                      tangent_recurrence)
 from .store import load_arrays, save_arrays
-from .teacher import ParameterError
+from .teacher import ParameterError, check_decay
 
 
 @dataclass
@@ -82,8 +82,7 @@ def sample_init(rng, m, d, d_y):
 def init_student(m, d, d_y, rho, seed):
     """`sample_init(default_rng(seed), m, d, d_y)` with W scaled by
     rho^(-1/2), and W0 = W and A0 = A as anchors."""
-    if not (0.0 < rho < 1.0):
-        raise ParameterError(f"rho must lie in (0, 1), got {rho}")
+    check_decay("rho", rho)
     if m < 1 or d < 1 or d_y < 1:
         raise DimensionError("dimensions must be positive")
     W, A, B = sample_init(np.random.default_rng(seed), m, d, d_y)

@@ -22,6 +22,14 @@ class ParameterError(ValueError):
     pass
 
 
+def check_decay(name, value, floor=0.0, floor_name="0"):
+    """Refuses a decay or a failure probability `value` outside (floor, 1)."""
+    if not floor < value < 1.0:
+        at = "" if floor_name == "0" else f" = ({floor}, 1)"
+        raise ParameterError(f"{name} must lie in ({floor_name}, 1){at}, "
+                             f"got {value}")
+
+
 @dataclass
 class StableLinearSystem:
     C: np.ndarray       # d_p x d_p state transition
@@ -58,8 +66,7 @@ def stability_certificate(sys, horizon):
     """
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
-    if not (0.0 < sys.rho_C < 1.0):
-        raise ParameterError(f"rho_C must lie in (0, 1), got {sys.rho_C}")
+    check_decay("rho_C", sys.rho_C)
     CkD = lag_ladder(sys.C, sys.D, 1.0, horizon)  # (C^k D)^T, k = 0..horizon
     norms = np.linalg.norm(CkD, 2, axis=(1, 2))
     c_rho = np.max(norms / sys.rho_C ** np.arange(horizon + 1))
@@ -74,8 +81,6 @@ def random_stable_system(d_p, d, d_y, rho_C, seed):
     ||C^k D|| == rho_C^k ||D||, so c_rho == ||D||.  D and G are Gaussian,
     rescaled to unit operator norm; c_rho is certified over 200 lags.
     """
-    if not (0.0 < rho_C < 1.0):
-        raise ParameterError(f"rho_C must lie in (0, 1), got {rho_C}")
     if min(d_p, d, d_y) < 1:
         raise DimensionError("dimensions must be positive")
     rng = np.random.default_rng(seed)
@@ -128,19 +133,30 @@ class SequenceDataset:
         return self.inputs.shape[1]
 
 
-def _draw_inputs(rng, T, d, input_spec):
-    if input_spec == "iid_gaussian_unit":
-        x = rng.normal(size=(T, d)) / np.sqrt(d)
-        norms = np.linalg.norm(x, axis=1)
-        big = norms > 1.0
-        x[big] /= norms[big][:, None]
-        return x
-    if input_spec == "iid_uniform_sphere":
-        x = rng.normal(size=(T, d))
-        norms = np.linalg.norm(x, axis=1)
-        norms[norms == 0.0] = 1.0
-        return x / norms[:, None]
-    raise ParameterError(f"unknown input_spec {input_spec!r}")
+def _gaussian_unit(rng, T, d):
+    x = rng.normal(size=(T, d)) / np.sqrt(d)
+    norms = np.linalg.norm(x, axis=1)
+    big = norms > 1.0
+    x[big] /= norms[big][:, None]
+    return x
+
+
+def _uniform_sphere(rng, T, d):
+    x = rng.normal(size=(T, d))
+    norms = np.linalg.norm(x, axis=1)
+    norms[norms == 0.0] = 1.0
+    return x / norms[:, None]
+
+
+_INPUT_SPECS = {"iid_gaussian_unit": _gaussian_unit,
+                "iid_uniform_sphere": _uniform_sphere}
+
+
+def input_drawer(input_spec):
+    """The drawer of `input_spec`'s sequences, (rng, T, d) -> T x d inputs."""
+    if input_spec not in _INPUT_SPECS:
+        raise ParameterError(f"unknown input_spec {input_spec!r}")
+    return _INPUT_SPECS[input_spec]
 
 
 def generate_dataset(sys, input_spec, noise_sigma, T, K, seed):
@@ -153,12 +169,13 @@ def generate_dataset(sys, input_spec, noise_sigma, T, K, seed):
         raise ParameterError("T and K must be positive")
     if noise_sigma < 0:
         raise ParameterError("noise_sigma must be >= 0")
+    draw = input_drawer(input_spec)
     X = np.empty((K, T, sys.d))
     Yc = np.empty((K, T, sys.d_y))
     Yo = np.empty((K, T, sys.d_y))
     for i in range(K):
         rng = np.random.default_rng([int(seed), i])
-        x = _draw_inputs(rng, T, sys.d, input_spec)
+        x = draw(rng, T, sys.d)
         _, y = simulate(sys, x)
         X[i] = x
         Yc[i] = y

@@ -22,7 +22,7 @@ from .schedule import decay_split, theory_schedule
 from .store import write_json
 from .student import (linearized_forward, linearized_kernel, sample_init,
                       sample_W0)
-from .teacher import ParameterError
+from .teacher import ParameterError, check_decay
 
 REPORT_FORMAT_VERSION = 2
 THRESHOLD = 0.95  # every report's pass fraction is scored against it
@@ -206,6 +206,7 @@ def verify_concentration(m=4096, tau=8, d=4, d_y=2, trials=20, seed=0,
     (b) ||B W0^t A0||_op <= sqrt(d log(tau d / delta));
     (c) |u^T (W0^t A0)^T (W0^t' A0) v| <= 24 tau d^2 log m / sqrt(m), t != t';
     (d) ||F^T F - I|| <= log m / sqrt(m) for F = W0^t A0 and t <= 1.
+    delta, the failure probability of (b), must lie in (0, 1).
 
     The near-isometry induction that extends (d) past its base case needs
     sqrt(m) > 100 tau log^2 m, far beyond desk widths, and the downstream
@@ -215,6 +216,7 @@ def verify_concentration(m=4096, tau=8, d=4, d_y=2, trials=20, seed=0,
     cross terms, `c_b_side`, are likewise recorded only: the proof's final
     display supports only the A-side scaling.
     """
+    check_decay("delta", delta)
     inst = {"a": [], "b": [], "c": [], "c_b_side": [], "d": [], "d_all_t": []}
     cross_bound = 24.0 * tau * d**2 * np.log(m) / np.sqrt(m)
     b_bound = np.sqrt(d * np.log(tau * d / delta))
@@ -412,13 +414,13 @@ def verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20, 24, 28, 32),
     rho = rho_0, plus the schedule-level check: with tau = T_max and the
     theory rate rho = rho_1 rho_0^2, the error is <= epsilon / b.
     """
+    sched = theory_schedule(epsilon, delta, rho_0, c_rho=1.0, m=m)
     tau_grid = sorted(tau_grid)
     T = max(tau_grid) + 16
     inst = {"bound": [], "slope_per_trial": [], "app": []}
     # the decay rate -slope of log err in tau, against -log(rho_0) +- 20%
     rate_tol = (-np.log(rho_0), 0.2 * abs(np.log(rho_0)))
     slopes, err_rows = [], []
-    sched = theory_schedule(epsilon, delta, rho_0, c_rho=1.0, m=m)
     T_app = sched.T_max + 24
     for r in range(trials):
         rng = np.random.default_rng([int(seed), r])
@@ -482,9 +484,11 @@ def lemma_kwargs(name, **kwargs):
     """The keywords `run_lemma` passes to lemma `name`, those given as None
     dropped (each takes its default).  `trials`, `m` and `seed` must be
     integers of at least 1, 2 and 0 (no trials test nothing, below m = 2
-    log m is zero or undefined, numpy's generators take no negative seed),
-    every grid (`*_grid`, `grid_points`) must hold a point, and
-    linearization's `omega_grid` must lie in its omega_0 ball."""
+    log m is zero or undefined, numpy's generators take no negative seed)
+    and every grid (`*_grid`, `grid_points`) must hold a point.  On every
+    keyword, defaults bound, each domain's owner runs as in the verifier:
+    `decay_split` on `rho_0`, `theory_schedule` on `epsilon` and `delta`
+    (else `check_decay` on `delta`), `_check_omega_grid` on `omega_grid`."""
     if name not in ALL_LEMMAS:
         raise ValueError(f"unknown lemma {name!r}; choose from {sorted(ALL_LEMMAS)}")
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
@@ -497,10 +501,17 @@ def lemma_kwargs(name, **kwargs):
             raise ParameterError(f"{key} must be an integer, got {value!r}")
         if value < low:
             raise ParameterError(f"{key} must be >= {low}, got {value!r}")
-    if name == "linearization":
-        args = inspect.signature(verify_linearization).bind(**kwargs)
-        args.apply_defaults()
-        _check_omega_grid(*map(args.arguments.get, ("omega_grid", "rho_0", "m")))
+    args = inspect.signature(ALL_LEMMAS[name]).bind(**kwargs)
+    args.apply_defaults()
+    a = args.arguments
+    if "rho_0" in a:
+        decay_split(a["rho_0"], a["m"])
+    if "epsilon" in a:  # the schedule owns its delta too
+        theory_schedule(a["epsilon"], a["delta"], a["rho_0"], 1.0, a["m"])
+    elif "delta" in a:
+        check_decay("delta", a["delta"])
+    if "omega_grid" in a:
+        _check_omega_grid(a["omega_grid"], a["rho_0"], a["m"])
     return kwargs
 
 

@@ -23,7 +23,8 @@ from rnn_sysid.student import init_student, sample_init
 from rnn_sysid.teacher import (ParameterError, generate_dataset,
                                random_stable_system, save_dataset)
 from rnn_sysid.trainer import sgd_train
-from rnn_sysid.verify import (ALL_LEMMAS, run_lemma, verify_linearization,
+from rnn_sysid.verify import (ALL_LEMMAS, run_lemma, verify_concentration,
+                              verify_linearization, verify_spectral,
                               verify_tail)
 
 TRAIN_CFG = {
@@ -615,6 +616,96 @@ def test_existence_refuses_a_decay_outside_rho_C_to_1(tmp_path, cfg):
             construct_comparator(W0, A0, B, sys_, cfg["rho"], 2)
 
 
+_OUT_OF_DOMAIN = [
+    *[(kind, "student.rho", rho, r"^student\.rho must lie in \(0, 1\)")
+      for kind in ("train", "sweep") for rho in (1.5, 0)],
+    *[(kind, "data.input_spec", "foo", "^unknown input_spec 'foo'")
+      for kind in ("train", "sweep")],
+    ("verify", "lemma_params.truncation.epsilon", 0, "^epsilon must be in"),
+    ("verify", "lemma_params.truncation.delta", 0.9, "^delta must be in"),
+    ("verify", "lemma_params.truncation.rho_0", 1.0, "^rho_0 must lie in"),
+    ("verify", "lemma_params.tail.rho_0", 0, "^rho_0 must lie in"),
+    ("verify", "lemma_params.tail.rho_0", 1.5, "^rho_0 must lie in"),
+    ("verify", "lemma_params.concentration.delta", 0,
+     r"^delta must lie in \(0, 1\)"),
+    ("verify", "lemma_params.concentration.delta", 100,
+     r"^delta must lie in \(0, 1\)"),
+    ("verify", "lemma_params.spectral.rho_0", 1.5, "^rho_0 must lie in"),
+    ("verify", "lemma_params.spectral.rho_0", 1.0, "^rho_0 must lie in"),
+    ("verify", "lemma_params.concentration.m", 1, "^m must be >= 2"),
+]
+
+
+@pytest.mark.parametrize("kind, path, value, message", _OUT_OF_DOMAIN,
+                         ids=[f"{k}-{p}={v}" for k, p, v, _ in _OUT_OF_DOMAIN])
+def test_a_value_outside_its_domain_is_refused_before_writing(
+        tmp_path, kind, path, value, message):
+    # each ran past config.json before: refused by the verifier or the
+    # student, crashed (tail at rho_0 0, concentration at delta 0), wrote
+    # a failing report (tail at rho_0 1.5) or passed vacuously (spectral
+    # at rho_0 >= 1, where omega_0 <= 0 and the (d) bound grows with t)
+    _refused_before_writing(tmp_path, _with(kind, path, value), message,
+                            error=ParameterError)
+
+
+@pytest.mark.parametrize("verifier, params", [
+    (verify_spectral, {"rho_0": 1.5}), (verify_tail, {"rho_0": 0.0}),
+    (verify_concentration, {"delta": 0.0})])
+def test_a_direct_verifier_call_refuses_a_value_outside_its_domain(verifier,
+                                                                   params):
+    with pytest.raises(ParameterError, match="must lie in"):
+        verifier(m=16, trials=1, **params)
+
+
+# Every field whose domain is an interval or a name, not a floor: decays,
+# the schedule's and the lemmas' epsilon and delta, and the input law.
+# loss.delta is Huber's transition point, which the floor rule covers.
+_DOMAIN_KEYS = ("rho", "rho_0", "rho_C", "epsilon", "delta", "input_spec")
+
+
+def _domain_fields(spec, path=""):
+    for key, default in spec.items():
+        if isinstance(default, dict):
+            yield from _domain_fields(default, f"{path}{key}.")
+        elif key in _DOMAIN_KEYS and path + key != "loss.delta":
+            yield path + key, default
+
+
+_DOMAINS = [(kind, path, value) for kind in harness.SCHEMA
+            for path, default in _domain_fields(harness.SCHEMA[kind])
+            for value in (["foo"] if isinstance(default, str) else [0, 1.5])]
+
+
+@pytest.mark.parametrize("kind, path, value", _DOMAINS,
+                         ids=[f"{k}-{p}={v}" for k, p, v in _DOMAINS])
+def test_every_domain_is_checked_before_writing(tmp_path, kind, path, value):
+    # 0 passes the floor rule and 1.5 has no floor to break: each is
+    # refused by the function that owns its domain, naming it.  The
+    # schedule and rho_0 feed theory mode only, so they run in it.
+    cfg = _with(kind, path, value)
+    if path.startswith("schedule.") or path == "student.rho_0":
+        cfg["student"] = {**cfg.get("student", {}), "rho_mode": "theory"}
+    _refused_before_writing(tmp_path, cfg, rf"\b{path.split('.')[-1]}\b",
+                            error=ParameterError)
+
+
+def test_the_domain_walk_reaches_every_decay_and_probability():
+    paths = {f"{kind}-{path}" for kind, path, _ in _DOMAINS}
+    lemmas = {f"verify-lemma_params.{name}.{key}"
+              for name, fn in ALL_LEMMAS.items()
+              for key in inspect.signature(fn).parameters
+              if key in _DOMAIN_KEYS}
+    assert lemmas >= {"verify-lemma_params.spectral.rho_0",
+                      "verify-lemma_params.concentration.delta",
+                      "verify-lemma_params.truncation.epsilon"}
+    assert paths >= lemmas | {
+        f"{kind}-{path}" for kind in ("train", "sweep")
+        for path in ("teacher.rho_C", "data.input_spec", "student.rho",
+                     "student.rho_0", "schedule.epsilon", "schedule.delta")
+    } | {"existence-rho", "existence-teacher.rho_C"}
+    assert not any("loss.delta" in path for path in paths)
+
+
 _WORKLOADS = importlib.util.spec_from_file_location(
     "perfbench_workloads", os.path.join(os.path.dirname(__file__), os.pardir,
                                         "perfbench", "workloads.py"))
@@ -711,18 +802,22 @@ def test_verify_refuses_a_later_lemma_before_any_report(tmp_path):
 @pytest.mark.parametrize("params", [
     {"omega_grid": [0.5]},
     # the default grid reaches 0.03, past omega_0 = 1/0.99 - 1
-    {"rho_0": 0.99}])
+    {"rho_0": 0.99},
+    # omega_0 = -1/3: decay_split names rho_0 before the ball is measured
+    {"rho_0": 1.5}])
 def test_verify_refuses_an_omega_past_omega_0_before_any_report(tmp_path,
                                                                 params):
     # the bound holds on the omega_0 ball only; the run stops before it
     # writes its config or the earlier lemma's report
+    message = (r"^rho_0 must lie in \(0, 1\), got 1.5"
+               if params.get("rho_0", 0) >= 1 else "exceeds omega_0")
     cfg = {"kind": "verify", "lemmas": ["tail", "linearization"], "m": 16,
            "trials": 1, "lemma_params": {"linearization": params}}
-    with pytest.raises(ParameterError, match="exceeds omega_0"):
+    with pytest.raises(ParameterError, match=message):
         run_experiment(cfg, out_dir=str(tmp_path / "v"))
     assert not (tmp_path / "v").exists()
     # a direct call reaches the same check
-    with pytest.raises(ParameterError, match="exceeds omega_0"):
+    with pytest.raises(ParameterError, match=message):
         verify_linearization(m=16, trials=1, **params)
 
 
