@@ -165,26 +165,21 @@ def verify_existence(comp, dataset, loss, W0, B):
 
     fit_error = max over (sequence, t <= T_max) of ||f_t(W*, A*) - y~_t||;
     the horizon cap keeps the comparison inside the lag range the
-    construction covers.  W* runs factored (`FactoredW`), so no m x m array
-    besides W0 is formed.  The report adds the averaged loss gap to the
-    teacher's own outputs, and carries the comparator's distances and
-    claimed bounds as they are; `comp` is left unchanged.
+    construction covers.  All probes run in one time-major block forward
+    on W* factored (`FactoredW`), so no m x m array besides W0 is formed.
+    The report adds the averaged loss gap to the teacher's own outputs,
+    and carries the comparator's distances and claimed bounds as they
+    are; `comp` is left unchanged.
     """
     T_eval = min(dataset.T, comp.T_max)
-    W_star = FactoredW(W0, comp.left, comp.core, comp.right)
-    fit_error = 0.0
-    gap = 0.0
-    for i in range(dataset.K):
-        x = dataset.inputs[i][:T_eval]
-        F = forward_rescaled(W_star, comp.A_star, B, comp.rho, x)
-        ytil = dataset.clean_outputs[i][:T_eval]
-        yobs = dataset.observed_outputs[i][:T_eval]
-        fit_error = max(fit_error, float(np.max(np.linalg.norm(F - ytil, axis=1))))
-        gap += sequence_loss(loss, yobs, F) - sequence_loss(loss, yobs, ytil)
-    gap /= dataset.K
+    x, ytil, yobs = (a[:, :T_eval].swapaxes(0, 1) for a in (
+        dataset.inputs, dataset.clean_outputs, dataset.observed_outputs))
+    F = forward_rescaled(FactoredW(W0, comp.left, comp.core, comp.right),
+                         comp.A_star, B, comp.rho, x)
+    gap = sequence_loss(loss, yobs, F) - sequence_loss(loss, yobs, ytil)
     return {
-        "fit_error": fit_error,
-        "loss_gap": gap,
+        "fit_error": float(np.max(np.linalg.norm(F - ytil, axis=-1))),
+        "loss_gap": gap / dataset.K,
         "dist_W": comp.dist_W,
         "dist_A": comp.dist_A,
         "distance_bound": comp.distance_bound,

@@ -24,7 +24,7 @@ from . import __version__
 from .existence import construct_comparator, save_comparator, verify_existence
 from .linalg import log_slope
 from .losses import make_loss
-from .schedule import theory_schedule
+from .schedule import check_targets, theory_schedule
 from .store import write_json
 from .student import init_student, sample_init
 from .teacher import (check_decay, generate_dataset, input_drawer,
@@ -205,6 +205,9 @@ def _derive(c, sys, m):
         derived = {"eta": sched.eta, "K_steps": sched.K}
     elif mode == "practical":
         check_decay("student.rho", student["rho"])  # a float: no int lies there
+        # unread here, but recorded: refused as theory mode refuses them
+        check_decay("rho_0", student["rho_0"])
+        check_targets(**c["schedule"])
         derived = {"eta": 1e-2 / m, "K_steps": 2000}
     else:
         raise ConfigError(f"unknown student.rho_mode {mode!r}")

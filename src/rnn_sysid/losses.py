@@ -22,8 +22,11 @@ class LossFunction:
 
 
 def make_loss(kind, delta=1.0, d_y=1):
+    """The loss `kind`; delta, Huber's transition point, lies in (0, inf)."""
     if kind not in KINDS:
         raise ParameterError(f"unknown loss kind {kind!r}")
+    if not 0.0 < delta < np.inf:
+        raise ParameterError(f"delta must lie in (0, inf), got {delta}")
     # square: grad = y_hat - y, so ||grad|| <= 2C <= 2(1 + C)
     cap = min(delta, 1.0) if kind == "huber" else 1.0
     l0 = 2.0 if kind == "square" else float(np.sqrt(d_y)) * cap
@@ -58,5 +61,6 @@ def eval_loss(loss, y, y_hat):
 
 
 def sequence_loss(loss, Y, F):
-    """(1/T) sum_t L(y_t, f_t) over aligned T x d_y arrays."""
+    """(1/T) sum_t L(y_t, f_t) over aligned T x d_y arrays; over aligned
+    time-major T x K x d_y blocks, the sum of the K sequences' values."""
     return eval_loss(loss, Y, F)[0] / Y.shape[0]

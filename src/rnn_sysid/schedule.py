@@ -76,12 +76,18 @@ def solve_T_max(epsilon, delta, rho_0, c_rho, m):
     raise ScheduleError("T_max fixed point did not converge in 100 iterations")
 
 
-def theory_schedule(epsilon, delta, rho_0, c_rho, m, l0=1.0):
-    """The schedule at epsilon, delta in (0, e^-1]; rho_0, m: `decay_split`."""
-    rho_1, rho, omega_0, L_cutoff = decay_split(rho_0, m)
+def check_targets(epsilon, delta):
+    """Refuses an accuracy epsilon or a failure probability delta outside
+    the schedule's domain (0, e^-1]."""
     for name, value in (("epsilon", epsilon), ("delta", delta)):
         if not 0.0 < value <= math.exp(-1.0):
             raise ParameterError(f"{name} must be in (0, e^-1], got {value}")
+
+
+def theory_schedule(epsilon, delta, rho_0, c_rho, m, l0=1.0):
+    """The schedule at epsilon, delta: `check_targets`; rho_0, m: `decay_split`."""
+    rho_1, rho, omega_0, L_cutoff = decay_split(rho_0, m)
+    check_targets(epsilon, delta)
     T_max = solve_T_max(epsilon, delta, rho_0, c_rho, m)
     b = math.sqrt(math.log(T_max / delta))
     nu = epsilon**2 * (1.0 - rho_0) ** 12 / (

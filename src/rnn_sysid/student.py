@@ -94,16 +94,19 @@ def init_student(m, d, d_y, rho, seed):
                       seed=int(seed))
 
 
-def _check_inputs(x, d):
+def _check_inputs(x, d, block=False):
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != d:
-        raise DimensionError(f"inputs must be T x {d}, got {x.shape}")
+    if x.ndim not in ((2, 3) if block else (2,)) or x.shape[-1] != d:
+        raise DimensionError(
+            f"inputs must be T x {'[K x] ' * block}{d}, got {x.shape}")
     return x
 
 
 def forward_rescaled(W, A, B, rho, x):
-    """f_t(W, A) via the rescaled recurrence g_t = rho W g_{t-1} + A x_t."""
-    x = _check_inputs(x, A.shape[1])
+    """f_t(W, A) via the rescaled recurrence g_t = rho W g_{t-1} + A x_t,
+    of one T x d sequence or a time-major T x K x d block (one K-row
+    product with W^T per step); the outputs have x's shape with d_y."""
+    x = _check_inputs(x, A.shape[1], block=True)
     return recurrence(x @ A.T, W.T, rho) @ B.T
 
 

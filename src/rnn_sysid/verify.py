@@ -18,7 +18,7 @@ from .gradients import tangent_states
 from .linalg import (causal_fir, frob, lag_ladder, log_slope,
                      matrix_power_opnorm, operator_norm_fast, power_dtype,
                      recurrence, tangent_recurrence)
-from .schedule import decay_split, theory_schedule
+from .schedule import check_targets, decay_split, theory_schedule
 from .store import write_json
 from .student import (linearized_forward, linearized_kernel, sample_init,
                       sample_W0)
@@ -487,7 +487,7 @@ def lemma_kwargs(name, **kwargs):
     log m is zero or undefined, numpy's generators take no negative seed)
     and every grid (`*_grid`, `grid_points`) must hold a point.  On every
     keyword, defaults bound, each domain's owner runs as in the verifier:
-    `decay_split` on `rho_0`, `theory_schedule` on `epsilon` and `delta`
+    `decay_split` on `rho_0`, `check_targets` on `epsilon` and `delta`
     (else `check_decay` on `delta`), `_check_omega_grid` on `omega_grid`."""
     if name not in ALL_LEMMAS:
         raise ValueError(f"unknown lemma {name!r}; choose from {sorted(ALL_LEMMAS)}")
@@ -507,7 +507,7 @@ def lemma_kwargs(name, **kwargs):
     if "rho_0" in a:
         decay_split(a["rho_0"], a["m"])
     if "epsilon" in a:  # the schedule owns its delta too
-        theory_schedule(a["epsilon"], a["delta"], a["rho_0"], 1.0, a["m"])
+        check_targets(a["epsilon"], a["delta"])
     elif "delta" in a:
         check_decay("delta", a["delta"])
     if "omega_grid" in a:

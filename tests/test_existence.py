@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from oracles import comparator_rank_profile, dense_W_star
-from rnn_sysid.existence import (ConditioningError, construct_comparator,
-                                 gram_inverses, save_comparator,
-                                 verify_existence)
+from rnn_sysid import existence
+from rnn_sysid.existence import (ConditioningError, FactoredW,
+                                 construct_comparator, gram_inverses,
+                                 save_comparator, verify_existence)
 from rnn_sysid.harness import run_experiment
 from rnn_sysid.linalg import frob
 from rnn_sysid.losses import make_loss
@@ -119,6 +120,29 @@ def test_verify_existence_leaves_the_comparator_unchanged():
         np.testing.assert_array_equal(getattr(comp, f.name),
                                       getattr(before, f.name), err_msg=f.name)
     assert report["theorem_error_bound"] == comp.theorem_error_bound
+
+
+def test_verify_existence_runs_every_probe_in_one_block_forward(monkeypatch):
+    # K = 4 probes of T_eval = 12 steps: one forward of T_eval - 1 products
+    # through W*, not one forward of 11 products per probe (44)
+    W0, A0, B = _init(256, 3, 2, seed=4)
+    comp = construct_comparator(W0, A0, B, TEACHER, 0.9, 12)
+    ds = generate_dataset(TEACHER, "iid_gaussian_unit", 0.0, 12, 4, seed=5)
+    calls = {"forward": 0, "product": 0}
+    forward, product = existence.forward_rescaled, FactoredW.__rmatmul__
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(existence, "forward_rescaled",
+                        counted("forward", forward))
+    monkeypatch.setattr(FactoredW, "__rmatmul__", counted("product", product))
+    report = verify_existence(comp, ds, make_loss("square", d_y=2), W0, B)
+    assert report["T_eval"] == 12
+    assert calls == {"forward": 1, "product": 11}
 
 
 def test_fit_error_shrinks_with_m():

@@ -600,6 +600,27 @@ def test_an_unknown_loss_is_refused_before_writing(tmp_path, kind):
                             "unknown loss kind 'l2'", error=ParameterError)
 
 
+@pytest.mark.parametrize("kind", ["train", "sweep"])
+def test_a_huber_delta_of_zero_is_refused_before_writing(tmp_path, kind):
+    # it passes the floor rule, yet makes a loss that is 0 everywhere: a
+    # practical run read as a perfect fit, and theory mode divided by l0 = 0
+    cfg = _with(kind, "loss.delta", 0)
+    cfg["loss"]["kind"] = "huber"
+    for mode in ("practical", "theory"):
+        cfg.setdefault("student", {})["rho_mode"] = mode
+        _refused_before_writing(tmp_path, cfg, r"^delta must lie in \(0, inf\)",
+                                error=ParameterError)
+
+
+def test_a_practical_run_at_width_one_goes_ahead(tmp_path):
+    # decay_split's m >= 2 is the lemmas' rule: practical mode never calls it
+    code, out = run_experiment(_with("train", "student.m", 1),
+                               out_dir=str(tmp_path / "r"))
+    assert code == 0
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert summary["m"] == 1
+
+
 @pytest.mark.parametrize("cfg", [
     {"rho": 0.5}, {"rho": 0.8}, {"rho": 1}, {"rho": 1.5},
     {"teacher": {"rho_C": 1.5}}])
@@ -659,8 +680,11 @@ def test_a_direct_verifier_call_refuses_a_value_outside_its_domain(verifier,
 
 # Every field whose domain is an interval or a name, not a floor: decays,
 # the schedule's and the lemmas' epsilon and delta, and the input law.
-# loss.delta is Huber's transition point, which the floor rule covers.
+# loss.delta is Huber's transition point, whose domain (0, inf) the walk's
+# 1.5 lies inside; its 0 is refused by a test of its own.
 _DOMAIN_KEYS = ("rho", "rho_0", "rho_C", "epsilon", "delta", "input_spec")
+# read in theory mode only, and refused in either mode
+_THEORY_FIELDS = ("student.rho_0", "schedule.epsilon", "schedule.delta")
 
 
 def _domain_fields(spec, path=""):
@@ -671,26 +695,32 @@ def _domain_fields(spec, path=""):
             yield path + key, default
 
 
-_DOMAINS = [(kind, path, value) for kind in harness.SCHEMA
+_DOMAINS = [(kind, path, value, mode) for kind in harness.SCHEMA
             for path, default in _domain_fields(harness.SCHEMA[kind])
-            for value in (["foo"] if isinstance(default, str) else [0, 1.5])]
+            for value in (["foo"] if isinstance(default, str) else [0, 1.5])
+            for mode in (("theory", "practical") if path in _THEORY_FIELDS
+                         else (None,))]
 
 
-@pytest.mark.parametrize("kind, path, value", _DOMAINS,
-                         ids=[f"{k}-{p}={v}" for k, p, v in _DOMAINS])
-def test_every_domain_is_checked_before_writing(tmp_path, kind, path, value):
+@pytest.mark.parametrize(
+    "kind, path, value, mode", _DOMAINS,
+    ids=[f"{k}-{p}={v}" + ("-practical" if mode == "practical" else "")
+         for k, p, v, mode in _DOMAINS])
+def test_every_domain_is_checked_before_writing(tmp_path, kind, path, value,
+                                                mode):
     # 0 passes the floor rule and 1.5 has no floor to break: each is
     # refused by the function that owns its domain, naming it.  The
-    # schedule and rho_0 feed theory mode only, so they run in it.
+    # schedule and rho_0 feed theory mode only; practical mode records
+    # them in resolved_config.json, so it refuses them too.
     cfg = _with(kind, path, value)
-    if path.startswith("schedule.") or path == "student.rho_0":
-        cfg["student"] = {**cfg.get("student", {}), "rho_mode": "theory"}
+    if mode is not None:
+        cfg["student"] = {**cfg.get("student", {}), "rho_mode": mode}
     _refused_before_writing(tmp_path, cfg, rf"\b{path.split('.')[-1]}\b",
                             error=ParameterError)
 
 
 def test_the_domain_walk_reaches_every_decay_and_probability():
-    paths = {f"{kind}-{path}" for kind, path, _ in _DOMAINS}
+    paths = {f"{kind}-{path}" for kind, path, _, _ in _DOMAINS}
     lemmas = {f"verify-lemma_params.{name}.{key}"
               for name, fn in ALL_LEMMAS.items()
               for key in inspect.signature(fn).parameters

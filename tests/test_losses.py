@@ -53,6 +53,13 @@ def test_unknown_kind_rejected():
         make_loss("hinge")
 
 
+@pytest.mark.parametrize("delta", [0, -1.0])
+def test_huber_delta_outside_zero_to_infinity_rejected(delta):
+    # at 0 the loss and its gradient vanish everywhere, and l0 is 0
+    with pytest.raises(ParameterError, match=r"^delta must lie in \(0, inf\)"):
+        make_loss("huber", delta=delta)
+
+
 @pytest.mark.parametrize("kind", ["square", "huber", "logistic"])
 def test_gradient_matches_central_differences(kind):
     rng = np.random.default_rng(0)
@@ -107,3 +114,13 @@ def test_sequence_loss_averages():
     Y = np.zeros((4, 2))
     F = np.ones((4, 2))
     assert sequence_loss(loss, Y, F) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["square", "huber"])
+def test_sequence_loss_of_a_time_major_block_sums_its_sequences(kind):
+    loss = make_loss(kind, delta=0.5)
+    rng = np.random.default_rng(4)
+    Y, F = rng.normal(size=(2, 6, 3, 2))  # T x K x d_y each
+    value = sequence_loss(loss, Y, F)
+    parts = [sequence_loss(loss, Y[:, k], F[:, k]) for k in range(3)]
+    assert value == pytest.approx(sum(parts), rel=1e-14)

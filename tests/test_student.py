@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import jvp_f_all_t
+from rnn_sysid.existence import FactoredW
+from rnn_sysid.linalg import DimensionError, frob
 from rnn_sysid.student import (forward_rescaled, init_student,
                                linearized_forward, load_checkpoint,
                                sample_init, save_checkpoint)
@@ -54,6 +56,31 @@ def test_forward_matches_explicit_powers():
             Wp = np.linalg.matrix_power(rnn.W, t0)
             expect += rnn.rho**t0 * rnn.B @ Wp @ rnn.A @ x[t - 1 - t0]
         np.testing.assert_allclose(F[t - 1], expect, atol=1e-10)
+
+
+@pytest.mark.parametrize("factored", [False, True])
+@pytest.mark.parametrize("K", [1, 3])
+def test_block_forward_matches_one_call_per_sequence(K, factored):
+    # a time-major T x K x d block: one K-row product per step
+    rnn, _ = _setup(m=40, T=9)
+    rng = np.random.default_rng(11)
+    W = rnn.W
+    if factored:
+        W = FactoredW(rnn.W, rng.normal(size=(4, 40)),
+                      0.1 * rng.normal(size=(4, 6)), rng.normal(size=(6, 40)))
+    X = rng.normal(size=(9, K, rnn.d))
+    F = forward_rescaled(W, rnn.A, rnn.B, rnn.rho, X)
+    assert F.shape == (9, K, rnn.d_y)
+    for k in range(K):
+        single = forward_rescaled(W, rnn.A, rnn.B, rnn.rho, X[:, k])
+        assert frob(F[:, k] - single) <= 1e-13 * frob(single)
+
+
+def test_linearized_forward_takes_one_sequence_only():
+    rnn, x = _setup()
+    with pytest.raises(DimensionError, match="inputs must be T x 3, got"):
+        linearized_forward(rnn.W0, rnn.A0, np.zeros_like(rnn.W0), rnn.A0,
+                           rnn.B, rnn.rho, x[:, None], [2])
 
 
 def _truncated(rnn, x, taus):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rnn_sysid import teacher
+from rnn_sysid.linalg import DimensionError
 from rnn_sysid.teacher import (ParameterError, generate_dataset,
                                impulse_response, load_dataset,
                                random_stable_system, save_dataset, simulate,
@@ -91,6 +92,11 @@ def test_noise_sigma_shifts_only_observed():
     np.testing.assert_array_equal(clean.clean_outputs, noisy.clean_outputs)
     np.testing.assert_array_equal(clean.inputs, noisy.inputs)
     assert not np.array_equal(clean.observed_outputs, noisy.observed_outputs)
+
+
+def test_simulate_takes_one_sequence_only():
+    with pytest.raises(DimensionError, match="inputs must be T x 3"):
+        simulate(_sys(), np.zeros((5, 2, 3)))
 
 
 def test_unknown_input_spec_rejected():
