@@ -34,12 +34,12 @@ class ConditioningError(RuntimeError):
 
 @dataclass
 class GramInverses:
-    P1: list   # P1[a] inverts B W0^a (W0^a)^T B^T, a = 0..T_max-1
-    P2: list   # P2[b] inverts (W0^b A0)^T W0^b A0
+    P1: list   # P1[a] inverts B W0^a (W0^a)^T B^T, a = 0..max(T_max-2, 0)
+    P2: list   # P2[b] inverts (W0^b A0)^T W0^b A0, b = 0..T_max-2
     cond_max: float
     resid_max: float
     L: np.ndarray   # L[a] = B W0^a, T_max x d_y x m
-    R: np.ndarray   # R[b] = (W0^b A0)^T, T_max x d x m
+    R: np.ndarray   # R[b] = (W0^b A0)^T, (T_max-1) x d x m
 
 
 class FactoredW:
@@ -93,12 +93,14 @@ def _validated_inverse(Gram, tag):
 
 
 def gram_inverses(W0, A0, B, T_max):
+    # what construct_comparator reads: L to the top M_t0's lag T_max-1, R,
+    # P1 and P2 to the core's T_max-2, and P1[0] (A*) at every T_max
     L = lag_ladder(W0.T, B.T, 1.0, T_max - 1)
-    R = lag_ladder(W0, A0, 1.0, T_max - 1)
+    R = lag_ladder(W0, A0, 1.0, T_max - 2)
     P = {"P1": [], "P2": []}
     cond_max = 0.0
     resid_max = 0.0
-    for tag, ladder in (("P1", L), ("P2", R)):
+    for tag, ladder in (("P1", L[:max(T_max - 1, 1)]), ("P2", R)):
         for k, M in enumerate(ladder):
             Pk, c, r = _validated_inverse(M @ M.T, f"{tag}[{k}]")
             P[tag].append(Pk)
@@ -129,7 +131,7 @@ def construct_comparator(W0, A0, B, teacher, rho, T_max):
 
     n = T_max - 1
     left = L[:n].reshape(-1, m)
-    right = R[:n].reshape(-1, m)
+    right = R.reshape(-1, m)
     core = np.zeros((n, B.shape[0], n, A0.shape[1]))
     for t0 in range(1, T_max):
         M = ir[t0] - rho**t0 * (L[t0] @ A0)

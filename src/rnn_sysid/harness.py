@@ -30,7 +30,7 @@ from .student import init_student, sample_init
 from .teacher import (check_decay, generate_dataset, input_drawer,
                       load_dataset, random_stable_system)
 from .trainer import running_average, sgd_train
-from .verify import (ALL_LEMMAS, _at_most, _finish, _near, lemma_kwargs,
+from .verify import (ALL_LEMMAS, _at_most, _finish, _within, lemma_kwargs,
                      run_lemma)
 
 
@@ -380,7 +380,7 @@ def _run_existence(c, sys, out):
                                  cell["distance_bound"]) for cell in cells]),
         "fit": (_at_most, [(cell["fit_error"], cell["theorem_error_bound"])
                            for cell in cells]),
-        "slope": (_near, [] if slope is None else [(-slope, (0.5, 0.2))])}
+        "slope": (_within, [] if slope is None else [(-slope, (0.3, 0.7))])}
     verdict = _finish(SimpleNamespace(checks={}, threshold=EXISTENCE_THRESHOLD),
                       table, ("distance",))
     rows = [{key: cell[key] for key in _EXISTENCE_COLUMNS} for cell in cells]

@@ -30,10 +30,31 @@ TEACHER = random_stable_system(4, 3, 2, 0.8, seed=7)
 def test_gram_inverses_validated():
     W0, A0, B = _init(256, 3, 2)
     grams = gram_inverses(W0, A0, B, 8)
-    assert len(grams.P1) == len(grams.P2) == 8
+    # lags 0..T_max-2: the core reads no further
+    assert len(grams.P1) == len(grams.P2) == 7
     assert grams.resid_max <= 1e-8
     L = B
     np.testing.assert_allclose(grams.P1[0] @ (L @ L.T), np.eye(2), atol=1e-8)
+
+
+@pytest.mark.parametrize("T_max", [1, 2, 12])
+def test_gram_ladders_stop_at_the_lags_the_comparator_reads(T_max,
+                                                            monkeypatch):
+    # L reaches the top M_t0's lag T_max-1, R the core's T_max-2; P1[0]
+    # (A*) is inverted at every T_max
+    depths = []
+    real = existence.lag_ladder
+
+    def recorded(W, A, rho, tau):
+        depths.append(tau)
+        return real(W, A, rho, tau)
+
+    monkeypatch.setattr(existence, "lag_ladder", recorded)
+    W0, A0, B = _init(256, 3, 2)
+    grams = gram_inverses(W0, A0, B, T_max)
+    assert depths == [T_max - 1, T_max - 2]
+    assert (len(grams.L), len(grams.R)) == (T_max, T_max - 1)
+    assert (len(grams.P1), len(grams.P2)) == (max(T_max - 1, 1), T_max - 1)
 
 
 def test_conditioning_error_on_degenerate_directions():

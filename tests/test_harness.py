@@ -834,13 +834,18 @@ def test_verify_refuses_a_later_lemma_before_any_report(tmp_path):
     # the default grid reaches 0.03, past omega_0 = 1/0.99 - 1
     {"rho_0": 0.99},
     # omega_0 = -1/3: decay_split names rho_0 before the ball is measured
-    {"rho_0": 1.5}])
+    {"rho_0": 1.5},
+    # log 0 fits no slope, and a 0 residual against a 0 bound has no margin
+    {"omega_grid": [0.0, 0.001, 0.01]}])
 def test_verify_refuses_an_omega_past_omega_0_before_any_report(tmp_path,
                                                                 params):
     # the bound holds on the omega_0 ball only; the run stops before it
     # writes its config or the earlier lemma's report
     message = (r"^rho_0 must lie in \(0, 1\), got 1.5"
-               if params.get("rho_0", 0) >= 1 else "exceeds omega_0")
+               if params.get("rho_0", 0) >= 1
+               else r"^omega_grid entries must be > 0, got 0.0"
+               if min(params.get("omega_grid", [1])) <= 0
+               else "exceeds omega_0")
     cfg = {"kind": "verify", "lemmas": ["tail", "linearization"], "m": 16,
            "trials": 1, "lemma_params": {"linearization": params}}
     with pytest.raises(ParameterError, match=message):

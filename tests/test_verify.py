@@ -12,7 +12,7 @@ from rnn_sysid.linalg import operator_norm_fast, power_dtype
 from rnn_sysid.student import sample_init, sample_W0
 from rnn_sysid.teacher import ParameterError
 from rnn_sysid.verify import (ALL_LEMMAS, LemmaReport, _at_most, _finish,
-                              _power_norms, _unit_frob, _unit_vec,
+                              _power_norms, _unit_frob,
                               linearization_residuals,
                               run_lemma, tail_norms,
                               verify_concentration,
@@ -213,8 +213,8 @@ def test_concentration_cross_terms_match_literal_pairs():
     for r in range(trials):
         rng = np.random.default_rng([seed, r])
         W0, A0, B = sample_init(rng, m, d, d_y)
-        v2, u2 = _unit_vec(rng, d), _unit_vec(rng, d)
-        v1, u1 = _unit_vec(rng, d_y), _unit_vec(rng, d_y)
+        v2, u2 = _unit_frob(rng, (d,)), _unit_frob(rng, (d,))
+        v1, u1 = _unit_frob(rng, (d_y,)), _unit_frob(rng, (d_y,))
         Wt = [np.linalg.matrix_power(W0, t) for t in range(tau)]
         for t in range(tau):
             for tp in range(tau):
@@ -317,6 +317,37 @@ def test_linearization_trial_forms_one_endpoint_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak / (8 * m * m) < 3.5
+
+
+def test_linearization_slope_catches_a_residual_not_scaled_by_omega_squared(
+        monkeypatch):
+    # injected defect: each residual divided by omega^2, so it no longer
+    # grows like omega^2.  The slope check sees it; the bound does not
+    real = rnn_sysid.verify.linearization_residuals
+
+    def unscaled(*args):
+        omega_grid = args[-1]
+        return [r / w**2 for r, w in zip(real(*args), omega_grid)]
+
+    monkeypatch.setattr(rnn_sysid.verify, "linearization_residuals", unscaled)
+    rep = verify_linearization(m=256, trials=3, seed=0)
+    assert rep.checks["slope"]["pass_fraction"] == 0.0
+    assert not rep.passed
+
+
+def test_truncation_slope_catches_sums_taken_at_rho_1(monkeypatch):
+    # injected defect: the truncated sums taken at rho = 1, so the error no
+    # longer decays like rho_0^tau.  The slope check sees it; the bound
+    # does not
+    real = rnn_sysid.verify.linearized_forward
+
+    def undamped(W0, A0, dW, A, B, rho, x, taus):
+        return real(W0, A0, dW, A, B, 1.0, x, taus)
+
+    monkeypatch.setattr(rnn_sysid.verify, "linearized_forward", undamped)
+    rep = verify_truncation(m=256, trials=3, seed=0)
+    assert rep.checks["slope"]["pass_fraction"] == 0.0
+    assert not rep.passed
 
 
 def test_truncation_slope_and_schedule_level_error():
