@@ -43,15 +43,18 @@ def tangent_states(W, A, rho, x, Z_W, Z_A):
                               None if Z_A is None else x @ Z_A.T)
 
 
-def loss_gradients_bptt(W, A, B, rho, x, y, loss):
+def loss_gradients_bptt(W, A, B, rho, x, y, loss, G=None):
     """(1/T) sum_t grad L(y_t, f_t) w.r.t. (W, A) by the adjoint recursion.
 
     lambda_t = (1/T) B^T r_t + rho W^T lambda_{t+1};
     grad_W = rho sum_t lambda_t g_{t-1}^T, grad_A = sum_t lambda_t x_t^T.
+    G, if given, holds the forward states g_t of x, which are then not
+    recomputed.
     """
     x = np.asarray(x, dtype=float)
     T = x.shape[0]
-    G = recurrence(x @ A.T, W.T, rho)
+    if G is None:
+        G = recurrence(x @ A.T, W.T, rho)
     total, R = eval_loss(loss, y, G @ B.T)
     # the adjoint runs backward in time: a forward recurrence with M = W
     # on the reversed drive

@@ -155,6 +155,15 @@ def power_dtype(m):
     return np.float32 if m >= 2048 else np.float64
 
 
+# The widest m at which one 2-row product with an m x m float64 matrix
+# costs no more than two matrix-vector products with it.  The ratio of
+# the two (median of 400 calls, two runs, 2-core VM, OpenBLAS at 1 / 2
+# threads) is 0.47-0.59 for m = 256..576, then 1.23 / 0.74-0.75 at 640 and
+# 1.03-1.71 from 704 to 2048 (CHANGES.md, "The holdout in the training
+# forward").
+TWO_ROW_MAX_M = 576
+
+
 TILE = 64  # transposed_copy's square tile: 32 KB of float64, 16 KB of float32
 
 

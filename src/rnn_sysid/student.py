@@ -105,9 +105,11 @@ def _check_inputs(x, d, block=False):
 def forward_rescaled(W, A, B, rho, x):
     """f_t(W, A) via the rescaled recurrence g_t = rho W g_{t-1} + A x_t,
     of one T x d sequence or a time-major T x K x d block (one K-row
-    product with W^T per step); the outputs have x's shape with d_y."""
+    product with W^T per step); the outputs have x's shape with d_y.
+    With B None it returns the states g_t (x's shape with m)."""
     x = _check_inputs(x, A.shape[1], block=True)
-    return recurrence(x @ A.T, W.T, rho) @ B.T
+    G = recurrence(x @ A.T, W.T, rho)
+    return G if B is None else G @ B.T
 
 
 def linearized_kernel(W0, A0, dW, A, B, rho, tau):

@@ -9,6 +9,13 @@ at a time, ||grad_W|| comes from T x T Grams, and ||D||^2 (D = W - W0) is
 carried as ||D||^2 - 2 eta_W <D, grad_W> + eta_W^2 ||grad_W||^2, where
 <D, grad_W> = sum_t lambda_t^T (rho D g_{t-1}) takes rho W g_{t-1} =
 g_t - A x_t from the forward and W0 g_{t-1} from one product with W0.
+
+A step with a holdout reads W about 3T+7 times: T passes each for the
+forward, the adjoint and the holdout forward, the rest for the W0 product
+and the update.  At widths up to `linalg.TWO_ROW_MAX_M`, where one 2-row
+product costs what one matrix-vector product does, the holdout sequence
+rides in the forward as the second row of one time-major block, and W is
+read 2T+7 times.  Above it the holdout keeps its own forward.
 """
 
 import json
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradients import loss_gradients_bptt
-from .linalg import frob
+from .linalg import TWO_ROW_MAX_M, DimensionError, frob
 from .losses import sequence_loss
 from .student import forward_rescaled, save_checkpoint
 from .teacher import ParameterError
@@ -46,12 +53,20 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
     current iterate, then update W and A together, in place.  If `holdout`
     is given, each record also carries the loss on one holdout sequence
     drawn from an independent stream, so train and holdout curves are
-    directly comparable.
+    directly comparable.  The holdout may have another length T; both
+    datasets must have the student's d and d_y.
     """
-    if eta < 0:
-        raise ParameterError("eta must be >= 0")
+    if not 0.0 <= eta < np.inf:
+        raise ParameterError(f"eta must be finite and >= 0, got {eta}")
     if K < 1:
         raise ParameterError("K must be >= 1")
+    for name, data in (("dataset", dataset), ("holdout", holdout)):
+        if data is None:
+            continue
+        dims = (data.inputs.shape[-1], data.observed_outputs.shape[-1])
+        if dims != (rnn.d, rnn.d_y):
+            raise DimensionError(f"{name} has (d, d_y) = {dims}, the student "
+                                 f"({rnn.d}, {rnn.d_y})")
     rho = rnn.rho
     eta_W = eta / rho**2
     # W is updated 64 rows at a time through one buffer: a fresh temporary
@@ -62,13 +77,25 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
     dW_sq = sum(frob(rnn.W[s] - rnn.W0[s]) ** 2 for s, _ in blocks)
     rng = np.random.default_rng(seed)
     holdout_rng = np.random.default_rng([int(seed), 1])
+    # at widths up to TWO_ROW_MAX_M the training and holdout sequences run
+    # as rows 0 and 1 of one time-major block, zero past the shorter one
+    X2 = (np.zeros((max(dataset.T, holdout.T), 2, rnn.d))
+          if holdout is not None and rnn.m <= TWO_ROW_MAX_M else None)
     trace = TrainTrace()
     writer = open(trace_path, "w") if trace_path else None
     try:
         for k in range(K):
             i = int(rng.integers(dataset.K))
             x, y = dataset.inputs[i], dataset.observed_outputs[i]
-            pair = loss_gradients_bptt(rnn.W, rnn.A, rnn.B, rho, x, y, loss)
+            if holdout is not None:
+                j = int(holdout_rng.integers(holdout.K))
+                x_h, y_h = holdout.inputs[j], holdout.observed_outputs[j]
+            G = None
+            if X2 is not None:
+                X2[:len(x), 0], X2[:len(x_h), 1] = x, x_h
+                G2 = forward_rescaled(rnn.W, rnn.A, None, rho, X2)
+                G = G2[:len(x), 0]
+            pair = loss_gradients_bptt(rnn.W, rnn.A, rnn.B, rho, x, y, loss, G)
             if not np.isfinite(pair.loss):
                 trace.aborted = True
                 if checkpoint_dir:
@@ -83,11 +110,9 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
                    "dA_frob": frob(rnn.A - rnn.A0),
                    "grad_W_frob": gW, "grad_A_frob": frob(pair.grad_A)}
             if holdout is not None:
-                j = int(holdout_rng.integers(holdout.K))
-                F = forward_rescaled(rnn.W, rnn.A, rnn.B, rho,
-                                     holdout.inputs[j])
-                rec["holdout_loss"] = sequence_loss(
-                    loss, holdout.observed_outputs[j], F)
+                F = (G2[:len(x_h), 1] @ rnn.B.T if X2 is not None else
+                     forward_rescaled(rnn.W, rnn.A, rnn.B, rho, x_h))
+                rec["holdout_loss"] = sequence_loss(loss, y_h, F)
             trace.records.append(rec)
             if writer:
                 writer.write(json.dumps(rec) + "\n")

@@ -17,6 +17,7 @@ from rnn_sysid.cli import main
 from rnn_sysid.existence import construct_comparator
 from rnn_sysid.harness import (ConfigError, config_hash, generalization_gap,
                                run_experiment)
+from rnn_sysid.linalg import TWO_ROW_MAX_M
 from rnn_sysid.losses import make_loss
 from rnn_sysid.store import write_json
 from rnn_sysid.student import init_student, sample_init
@@ -1013,27 +1014,31 @@ def test_cli_missing_config_errors():
 _THREADS_SCRIPT = """
 import sys
 from rnn_sysid.harness import run_experiment
+m, steps = int(sys.argv[2]), int(sys.argv[3])
 run_experiment({
     "kind": "train", "seed": 5,
     "teacher": {"d_p": 4, "d": 2, "d_y": 2, "rho_C": 0.8, "seed": 0},
     "data": {"T": 16, "K": 16},
-    "student": {"m": 128, "rho_mode": "practical", "rho": 0.9},
+    "student": {"m": m, "rho_mode": "practical", "rho": 0.9},
     "loss": {"kind": "square"},
-    "train": {"K_steps": 200, "holdout": True, "checkpoint_every": 100},
+    "train": {"K_steps": steps, "holdout": True,
+              "checkpoint_every": steps // 2},
 }, out_dir=sys.argv[1])
 """
 
 
-def test_trace_same_at_every_blas_thread_count(tmp_path):
-    # the determinism config, run once per BLAS thread count
+# the determinism config at a width that runs the holdout in the training
+# forward, and at one above the width rule that runs it separately
+@pytest.mark.parametrize("m, steps", [(128, 200), (TWO_ROW_MAX_M + 64, 20)])
+def test_trace_same_at_every_blas_thread_count(tmp_path, m, steps):
     for threads in ("1", "2"):
         env = _env_with_src(OPENBLAS_NUM_THREADS=threads,
                             OMP_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-c", _THREADS_SCRIPT,
-                        str(tmp_path / threads)],
+                        str(tmp_path / threads), str(m), str(steps)],
                        env=env, check=True, timeout=300)
     for rel in ("trace.jsonl", "summary.json",
-                "checkpoints/step_000200/W.bin"):
+                f"checkpoints/step_{steps:06d}/W.bin"):
         assert ((tmp_path / "1" / rel).read_bytes()
                 == (tmp_path / "2" / rel).read_bytes()), rel
 

@@ -7,9 +7,9 @@ import pytest
 from oracles import dense_grad_W
 from rnn_sysid import trainer
 from rnn_sysid.gradients import loss_gradients_bptt
-from rnn_sysid.linalg import frob
-from rnn_sysid.losses import make_loss
-from rnn_sysid.student import init_student
+from rnn_sysid.linalg import TWO_ROW_MAX_M, DimensionError, frob
+from rnn_sysid.losses import make_loss, sequence_loss
+from rnn_sysid.student import forward_rescaled, init_student
 from rnn_sysid.teacher import ParameterError, generate_dataset, random_stable_system
 from rnn_sysid.trainer import averaged_loss, running_average, sgd_train
 
@@ -172,7 +172,7 @@ def test_holdout_losses_recorded():
     assert len(trace.holdout_losses()) == 25
 
 
-def test_invalid_eta_and_K():
+def test_invalid_eta_and_K(tmp_path):
     _, ds = _problem()
     loss = make_loss("square", d_y=2)
     rnn = init_student(8, 2, 2, 0.9, 3)
@@ -180,6 +180,82 @@ def test_invalid_eta_and_K():
         sgd_train(rnn, ds, loss, -1.0, 10, seed=0)
     with pytest.raises(ParameterError):
         sgd_train(rnn, ds, loss, 1e-4, 0, seed=0)
+    # a non-finite step size is refused before the trace file is opened
+    path = tmp_path / "trace.jsonl"
+    for eta in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="eta"):
+            sgd_train(rnn, ds, loss, eta, 10, seed=0, trace_path=str(path),
+                      checkpoint_dir=str(tmp_path))
+    assert not path.exists() and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("d, d_y", [(3, 2), (2, 3)])
+def test_holdout_of_other_dimensions_refused_before_any_write(tmp_path, d, d_y):
+    _, ds = _problem()
+    other = generate_dataset(random_stable_system(3, d, d_y, 0.8, 5),
+                             "iid_gaussian_unit", 0.0, 12, 4, seed=9)
+    loss = make_loss("square", d_y=2)
+    path = tmp_path / "trace.jsonl"
+    for m in (32, TWO_ROW_MAX_M + 64):
+        rnn = init_student(m, 2, 2, 0.9, 3)
+        W = rnn.W.copy()
+        with pytest.raises(DimensionError, match="holdout"):
+            sgd_train(rnn, ds, loss, 1e-4, 5, seed=0, trace_path=str(path),
+                      checkpoint_every=1, checkpoint_dir=str(tmp_path),
+                      holdout=other)
+        np.testing.assert_array_equal(rnn.W, W)
+    with pytest.raises(DimensionError, match="dataset"):
+        sgd_train(rnn, other, loss, 1e-4, 5, seed=0, trace_path=str(path))
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("m, T_h", [(64, 12), (64, 5), (64, 20),
+                                    (TWO_ROW_MAX_M + 64, 5)])
+def test_holdout_step_matches_separate_calls(monkeypatch, m, T_h):
+    # up to the width rule the holdout runs as row 1 of the training
+    # forward, above it in a forward of its own; either way every step's
+    # gradient pair and holdout loss must equal the separate calls at the
+    # pre-step iterate, whatever the holdout's length
+    sys, ds = _problem(T=12)
+    holdout = generate_dataset(sys, "iid_gaussian_unit", 0.0, T_h, 6, seed=9)
+    loss = make_loss("huber", d_y=2)
+    rnn = init_student(m, 2, 2, 0.9, 3)
+    forwards, steps = [], []
+
+    def spy_forward(W, A, B, rho, x):
+        forwards.append((B is None, x.shape))
+        return forward_rescaled(W, A, B, rho, x)
+
+    def spy_bptt(W, A, B, rho, x, y, loss, G):
+        pair = loss_gradients_bptt(W, A, B, rho, x, y, loss, G)
+        steps.append((W.copy(), A.copy(), pair,
+                      loss_gradients_bptt(W, A, B, rho, x, y, loss)))
+        return pair
+
+    monkeypatch.setattr(trainer, "forward_rescaled", spy_forward)
+    monkeypatch.setattr(trainer, "loss_gradients_bptt", spy_bptt)
+    trace = sgd_train(rnn, ds, loss, 3e-2 / m, 40, seed=2, holdout=holdout)
+    fused = m <= TWO_ROW_MAX_M
+    assert forwards == [(True, (max(12, T_h), 2, 2)) if fused
+                        else (False, (T_h, 2))] * 40
+    assert len(trace.holdout_losses()) == len(steps) == 40
+    holdout_rng = np.random.default_rng([2, 1])
+    for rec, (W, A, pair, separate) in zip(trace.records, steps):
+        j = int(holdout_rng.integers(holdout.K))
+        F = forward_rescaled(W, A, rnn.B, rnn.rho, holdout.inputs[j])
+        np.testing.assert_allclose(
+            rec["holdout_loss"],
+            sequence_loss(loss, holdout.observed_outputs[j], F),
+            rtol=1e-13, atol=0)
+        # arrays by their Frobenius norm: single entries near zero carry
+        # the cancellation of a different summation order
+        for a, b in ((pair.loss, separate.loss),
+                     (pair.grad_W_frob, separate.grad_W_frob),
+                     (dense_grad_W(pair), dense_grad_W(separate)),
+                     (pair.grad_A, separate.grad_A), (pair.G, separate.G),
+                     (pair.Lam, separate.Lam)):
+            assert frob(np.atleast_1d(a - b)) <= 1e-13 * frob(np.atleast_1d(b))
+    assert trace.records[-1]["dW_frob"] > 0.0
 
 
 def test_averaged_loss_is_mean():
