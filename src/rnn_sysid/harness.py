@@ -291,7 +291,7 @@ def _train_cell(c, sched, loss, sys, dataset, out, seed):
         "initial_avg_loss": float(avg[window - 1]),
         "final_avg_loss": float(avg[-1]),
         "loss_ratio": float(avg[-1] / max(avg[window - 1], 1e-300)),
-        "dW_frob_final": trace.records[-1]["dW_frob"],
+        "dW_frob_final": trace.dW_frob_final,
         "dA_frob_final": trace.records[-1]["dA_frob"],
     })
     if holdout is not None:

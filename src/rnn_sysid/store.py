@@ -26,14 +26,27 @@ def write_json(path, doc):
 
 
 def save_arrays(path, header_file, header, arrays):
-    """Writes one `<name>.bin` per array, then `header` with its blob table."""
+    """Writes one `<name>.bin` per array, then `header` with its blob table.
+
+    An array is given whole, or streamed as (shape, blocks): row blocks
+    written in order, whose rows make up `shape`.  Raises ValueError if the
+    blocks hold another number of values.
+    """
     os.makedirs(path, exist_ok=True)
     blobs = {}
     for name, M in arrays.items():
-        M = np.ascontiguousarray(M, dtype="<f8")
-        blobs[name] = {"file": name + ".bin", "shape": list(M.shape),
-                       "length": int(M.size)}
-        M.tofile(os.path.join(path, name + ".bin"))
+        shape, blocks = M if isinstance(M, tuple) else (np.shape(M), [M])
+        length = 0
+        with open(os.path.join(path, name + ".bin"), "wb") as f:
+            for block in blocks:
+                block = np.ascontiguousarray(block, dtype="<f8")
+                block.tofile(f)
+                length += block.size
+        if length != math.prod(shape):
+            raise ValueError(f"{name}: {length} values written, "
+                             f"shape {list(shape)}")
+        blobs[name] = {"file": name + ".bin", "shape": list(shape),
+                       "length": length}
     write_json(os.path.join(path, header_file), {**header, "blobs": blobs})
 
 
@@ -58,7 +71,7 @@ def _field(where, header, key, kind):
     raise IOError(f"{where}: {key} must be {_KINDS[kind]}, got {value!r}")
 
 
-def load_arrays(path, header_file, version, shapes, fields):
+def load_arrays(path, header_file, version, shapes, fields, unread=()):
     """(values, arrays) from a directory written by `save_arrays`.
 
     `shapes` maps each expected blob to its dimensions as header keys, e.g.
@@ -69,6 +82,8 @@ def load_arrays(path, header_file, version, shapes, fields):
     every dimension is a non-negative integer, every field has its type,
     and each expected blob is an object listing `<name>.bin` with the shape
     those dimensions give, whose file holds exactly that many values.
+    A blob named in `unread` is checked the same way but not read: its
+    entry in `arrays` is its file's path.
     """
     where = os.path.join(path, header_file)
     with open(where) as f:
@@ -96,9 +111,11 @@ def load_arrays(path, header_file, version, shapes, fields):
         if spec.get("file") != name + ".bin":
             raise IOError(f"{path}: blob {name} is stored in "
                           f"{spec.get('file')!r}, expected {name + '.bin'!r}")
-        M = np.fromfile(os.path.join(path, name + ".bin"), dtype="<f8")
-        if M.size != math.prod(shape):
-            raise IOError(f"{path}: blob {name} has {M.size} values, "
+        file = os.path.join(path, name + ".bin")
+        size = os.path.getsize(file) // 8
+        if size != math.prod(shape):
+            raise IOError(f"{path}: blob {name} has {size} values, "
                           f"expected {math.prod(shape)}")
-        arrays[name] = M.reshape(shape)
+        arrays[name] = (file if name in unread else
+                        np.fromfile(file, dtype="<f8").reshape(shape))
     return values, arrays

@@ -22,13 +22,16 @@ from .teacher import ParameterError, check_decay
 
 @dataclass
 class StudentRNN:
-    """Trained (W, A), frozen B, and the initialization anchors (W0, A0)."""
+    """Trained (W, A), frozen B, and the anchor A0 = A at initialization.
+
+    The anchor W0 = W at initialization is not held: it is a function of
+    (seed, m, rho), re-drawn a row block at a time by `W0_blocks`.
+    """
 
     W: np.ndarray    # m x m, rescaled: the recurrence matrix is rho W
     A: np.ndarray    # m x d
     B: np.ndarray    # d_y x m, frozen after init
     rho: float
-    W0: np.ndarray   # W and A at initialization
     A0: np.ndarray
     seed: int = 0
     step: int = 0
@@ -45,29 +48,71 @@ class StudentRNN:
     def d_y(self):
         return self.B.shape[0]
 
+    def W0_blocks(self):
+        """Row blocks (lo, block) of W0, re-drawn from `default_rng(seed)` and
+        scaled by rho^(-1/2) as `init_student` scales W: its W0 bit for bit.
+        One buffer serves every block."""
+        for lo, block in draw_W0_blocks(np.random.default_rng(self.seed),
+                                        self.m):
+            block *= self.rho ** -0.5
+            yield lo, block
 
-DRAW_ROWS = 256   # sample_W0's row block: 8 MB of float64 at m = 4096
+    @property
+    def W0(self):
+        """W0 re-drawn whole into a new m x m array; the package itself
+        streams `W0_blocks` instead."""
+        W0 = np.empty_like(self.W)
+        for lo, block in self.W0_blocks():
+            W0[lo:lo + len(block)] = block
+        return W0
+
+    def dW_frob(self):
+        """||W - W0||_F in one block pass: each re-drawn block of W0 has W's
+        rows subtracted in place and is then reduced, so no m x m
+        temporary is made."""
+        sq = 0.0
+        for lo, block in self.W0_blocks():
+            block -= self.W[lo:lo + len(block)]
+            sq += np.einsum("ij,ij->", block, block)
+        return float(np.sqrt(sq))
+
+
+DRAW_ROWS = 256   # W0's row block: 8 MB of float64 at m = 4096
+
+
+def draw_W0_blocks(rng, m, into=None):
+    """Row blocks of one W0 ~ N(0, 1/m) drawn from `rng`: yields (lo, block),
+    block holding rows lo.. of the draw, DRAW_ROWS rows at a time.
+
+    The generator fills values in order, so any block size gives the values
+    of one (m, m) draw.  Each block is filled by `standard_normal` and scaled
+    in place: the values and the generator's end state are those of
+    `rng.normal(0, sqrt(1/m), (m, m))`, without its temporary.  The blocks
+    are views of `into`, a float64 m x m array, when it is given; otherwise
+    they share one buffer, which the next block overwrites.  This is the one
+    drawing loop: `sample_W0` fills its array from it, and the student's
+    anchor is re-drawn from it.
+    """
+    buf = np.empty((min(DRAW_ROWS, m), m)) if into is None else None
+    for lo in range(0, m, DRAW_ROWS):
+        n = min(DRAW_ROWS, m - lo)
+        block = buf[:n] if into is None else into[lo:lo + n]
+        rng.standard_normal(out=block)
+        block *= np.sqrt(1.0 / m)
+        yield lo, block
 
 
 def sample_W0(rng, m, dtype=np.float64):
-    """W0 ~ N(0, 1/m) i.i.d., drawn DRAW_ROWS rows at a time into `dtype`.
+    """W0 ~ N(0, 1/m) i.i.d. from `draw_W0_blocks`, held in `dtype`.
 
-    The generator fills values in order, so the row blocks hold the values
-    of one (m, m) draw, cast to `dtype`; no float64 m x m array is held
-    beside a narrower copy.  Each block is filled by `standard_normal` and
-    scaled in place: the values and the generator's end state are those of
-    `rng.normal(0, sqrt(1/m))`, without its temporary.  A float64 W0 is
-    filled in place, a narrower one through one float64 row block.
+    A float64 W0 is filled in place, a narrower one through one float64 row
+    block, so no float64 m x m array is held beside a narrower copy.
     """
     W0 = np.empty((m, m), dtype=dtype)
-    buf = None if W0.dtype == np.float64 else np.empty((min(DRAW_ROWS, m), m))
-    for i in range(0, m, DRAW_ROWS):
-        rows = W0[i:i + DRAW_ROWS]
-        block = rows if buf is None else buf[:len(rows)]
-        rng.standard_normal(out=block)
-        block *= np.sqrt(1.0 / m)
-        if buf is not None:
-            rows[...] = block
+    into = W0 if W0.dtype == np.float64 else None
+    for lo, block in draw_W0_blocks(rng, m, into):
+        if into is None:
+            W0[lo:lo + len(block)] = block
     return W0
 
 
@@ -81,17 +126,18 @@ def sample_init(rng, m, d, d_y):
 
 def init_student(m, d, d_y, rho, seed):
     """`sample_init(default_rng(seed), m, d, d_y)` with W scaled by
-    rho^(-1/2), and W0 = W and A0 = A as anchors."""
+    rho^(-1/2), and A0 = A as the anchor; W0 is re-drawn when needed."""
     check_decay("rho", rho)
     if m < 1 or d < 1 or d_y < 1:
         raise DimensionError("dimensions must be positive")
     W, A, B = sample_init(np.random.default_rng(seed), m, d, d_y)
     # W~ = rho W ~ N(0, rho/m), not the lemmas' N(0, 1/m): that law fails
     # train_small's loss_ratio <= 0.01 gate at 6 of seeds 0-15 (schema.md,
-    # "Student initialization"), so it waits for a change of its own
+    # "Student initialization"), so it waits for a change of its own.
+    # `StudentRNN.W0_blocks` re-draws W0 with the same scale
+    rho = float(rho)
     W *= rho ** -0.5
-    return StudentRNN(W=W, A=A, B=B, rho=float(rho), W0=W.copy(), A0=A.copy(),
-                      seed=int(seed))
+    return StudentRNN(W=W, A=A, B=B, rho=rho, A0=A.copy(), seed=int(seed))
 
 
 def _check_inputs(x, d, block=False):
@@ -149,21 +195,36 @@ _FIELDS = {"rho": float, "seed": int, "step": int}
 
 
 def save_checkpoint(rnn, path):
+    """Writes the student; its `W0.bin` is streamed from the re-drawn row
+    blocks, so no m x m W0 is made."""
     header = {"format_version": FORMAT_VERSION, "m": rnn.m, "d": rnn.d,
               "d_y": rnn.d_y, "rho": "%.17g" % rnn.rho, "seed": rnn.seed,
               "step": rnn.step}
+    W0 = ((rnn.m, rnn.m), (block for _, block in rnn.W0_blocks()))
     save_arrays(path, "checkpoint.json", header,
-                {name: getattr(rnn, name) for name in _SHAPES})
+                {name: W0 if name == "W0" else getattr(rnn, name)
+                 for name in _SHAPES})
 
 
 def load_checkpoint(path):
-    """The saved student, anchors included.
+    """The saved student; its W0 blob is checked, not kept.
 
     Raises IOError unless the header has format_version 2, rho as text,
-    integer seed and step, and every blob the shape its m, d and d_y imply
-    and that many values.
+    integer seed and step, every blob the shape its m, d and d_y imply and
+    that many values, and the `W0` blob the bytes of the W0 that the
+    header's seed, m and rho re-draw.  The blob is read one row block at a
+    time, beside the re-drawn block.
     """
     fields, mats = load_arrays(path, "checkpoint.json", FORMAT_VERSION,
-                               _SHAPES, _FIELDS)
-    return StudentRNN(rho=fields["rho"], seed=fields["seed"],
-                      step=fields["step"], **mats)
+                               _SHAPES, _FIELDS, unread=("W0",))
+    W0_file = mats.pop("W0")
+    rnn = StudentRNN(rho=fields["rho"], seed=fields["seed"],
+                     step=fields["step"], **mats)
+    with open(W0_file, "rb") as f:
+        for lo, block in rnn.W0_blocks():
+            if f.read(block.nbytes) != block.astype("<f8").tobytes():
+                raise IOError(
+                    f"{path}: blob W0 differs from the W0 that seed "
+                    f"{rnn.seed}, m {rnn.m} and rho {rnn.rho!r} re-draw, "
+                    f"from row {lo}")
+    return rnn

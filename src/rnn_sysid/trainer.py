@@ -5,17 +5,17 @@ is the one SGD takes on the trained W~ with step size eta: the chain rule
 gives grad_W~ = grad_W / rho, so W moves by eta_W grad_W (eta_W = eta /
 rho^2) and A by eta grad_A.  grad_W = rho Lam[1:]^T G[:-1] has rank <= T-1
 and is never formed: W is updated in place from its factors one row block
-at a time, ||grad_W|| comes from T x T Grams, and ||D||^2 (D = W - W0) is
-carried as ||D||^2 - 2 eta_W <D, grad_W> + eta_W^2 ||grad_W||^2, where
-<D, grad_W> = sum_t lambda_t^T (rho D g_{t-1}) takes rho W g_{t-1} =
-g_t - A x_t from the forward and W0 g_{t-1} from one product with W0.
+at a time, and ||grad_W|| comes from T x T Grams.
 
-A step with a holdout reads W about 3T+7 times: T passes each for the
-forward, the adjoint and the holdout forward, the rest for the W0 product
-and the update.  At widths up to `linalg.TWO_ROW_MAX_M`, where one 2-row
-product costs what one matrix-vector product does, the holdout sequence
-rides in the forward as the second row of one time-major block, and W is
-read 2T+7 times.  Above it the holdout keeps its own forward.
+A step reads W0 zero times.  With a holdout it reads W about 3T+6 times:
+T passes each for the forward, the adjoint and the holdout forward, the
+rest for the update.  At widths up to `linalg.TWO_ROW_MAX_M`, where one
+2-row product costs what one matrix-vector product does, the holdout
+sequence rides in the forward as the second row of one time-major block,
+and W is read 2T+6 times.  Above it the holdout keeps its own forward.
+The distance ||W - W0||_F is exact and sampled: each sample re-draws W0 a
+row block at a time (`StudentRNN.dW_frob`), every `checkpoint_every` steps
+and once at the end.
 """
 
 import json
@@ -36,6 +36,8 @@ class TrainTrace:
     records: list = field(default_factory=list)
     checkpoint_dirs: list = field(default_factory=list)
     aborted: bool = False
+    # ||W - W0||_F at the iterate the run ends on; None when not finite
+    dW_frob_final: float = None
 
     def losses(self):
         return np.array([r["loss"] for r in self.records])
@@ -54,7 +56,11 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
     is given, each record also carries the loss on one holdout sequence
     drawn from an independent stream, so train and holdout curves are
     directly comparable.  The holdout may have another length T; both
-    datasets must have the student's d and d_y.
+    datasets must have the student's d and d_y.  The records of steps k
+    with k % checkpoint_every == 0 (k = 0 alone when that is 0) carry the
+    exact dW_frob at the pre-update iterate; `dW_frob_final` is that
+    distance after the last update, or at the iterate whose loss was not
+    finite.
     """
     if not 0.0 <= eta < np.inf:
         raise ParameterError(f"eta must be finite and >= 0, got {eta}")
@@ -74,7 +80,7 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
     buf = np.empty((min(64, rnn.m), rnn.m))
     blocks = [(slice(lo, lo + 64), buf[:min(64, rnn.m - lo)])
               for lo in range(0, rnn.m, 64)]
-    dW_sq = sum(frob(rnn.W[s] - rnn.W0[s]) ** 2 for s, _ in blocks)
+    sample_every = checkpoint_every or K   # the steps that carry dW_frob
     rng = np.random.default_rng(seed)
     holdout_rng = np.random.default_rng([int(seed), 1])
     # at widths up to TWO_ROW_MAX_M the training and holdout sequences run
@@ -104,11 +110,12 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
                     save_checkpoint(rnn, path)
                     trace.checkpoint_dirs.append(path)
                 break
-            gW = pair.grad_W_frob
-            rec = {"k": k, "i": i, "loss": pair.loss,
-                   "dW_frob": float(np.sqrt(dW_sq)),
-                   "dA_frob": frob(rnn.A - rnn.A0),
-                   "grad_W_frob": gW, "grad_A_frob": frob(pair.grad_A)}
+            rec = {"k": k, "i": i, "loss": pair.loss}
+            if k % sample_every == 0:
+                rec["dW_frob"] = rnn.dW_frob()
+            rec.update(dA_frob=frob(rnn.A - rnn.A0),
+                       grad_W_frob=pair.grad_W_frob,
+                       grad_A_frob=frob(pair.grad_A))
             if holdout is not None:
                 F = (G2[:len(x_h), 1] @ rnn.B.T if X2 is not None else
                      forward_rescaled(rnn.W, rnn.A, rnn.B, rho, x_h))
@@ -117,10 +124,6 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
             if writer:
                 writer.write(json.dumps(rec) + "\n")
             Lam, G_prev = pair.Lam[1:], pair.G[:-1]   # lambda_t, g_{t-1}
-            # rho (W - W0) g_{t-1} = (g_t - A x_t) - rho W0 g_{t-1}
-            DG = pair.G[1:] - (x @ rnn.A.T)[1:] - rho * (G_prev @ rnn.W0.T)
-            DgW = float(np.einsum("ij,ij->", Lam, DG))   # <W - W0, grad_W>
-            dW_sq = max(dW_sq - 2.0 * eta_W * DgW + (eta_W * gW) ** 2, 0.0)
             cL = Lam.T * (-eta_W * rho)
             for s, out in blocks:
                 np.matmul(cL[s], G_prev, out=out)
@@ -134,6 +137,8 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
     finally:
         if writer:
             writer.close()
+    dW_frob = rnn.dW_frob()
+    trace.dW_frob_final = dW_frob if np.isfinite(dW_frob) else None
     return trace
 
 

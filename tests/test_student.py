@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from oracles import jvp_f_all_t
 from rnn_sysid.existence import FactoredW
 from rnn_sysid.linalg import DimensionError, frob
-from rnn_sysid.student import (forward_rescaled, init_student,
+from rnn_sysid.student import (DRAW_ROWS, forward_rescaled, init_student,
                                linearized_forward, load_checkpoint,
-                               sample_init, save_checkpoint)
+                               sample_init, sample_W0, save_checkpoint)
+from rnn_sysid.store import save_arrays
 from rnn_sysid.teacher import ParameterError
 
 
@@ -39,6 +41,44 @@ def test_init_student_is_sample_init_with_w_scaled(m, rho, seed):
     assert rnn.A0.tobytes() == A0.tobytes() and rnn.B.tobytes() == B.tobytes()
     assert rnn.W0.tobytes() == W0.tobytes()
     assert rnn.W.tobytes() == W0.tobytes() and rnn.A.tobytes() == A0.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 100, DRAW_ROWS, 300, 512])
+def test_redrawn_W0_is_the_stored_draw(tmp_path, m):
+    # widths below DRAW_ROWS and past it, multiples of it and not: the
+    # re-drawn blocks, and the W0.bin streamed from them, are the bytes of
+    # sample_W0's array scaled by rho^(-1/2)
+    rho, seed = 0.7, 11
+    rnn = init_student(m, 2, 2, rho, seed)
+    W0 = sample_W0(np.random.default_rng(seed), m) * rho ** -0.5
+    rows = [(lo, block.copy()) for lo, block in rnn.W0_blocks()]
+    assert [lo for lo, _ in rows] == list(range(0, m, DRAW_ROWS))
+    assert np.vstack([b for _, b in rows]).tobytes() == W0.tobytes()
+    assert rnn.W0.tobytes() == W0.tobytes() == rnn.W.tobytes()
+    save_checkpoint(rnn, tmp_path / "ck")
+    assert (tmp_path / "ck" / "W0.bin").read_bytes() == \
+        W0.astype("<f8").tobytes()
+
+
+def test_init_student_holds_one_m_by_m_array():
+    # W is the only m x m array: W0 is re-drawn, not copied
+    m = 512
+    tracemalloc.start()
+    try:
+        rnn = init_student(m, 2, 2, 0.9, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rnn.W.shape == (m, m)
+    assert peak < 1.5 * m * m * 8
+
+
+def test_dW_frob_is_the_exact_distance():
+    rnn, _ = _setup(m=300)
+    assert rnn.dW_frob() == 0.0
+    rnn.W += np.random.default_rng(1).normal(size=rnn.W.shape) / 300
+    expected = frob(rnn.W - rnn.W0)
+    assert abs(rnn.dW_frob() - expected) <= 1e-13 * expected
 
 
 def test_init_rejects_bad_rho():
@@ -228,6 +268,34 @@ def test_checkpoint_format_version_checked(tmp_path):
                      lambda h: h.update(format_version=version))
         with pytest.raises(IOError, match="format_version"):
             load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_W0_must_be_the_redraw(tmp_path):
+    # W0.bin is checked against the W0 the header's seed, m and rho re-draw
+    rnn, _ = _setup(m=300)
+    save_checkpoint(rnn, tmp_path / "ck")
+    blob = tmp_path / "ck" / "W0.bin"
+    W0 = np.fromfile(blob, dtype="<f8")
+    W0[280 * 300 + 5] *= -1.0
+    W0.tofile(blob)
+    with pytest.raises(IOError, match="blob W0 differs .* from row 256"):
+        load_checkpoint(tmp_path / "ck")
+    # the same blob read under another seed or rho differs as a whole
+    save_checkpoint(rnn, tmp_path / "ck")
+    for key, value in (("seed", 1), ("rho", "0.8")):
+        header = json.loads((tmp_path / "ck" / "checkpoint.json").read_text())
+        _edit_header(tmp_path / "ck", lambda h: h.update({key: value}))
+        with pytest.raises(IOError, match="blob W0 differs .* from row 0"):
+            load_checkpoint(tmp_path / "ck")
+        (tmp_path / "ck" / "checkpoint.json").write_text(json.dumps(header))
+    assert load_checkpoint(tmp_path / "ck").W.tobytes() == rnn.W.tobytes()
+
+
+def test_streamed_blob_must_fill_its_shape(tmp_path):
+    rows = [np.zeros((1, 3))]
+    with pytest.raises(ValueError, match="X: 3 values written, shape"):
+        save_arrays(tmp_path, "h.json", {}, {"X": ((2, 3), iter(rows))})
+    assert not (tmp_path / "h.json").exists()
 
 
 def test_checkpoint_blob_must_hold_every_value(tmp_path):

@@ -37,7 +37,7 @@ def test_eta_zero_keeps_parameters():
     W_before = rnn.W.copy()
     trace = sgd_train(rnn, ds, loss, 0.0, 20, seed=0)
     np.testing.assert_array_equal(rnn.W, W_before)
-    assert trace.records[-1]["dW_frob"] == 0.0
+    assert trace.dW_frob_final == 0.0
 
 
 def test_sgd_step_is_the_rescaled_gradient_step():
@@ -78,30 +78,45 @@ def test_factored_grad_norm_matches_dense(kind):
 
 
 def test_tracked_dW_frob_matches_exact(monkeypatch):
-    # every recorded dW_frob, carried from step to step, against the exact
-    # ||W - W0||_F at the iterate the step's gradient is taken at
+    # dW_frob is on the records of steps k % checkpoint_every == 0, each the
+    # exact ||W - W0||_F at the iterate the step's gradient is taken at;
+    # dW_frob_final is the one after the last step
     sys, ds = _problem(T=20, K=16)
     holdout = generate_dataset(sys, "iid_gaussian_unit", 0.0, 20, 4, seed=9)
     loss = make_loss("square", d_y=2)
     rnn = init_student(64, 2, 2, 0.9, 3)
-    exact = []
+    W0, exact = rnn.W0, []
 
     def spy(W, *args):
-        exact.append(frob(W - rnn.W0))
+        exact.append(frob(W - W0))
         return loss_gradients_bptt(W, *args)
 
     monkeypatch.setattr(trainer, "loss_gradients_bptt", spy)
-    trace = sgd_train(rnn, ds, loss, 3e-2 / 64, 1500, seed=0, holdout=holdout)
-    tracked = np.array([r["dW_frob"] for r in trace.records])
-    assert len(tracked) == len(exact) == 1500
+    trace = sgd_train(rnn, ds, loss, 3e-2 / 64, 1500, seed=0, holdout=holdout,
+                      checkpoint_every=100)
+    sampled = [r["k"] for r in trace.records if "dW_frob" in r]
+    assert sampled == list(range(0, 1500, 100))
+    tracked = np.array([r["dW_frob"] for r in trace.records if "dW_frob" in r])
+    assert len(trace.records) == len(exact) == 1500
     assert tracked[0] == exact[0] == 0.0
-    np.testing.assert_allclose(tracked, exact, rtol=1e-12, atol=0)
-    assert tracked[-1] > 0.1
+    np.testing.assert_allclose(tracked, np.array(exact)[sampled], rtol=1e-12,
+                               atol=0)
+    np.testing.assert_allclose(trace.dW_frob_final, frob(rnn.W - W0),
+                               rtol=1e-12, atol=0)
+    assert trace.dW_frob_final > 0.1
 
 
-def test_step_allocates_no_m_by_m_array():
-    # numpy reports its buffers to tracemalloc; one m x m float64 array is
-    # 2 MB at m = 512, and no step may allocate one
+def test_dW_frob_at_step_zero_alone_without_checkpoints():
+    _, ds = _problem()
+    loss = make_loss("square", d_y=2)
+    rnn = init_student(32, 2, 2, 0.9, 3)
+    trace = sgd_train(rnn, ds, loss, 1e-3, 30, seed=0, checkpoint_every=0)
+    assert [r["k"] for r in trace.records if "dW_frob" in r] == [0]
+    assert trace.dW_frob_final == rnn.dW_frob() > 0.0
+
+
+def _three_steps_at_512(**kwargs):
+    """(trace, tracemalloc peak) of three SGD steps at m = 512."""
     sys, ds = _problem(T=20)
     holdout = generate_dataset(sys, "iid_gaussian_unit", 0.0, 20, 4, seed=9)
     loss = make_loss("square", d_y=2)
@@ -109,13 +124,31 @@ def test_step_allocates_no_m_by_m_array():
     rnn = init_student(m, 2, 2, 0.9, 3)
     tracemalloc.start()
     try:
-        trace = sgd_train(rnn, ds, loss, 3e-2 / m, 3, seed=0, holdout=holdout)
+        trace = sgd_train(rnn, ds, loss, 3e-2 / m, 3, seed=0, holdout=holdout,
+                          **kwargs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(trace.records) == 3
-    assert trace.records[-1]["dW_frob"] > 0.0
-    assert peak < m * m * 8
+    assert trace.dW_frob_final > 0.0
+    return trace, peak
+
+
+def test_step_allocates_no_m_by_m_array():
+    # numpy reports its buffers to tracemalloc; one m x m float64 array is
+    # 2 MB at m = 512, and no step may allocate one
+    _, peak = _three_steps_at_512()
+    assert peak < 512 * 512 * 8
+
+
+def test_checkpoints_and_distances_allocate_no_m_by_m_array(tmp_path):
+    # a checkpoint inside the run: the streamed W0.bin and the dW_frob
+    # passes (steps 0 and 2, and the final one) fall under the same bound
+    trace, peak = _three_steps_at_512(checkpoint_every=2,
+                                      checkpoint_dir=str(tmp_path))
+    assert len(trace.checkpoint_dirs) == 1
+    assert [r["k"] for r in trace.records if "dW_frob" in r] == [0, 2]
+    assert peak < 512 * 512 * 8
 
 
 def test_same_seed_same_trace():
@@ -161,6 +194,7 @@ def test_divergence_aborts_with_checkpoint(tmp_path):
     assert trace.aborted
     assert len(trace.records) < 200
     assert any(d.find("abort") >= 0 for d in trace.checkpoint_dirs)
+    assert trace.dW_frob_final is None or np.isfinite(trace.dW_frob_final)
 
 
 def test_holdout_losses_recorded():
@@ -255,7 +289,7 @@ def test_holdout_step_matches_separate_calls(monkeypatch, m, T_h):
                      (pair.grad_A, separate.grad_A), (pair.G, separate.G),
                      (pair.Lam, separate.Lam)):
             assert frob(np.atleast_1d(a - b)) <= 1e-13 * frob(np.atleast_1d(b))
-    assert trace.records[-1]["dW_frob"] > 0.0
+    assert trace.dW_frob_final > 0.0
 
 
 def test_averaged_loss_is_mean():

@@ -149,10 +149,11 @@ def test_spectral_trial_draws_and_factors_only_W0(monkeypatch):
     assert calls == {"operator_norm_fast": 1, "_unit_frob": 0}
 
 
-@pytest.mark.parametrize("m", [2048, 1000])
+@pytest.mark.parametrize("m", [2048, 1000, 1, 100, 256, 300, 512])
 def test_blocked_draw_equals_one_draw_then_cast(m):
-    # 1000 is not a multiple of the row block DRAW_ROWS; the generator is
-    # left where one draw leaves it, so later draws are unchanged too
+    # 1000 is not a multiple of the row block DRAW_ROWS, and 1 and 100 lie
+    # below it; the generator is left where one draw leaves it, so later
+    # draws are unchanged too
     rng, ref = np.random.default_rng([5, m]), np.random.default_rng([5, m])
     W0 = sample_W0(rng, m, power_dtype(m))
     one = ref.normal(0.0, np.sqrt(1.0 / m), size=(m, m)).astype(power_dtype(m))
