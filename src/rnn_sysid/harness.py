@@ -274,14 +274,15 @@ def _train_cell(c, sched, loss, sys, dataset, out, seed):
         "loss_kind": loss.kind,
         "aborted": trace.aborted,
         "window": window,
+        "dW_frob_final": trace.dW_frob_final,
+        "dA_frob_final": trace.dA_frob_final,
     }
     if sched is not None:
         summary["schedule"] = sched.to_dict()
     if not trace.records:
         # aborted at its first step: there is no loss to average, and strict
         # JSON has no NaN, so every field derived from the losses is null
-        derived = ["initial_avg_loss", "final_avg_loss", "loss_ratio",
-                   "dW_frob_final", "dA_frob_final"]
+        derived = ["initial_avg_loss", "final_avg_loss", "loss_ratio"]
         if holdout is not None:
             derived += ["gap_exponent", "final_gap", "final_holdout_avg",
                         "holdout_ratio"]
@@ -291,8 +292,6 @@ def _train_cell(c, sched, loss, sys, dataset, out, seed):
         "initial_avg_loss": float(avg[window - 1]),
         "final_avg_loss": float(avg[-1]),
         "loss_ratio": float(avg[-1] / max(avg[window - 1], 1e-300)),
-        "dW_frob_final": trace.dW_frob_final,
-        "dA_frob_final": trace.records[-1]["dA_frob"],
     })
     if holdout is not None:
         gap = generalization_gap(trace, dataset, holdout, loss)

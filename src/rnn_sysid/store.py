@@ -4,8 +4,10 @@ the one writer of the package's JSON documents.
 Checkpoints and saved datasets are both a directory holding a header file
 and one `<name>.bin` per array, little-endian float64 in row-major order.
 The header's `blobs` table records each array's `file`, `shape` and
-`length`; `load_arrays` is the one reader of a blob.  `write_json` writes
-every header, config, summary, comparator and lemma report.
+`length`.  `save_arrays` writes whole arrays and `load_arrays` reads them
+back whole, checking each blob's table entry and byte size: one write
+path and one read path.  `write_json` writes every header, config,
+summary, comparator and lemma report.
 """
 
 import json
@@ -26,27 +28,14 @@ def write_json(path, doc):
 
 
 def save_arrays(path, header_file, header, arrays):
-    """Writes one `<name>.bin` per array, then `header` with its blob table.
-
-    An array is given whole, or streamed as (shape, blocks): row blocks
-    written in order, whose rows make up `shape`.  Raises ValueError if the
-    blocks hold another number of values.
-    """
+    """Writes one `<name>.bin` per array, then `header` with its blob table."""
     os.makedirs(path, exist_ok=True)
     blobs = {}
     for name, M in arrays.items():
-        shape, blocks = M if isinstance(M, tuple) else (np.shape(M), [M])
-        length = 0
-        with open(os.path.join(path, name + ".bin"), "wb") as f:
-            for block in blocks:
-                block = np.ascontiguousarray(block, dtype="<f8")
-                block.tofile(f)
-                length += block.size
-        if length != math.prod(shape):
-            raise ValueError(f"{name}: {length} values written, "
-                             f"shape {list(shape)}")
-        blobs[name] = {"file": name + ".bin", "shape": list(shape),
-                       "length": length}
+        M = np.ascontiguousarray(M, dtype="<f8")
+        M.tofile(os.path.join(path, name + ".bin"))
+        blobs[name] = {"file": name + ".bin", "shape": list(M.shape),
+                       "length": M.size}
     write_json(os.path.join(path, header_file), {**header, "blobs": blobs})
 
 
@@ -71,7 +60,7 @@ def _field(where, header, key, kind):
     raise IOError(f"{where}: {key} must be {_KINDS[kind]}, got {value!r}")
 
 
-def load_arrays(path, header_file, version, shapes, fields, unread=()):
+def load_arrays(path, header_file, version, shapes, fields):
     """(values, arrays) from a directory written by `save_arrays`.
 
     `shapes` maps each expected blob to its dimensions as header keys, e.g.
@@ -80,10 +69,10 @@ def load_arrays(path, header_file, version, shapes, fields, unread=()):
     the dimensions and fields read.  Raises IOError naming `path` unless
     the header is a JSON object with `format_version` equal to `version`,
     every dimension is a non-negative integer, every field has its type,
-    and each expected blob is an object listing `<name>.bin` with the shape
-    those dimensions give, whose file holds exactly that many values.
-    A blob named in `unread` is checked the same way but not read: its
-    entry in `arrays` is its file's path.
+    and each expected blob is an object listing `<name>.bin`, the shape
+    those dimensions give and that shape's `length`, whose file holds
+    exactly 8 bytes per value: a file cut short or carrying stray bytes
+    is refused.
     """
     where = os.path.join(path, header_file)
     with open(where) as f:
@@ -111,11 +100,15 @@ def load_arrays(path, header_file, version, shapes, fields, unread=()):
         if spec.get("file") != name + ".bin":
             raise IOError(f"{path}: blob {name} is stored in "
                           f"{spec.get('file')!r}, expected {name + '.bin'!r}")
+        count = math.prod(shape)
+        if spec.get("length") != count:
+            raise IOError(f"{path}: blob {name} has length "
+                          f"{spec.get('length')!r}, expected {count}")
         file = os.path.join(path, name + ".bin")
-        size = os.path.getsize(file) // 8
-        if size != math.prod(shape):
-            raise IOError(f"{path}: blob {name} has {size} values, "
-                          f"expected {math.prod(shape)}")
-        arrays[name] = (file if name in unread else
-                        np.fromfile(file, dtype="<f8").reshape(shape))
+        size = os.path.getsize(file)
+        if size != 8 * count:
+            # a fraction of a value names stray bytes
+            raise IOError(f"{path}: blob {name} has {size / 8:.17g} values, "
+                          f"expected {count}")
+        arrays[name] = np.fromfile(file, dtype="<f8").reshape(shape)
     return values, arrays

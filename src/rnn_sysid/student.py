@@ -10,6 +10,7 @@ linearization's ladders rho^j W^j A, whose per-lag transfer matrices
 `linalg.causal_fir` sums against the inputs for every truncation lag.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,8 @@ class StudentRNN:
     """Trained (W, A), frozen B, and the anchor A0 = A at initialization.
 
     The anchor W0 = W at initialization is not held: it is a function of
-    (seed, m, rho), re-drawn a row block at a time by `W0_blocks`.
+    (seed, m, rho), re-drawn a row block at a time by `W0_blocks`, and a
+    checkpoint stores its digest `W0_sha256` instead of its values.
     """
 
     W: np.ndarray    # m x m, rescaled: the recurrence matrix is rho W
@@ -65,6 +67,15 @@ class StudentRNN:
         for lo, block in self.W0_blocks():
             W0[lo:lo + len(block)] = block
         return W0
+
+    def W0_sha256(self):
+        """SHA-256 hex digest of W0's little-endian float64 bytes in
+        row-major order, over one `W0_blocks` pass: what a checkpoint
+        stores in place of W0."""
+        digest = hashlib.sha256()
+        for _, block in self.W0_blocks():
+            digest.update(block.astype("<f8", copy=False))
+        return digest.hexdigest()
 
     def dW_frob(self):
         """||W - W0||_F in one block pass: each re-drawn block of W0 has W's
@@ -188,43 +199,36 @@ def linearized_forward(W0, A0, dW, A, B, rho, x, taus):
 # ---------------------------------------------------------------------------
 # checkpoint serialization: checkpoint.json + one .bin blob per matrix
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _SHAPES = {"W": ("m", "m"), "A": ("m", "d"), "B": ("d_y", "m"),
-           "W0": ("m", "m"), "A0": ("m", "d")}
-_FIELDS = {"rho": float, "seed": int, "step": int}
+           "A0": ("m", "d")}
+_FIELDS = {"rho": float, "seed": int, "step": int, "W0_sha256": str}
 
 
 def save_checkpoint(rnn, path):
-    """Writes the student; its `W0.bin` is streamed from the re-drawn row
-    blocks, so no m x m W0 is made."""
+    """Writes W, A, B and A0; W0 is not stored, its re-draw is hashed into
+    the header's `W0_sha256`."""
     header = {"format_version": FORMAT_VERSION, "m": rnn.m, "d": rnn.d,
               "d_y": rnn.d_y, "rho": "%.17g" % rnn.rho, "seed": rnn.seed,
-              "step": rnn.step}
-    W0 = ((rnn.m, rnn.m), (block for _, block in rnn.W0_blocks()))
+              "step": rnn.step, "W0_sha256": rnn.W0_sha256()}
     save_arrays(path, "checkpoint.json", header,
-                {name: W0 if name == "W0" else getattr(rnn, name)
-                 for name in _SHAPES})
+                {name: getattr(rnn, name) for name in _SHAPES})
 
 
 def load_checkpoint(path):
-    """The saved student; its W0 blob is checked, not kept.
+    """The saved student.
 
-    Raises IOError unless the header has format_version 2, rho as text,
+    Raises IOError unless the header has format_version 3, rho as text,
     integer seed and step, every blob the shape its m, d and d_y imply and
-    that many values, and the `W0` blob the bytes of the W0 that the
-    header's seed, m and rho re-draw.  The blob is read one row block at a
-    time, beside the re-drawn block.
+    that many values, and a `W0_sha256` equal to the digest of the W0 that
+    the header's seed, m and rho re-draw.
     """
     fields, mats = load_arrays(path, "checkpoint.json", FORMAT_VERSION,
-                               _SHAPES, _FIELDS, unread=("W0",))
-    W0_file = mats.pop("W0")
+                               _SHAPES, _FIELDS)
     rnn = StudentRNN(rho=fields["rho"], seed=fields["seed"],
                      step=fields["step"], **mats)
-    with open(W0_file, "rb") as f:
-        for lo, block in rnn.W0_blocks():
-            if f.read(block.nbytes) != block.astype("<f8").tobytes():
-                raise IOError(
-                    f"{path}: blob W0 differs from the W0 that seed "
-                    f"{rnn.seed}, m {rnn.m} and rho {rnn.rho!r} re-draw, "
-                    f"from row {lo}")
+    if rnn.W0_sha256() != fields["W0_sha256"]:
+        raise IOError(
+            f"{path}: W0_sha256 differs from the digest of the W0 that seed "
+            f"{rnn.seed}, m {rnn.m} and rho {rnn.rho!r} re-draw")
     return rnn

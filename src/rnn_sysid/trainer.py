@@ -36,8 +36,10 @@ class TrainTrace:
     records: list = field(default_factory=list)
     checkpoint_dirs: list = field(default_factory=list)
     aborted: bool = False
-    # ||W - W0||_F at the iterate the run ends on; None when not finite
+    # ||W - W0||_F and ||A - A0||_F at the iterate the run ends on; None
+    # when not finite
     dW_frob_final: float = None
+    dA_frob_final: float = None
 
     def losses(self):
         return np.array([r["loss"] for r in self.records])
@@ -58,9 +60,9 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
     directly comparable.  The holdout may have another length T; both
     datasets must have the student's d and d_y.  The records of steps k
     with k % checkpoint_every == 0 (k = 0 alone when that is 0) carry the
-    exact dW_frob at the pre-update iterate; `dW_frob_final` is that
-    distance after the last update, or at the iterate whose loss was not
-    finite.
+    exact dW_frob at the pre-update iterate; `dW_frob_final` and
+    `dA_frob_final` are the distances after the last update, or at the
+    iterate whose loss was not finite.
     """
     if not 0.0 <= eta < np.inf:
         raise ParameterError(f"eta must be finite and >= 0, got {eta}")
@@ -137,8 +139,9 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
     finally:
         if writer:
             writer.close()
-    dW_frob = rnn.dW_frob()
-    trace.dW_frob_final = dW_frob if np.isfinite(dW_frob) else None
+    trace.dW_frob_final, trace.dA_frob_final = (
+        v if np.isfinite(v) else None
+        for v in (rnn.dW_frob(), frob(rnn.A - rnn.A0)))
     return trace
 
 

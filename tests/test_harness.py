@@ -17,10 +17,10 @@ from rnn_sysid.cli import main
 from rnn_sysid.existence import construct_comparator
 from rnn_sysid.harness import (ConfigError, config_hash, generalization_gap,
                                run_experiment)
-from rnn_sysid.linalg import TWO_ROW_MAX_M
+from rnn_sysid.linalg import TWO_ROW_MAX_M, frob
 from rnn_sysid.losses import make_loss
 from rnn_sysid.store import write_json
-from rnn_sysid.student import init_student, sample_init
+from rnn_sysid.student import init_student, load_checkpoint, sample_init
 from rnn_sysid.teacher import (ParameterError, generate_dataset,
                                random_stable_system, save_dataset)
 from rnn_sysid.trainer import sgd_train
@@ -324,12 +324,28 @@ def test_run_that_aborts_at_its_first_step_writes_a_summary(tmp_path, bad,
     assert (tmp_path / "t" / "checkpoints" / "abort_000000").is_dir()
     summary = json.loads((tmp_path / "t" / "summary.json").read_text())
     assert summary["aborted"] is True
-    derived = ["initial_avg_loss", "final_avg_loss", "loss_ratio",
-               "dW_frob_final", "dA_frob_final"]
+    derived = ["initial_avg_loss", "final_avg_loss", "loss_ratio"]
     if holdout:
         derived += ["gap_exponent", "final_gap", "final_holdout_avg",
                     "holdout_ratio"]
     assert {k: summary[k] for k in derived} == dict.fromkeys(derived)
+    # the distances are the fresh student's, not derived from the losses
+    assert summary["dW_frob_final"] == summary["dA_frob_final"] == 0.0
+
+
+def test_final_distances_are_those_of_the_last_checkpoint(tmp_path):
+    # K a multiple of checkpoint_every: the last checkpoint holds the
+    # iterate the run ends on, after the last update
+    _saved_dataset(tmp_path / "ds")
+    cfg = {"kind": "train", "dataset_path": str(tmp_path / "ds"),
+           "student": {"m": 16},
+           "train": {"K_steps": 20, "checkpoint_every": 10}}
+    code, _ = run_experiment(cfg, out_dir=str(tmp_path / "t"))
+    assert code == 0
+    summary = json.loads((tmp_path / "t" / "summary.json").read_text())
+    ck = load_checkpoint(str(tmp_path / "t" / "checkpoints" / "step_000020"))
+    assert summary["dA_frob_final"] == frob(ck.A - ck.A0) > 0.0
+    assert summary["dW_frob_final"] == ck.dW_frob() > 0.0
 
 
 @pytest.mark.parametrize("section", ["teacher", "data"])

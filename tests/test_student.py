@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -10,7 +11,6 @@ from rnn_sysid.linalg import DimensionError, frob
 from rnn_sysid.student import (DRAW_ROWS, forward_rescaled, init_student,
                                linearized_forward, load_checkpoint,
                                sample_init, sample_W0, save_checkpoint)
-from rnn_sysid.store import save_arrays
 from rnn_sysid.teacher import ParameterError
 
 
@@ -46,8 +46,8 @@ def test_init_student_is_sample_init_with_w_scaled(m, rho, seed):
 @pytest.mark.parametrize("m", [1, 100, DRAW_ROWS, 300, 512])
 def test_redrawn_W0_is_the_stored_draw(tmp_path, m):
     # widths below DRAW_ROWS and past it, multiples of it and not: the
-    # re-drawn blocks, and the W0.bin streamed from them, are the bytes of
-    # sample_W0's array scaled by rho^(-1/2)
+    # re-drawn blocks are the bytes of sample_W0's array scaled by
+    # rho^(-1/2), and a checkpoint's W0_sha256 is the digest of those bytes
     rho, seed = 0.7, 11
     rnn = init_student(m, 2, 2, rho, seed)
     W0 = sample_W0(np.random.default_rng(seed), m) * rho ** -0.5
@@ -56,8 +56,9 @@ def test_redrawn_W0_is_the_stored_draw(tmp_path, m):
     assert np.vstack([b for _, b in rows]).tobytes() == W0.tobytes()
     assert rnn.W0.tobytes() == W0.tobytes() == rnn.W.tobytes()
     save_checkpoint(rnn, tmp_path / "ck")
-    assert (tmp_path / "ck" / "W0.bin").read_bytes() == \
-        W0.astype("<f8").tobytes()
+    header = json.loads((tmp_path / "ck" / "checkpoint.json").read_text())
+    assert header["W0_sha256"] == \
+        hashlib.sha256(W0.astype("<f8").tobytes()).hexdigest()
 
 
 def test_init_student_holds_one_m_by_m_array():
@@ -239,9 +240,9 @@ def test_checkpoint_blob_shape_must_match_header(tmp_path):
         # B is d_y x m; read as m x d_y it would give a student with d_y == m
         (lambda h: h["blobs"]["B"].update(shape=[8, 2]), "blob B has shape"),
         (lambda h: h["blobs"].pop("A0"), "lacks key 'A0'"),
-        # W has W0's shape, so only the file name tells them apart
-        (lambda h: h["blobs"]["W0"].update(file="W.bin"),
-         "blob W0 is stored in 'W.bin'"),
+        # A0 has A's shape, so only the file name tells them apart
+        (lambda h: h["blobs"]["A0"].update(file="A.bin"),
+         "blob A0 is stored in 'A.bin'"),
         (lambda h: h.pop("m"), "lacks key 'm'"),
         (lambda h: h.update(m=8.0), "m must be an integer, got 8.0"),
         (lambda h: h.pop("rho"), "lacks key 'rho'"),
@@ -251,6 +252,8 @@ def test_checkpoint_blob_shape_must_match_header(tmp_path):
         (lambda h: h["blobs"].update(A="A.bin"),
          "blobs: A must be an object, got 'A.bin'"),
         (lambda h: h.update(blobs=["A.bin"]), "blobs must be an object"),
+        (lambda h: h["blobs"]["A"].update(length=7),
+         "blob A has length 7, expected 24"),
     ]
     for edit, message in edits:
         save_checkpoint(rnn, tmp_path / "ck")
@@ -262,8 +265,8 @@ def test_checkpoint_blob_shape_must_match_header(tmp_path):
 def test_checkpoint_format_version_checked(tmp_path):
     rnn, _ = _setup(m=8)
     save_checkpoint(rnn, tmp_path / "ck")
-    # version 1 stored W~ = rho W; its blobs are not read as W
-    for version in (1, 3):
+    # version 1 stored W~ = rho W, version 2 stored W0.bin; neither is read
+    for version in (1, 2, 4):
         _edit_header(tmp_path / "ck",
                      lambda h: h.update(format_version=version))
         with pytest.raises(IOError, match="format_version"):
@@ -271,39 +274,38 @@ def test_checkpoint_format_version_checked(tmp_path):
 
 
 def test_checkpoint_W0_must_be_the_redraw(tmp_path):
-    # W0.bin is checked against the W0 the header's seed, m and rho re-draw
+    # W0_sha256 is checked against the W0 the header's seed, m and rho
+    # re-draw: an edit of either side is refused
     rnn, _ = _setup(m=300)
     save_checkpoint(rnn, tmp_path / "ck")
-    blob = tmp_path / "ck" / "W0.bin"
-    W0 = np.fromfile(blob, dtype="<f8")
-    W0[280 * 300 + 5] *= -1.0
-    W0.tofile(blob)
-    with pytest.raises(IOError, match="blob W0 differs .* from row 256"):
-        load_checkpoint(tmp_path / "ck")
-    # the same blob read under another seed or rho differs as a whole
-    save_checkpoint(rnn, tmp_path / "ck")
-    for key, value in (("seed", 1), ("rho", "0.8")):
-        header = json.loads((tmp_path / "ck" / "checkpoint.json").read_text())
+    header = json.loads((tmp_path / "ck" / "checkpoint.json").read_text())
+    for key, value in (("seed", 1), ("rho", "0.8"), ("W0_sha256", "0" * 64)):
         _edit_header(tmp_path / "ck", lambda h: h.update({key: value}))
-        with pytest.raises(IOError, match="blob W0 differs .* from row 0"):
+        with pytest.raises(IOError, match="W0_sha256 differs from the digest "
+                           "of the W0 that seed .*, m 300 and rho"):
             load_checkpoint(tmp_path / "ck")
         (tmp_path / "ck" / "checkpoint.json").write_text(json.dumps(header))
     assert load_checkpoint(tmp_path / "ck").W.tobytes() == rnn.W.tobytes()
 
 
-def test_streamed_blob_must_fill_its_shape(tmp_path):
-    rows = [np.zeros((1, 3))]
-    with pytest.raises(ValueError, match="X: 3 values written, shape"):
-        save_arrays(tmp_path, "h.json", {}, {"X": ((2, 3), iter(rows))})
-    assert not (tmp_path / "h.json").exists()
+def test_checkpoint_holds_no_W0_blob(tmp_path):
+    rnn, _ = _setup(m=8)
+    save_checkpoint(rnn, tmp_path / "ck")
+    assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == \
+        ["A.bin", "A0.bin", "B.bin", "W.bin", "checkpoint.json"]
 
 
 def test_checkpoint_blob_must_hold_every_value(tmp_path):
     rnn, _ = _setup(m=8)
     save_checkpoint(rnn, tmp_path / "ck")
     blob = tmp_path / "ck" / "A.bin"
-    blob.write_bytes(blob.read_bytes()[:-8])
+    data = blob.read_bytes()
+    blob.write_bytes(data[:-8])
     with pytest.raises(IOError, match="blob A has 23 values, expected 24"):
+        load_checkpoint(tmp_path / "ck")
+    # 3 stray bytes past the last value
+    blob.write_bytes(data + b"\0\0\0")
+    with pytest.raises(IOError, match="blob A has 24.375 values, expected 24"):
         load_checkpoint(tmp_path / "ck")
     # a header cut short is refused the same way
     header = tmp_path / "ck" / "checkpoint.json"

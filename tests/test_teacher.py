@@ -127,13 +127,16 @@ def test_load_dataset_rejects_truncated_blob(tmp_path):
     path = _saved_dataset(tmp_path / "ds")
     blob = path / "observed_outputs.bin"
     data = blob.read_bytes()
-    # K=5, T=9, d_y=2: one value short, then one value over
+    # K=5, T=9, d_y=2: one value short, one value over, then 3 stray bytes
     blob.write_bytes(data[:-8])
     with pytest.raises(IOError, match="blob observed_outputs has 89 values, "
                                       "expected 90"):
         load_dataset(path)
     blob.write_bytes(data + data[:8])
     with pytest.raises(IOError, match="has 91 values"):
+        load_dataset(path)
+    blob.write_bytes(data + data[:3])
+    with pytest.raises(IOError, match="has 90.375 values, expected 90"):
         load_dataset(path)
 
 
@@ -165,6 +168,7 @@ def test_load_dataset_rejects_malformed_meta(tmp_path):
         (lambda h: h.update(T=9.0), "T must be an integer, got 9.0"),
         (_negative_K_T, "negative dimension K, T"),
         (lambda h: h.update(blobs="C.bin"), "blobs must be an object, got 'C.bin'"),
+        (lambda h: h["blobs"]["C"].update(length=7), "blob C has length 7, expected 16"),
     ]
     path = tmp_path / "ds"
     for edit, message in edits:

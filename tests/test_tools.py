@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 
@@ -154,3 +155,37 @@ def test_a_failed_call_prints_its_side_seed_exit_code_and_stderr_tail(
     # only the tail: the last STDERR_TAIL lines, not the first ones
     assert "line 99\n" in err and "line 0\n" not in err
     assert err.count("line ") == bench_pairs.STDERR_TAIL - 1
+
+
+def _stub_checkout(path):
+    """A checkout whose perfbench/run.py prints one passing call of every
+    end-to-end metric of BENCHMARK.json, each valued 1."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "names = [m['name'] for m in json.load(open(%r))['end_to_end']]\n"
+        "print(json.dumps({'info': {'artifact_hashes': {}, "
+        "'failed_ops': []}}))\n"
+        "print(json.dumps({'metrics': {n: {'value': 1.0} for n in names}, "
+        "'failed': 0, 'attempted': 1}))\n" % bench_pairs.BENCHMARK)
+    return str(path)
+
+
+def test_one_seed_runs_one_pair(tmp_path):
+    stub = _stub_checkout(tmp_path / "stub")
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", stub, "--change", stub, "--workload",
+                      "certify", "--seeds", "5", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert [p["seed"] for p in doc["pairs"]] == [5]
+    assert doc["summary"]["certify"]["seeds"] == [5]
+
+
+def test_reversed_seed_range_is_an_argparse_error(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", "p", "--change", "c", "--workload",
+                          "certify", "--seeds", "9-5", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "reversed seed range '9-5'" in capsys.readouterr().err
+    assert not out.exists()

@@ -142,7 +142,7 @@ def test_step_allocates_no_m_by_m_array():
 
 
 def test_checkpoints_and_distances_allocate_no_m_by_m_array(tmp_path):
-    # a checkpoint inside the run: the streamed W0.bin and the dW_frob
+    # a checkpoint inside the run: the W0 digest and the dW_frob
     # passes (steps 0 and 2, and the final one) fall under the same bound
     trace, peak = _three_steps_at_512(checkpoint_every=2,
                                       checkpoint_dir=str(tmp_path))

@@ -119,23 +119,33 @@ def summarize(pairs, bound):
     return summary
 
 
-def main():
+def seed_range(text):
+    """The seeds of `first-last`, inclusive, or of `N` alone; a reversed
+    range is refused as an argparse error."""
+    lo, _, hi = text.partition("-")
+    lo, hi = int(lo), int(hi or lo)
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"reversed seed range {text!r}")
+    return range(lo, hi + 1)
+
+
+def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True)
     p.add_argument("--change", required=True)
     p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", required=True, help="first-last, inclusive")
+    p.add_argument("--seeds", required=True, type=seed_range,
+                   help="first-last, inclusive, or one seed N")
     p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--out", required=True)
-    args = p.parse_args()
-    lo, hi = (int(s) for s in args.seeds.split("-"))
+    args = p.parse_args(argv)
     with open(BENCHMARK) as f:
         bound = {m["name"]: m["bound"] for m in json.load(f)["end_to_end"]}
     doc = {"pairs": []}
     if os.path.exists(args.out):
         with open(args.out) as f:
             doc = json.load(f)
-    for n, seed in enumerate(range(lo, hi + 1)):
+    for n, seed in enumerate(args.seeds):
         order = ("parent", "change") if n % 2 == 0 else ("change", "parent")
         pair = {"workload": args.workload, "seed": seed, "first": order[0]}
         for side in order:
