@@ -249,7 +249,7 @@ def _stamp(cfg, seed):
 
 
 def _train_cell(c, sched, loss, sys, dataset, out, seed):
-    """Trains one `_derive`d cell; returns (summary, trace)."""
+    """Trains one `_derive`d cell; returns its summary."""
     if dataset is None:
         dataset = generate_dataset(sys, **c["data"], seed=seed)
     student, train = c["student"], c["train"]
@@ -286,7 +286,7 @@ def _train_cell(c, sched, loss, sys, dataset, out, seed):
         if holdout is not None:
             derived += ["gap_exponent", "final_gap", "final_holdout_avg",
                         "holdout_ratio"]
-        return {**summary, **dict.fromkeys(derived)}, trace
+        return {**summary, **dict.fromkeys(derived)}
     avg = running_average(losses, window)
     summary.update({
         "initial_avg_loss": float(avg[window - 1]),
@@ -301,7 +301,7 @@ def _train_cell(c, sched, loss, sys, dataset, out, seed):
         summary["final_holdout_avg"] = float(ho_avg[-1])
         summary["holdout_ratio"] = float(
             ho_avg[-1] / max(summary["final_avg_loss"], 1e-300))
-    return summary, trace
+    return summary
 
 
 def generalization_gap(trace, train_dataset, holdout_dataset, loss):
@@ -393,7 +393,7 @@ def _run_sweep(c, cells, sys, out):
     for m in c["m_grid"]:
         for s in c["seeds"]:
             cell_dir = os.path.join(out, f"cell_m{m}_s{s}")
-            summary, _ = _train_cell(*cells[m], sys, None, cell_dir, s)
+            summary = _train_cell(*cells[m], sys, None, cell_dir, s)
             summary = {"m": m, "seed": s, **summary}
             write_json(os.path.join(cell_dir, "summary.json"), summary)
             rows.append(summary)
@@ -431,7 +431,7 @@ def run_experiment(config, out_dir=None, seed_override=None):
             dataset, sys = load_dataset(c["dataset_path"])
         c, sched, loss = _derive(c, sys, c["student"]["m"])
         _begin(out, cfg, c, stamp)
-        summary, _ = _train_cell(c, sched, loss, sys, dataset, out, seed)
+        summary = _train_cell(c, sched, loss, sys, dataset, out, seed)
         write_json(os.path.join(out, "summary.json"), {**summary, "_meta": stamp})
         return (1 if summary["aborted"] else 0), out
     if kind == "sweep":

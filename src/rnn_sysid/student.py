@@ -12,6 +12,7 @@ linearization's ladders rho^j W^j A, whose per-lag transfer matrices
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,19 +60,12 @@ class StudentRNN:
             block *= self.rho ** -0.5
             yield lo, block
 
-    @property
-    def W0(self):
-        """W0 re-drawn whole into a new m x m array; the package itself
-        streams `W0_blocks` instead."""
-        W0 = np.empty_like(self.W)
-        for lo, block in self.W0_blocks():
-            W0[lo:lo + len(block)] = block
-        return W0
-
+    @cached_property
     def W0_sha256(self):
         """SHA-256 hex digest of W0's little-endian float64 bytes in
         row-major order, over one `W0_blocks` pass: what a checkpoint
-        stores in place of W0."""
+        stores in place of W0.  Seed, m and rho never change on a student,
+        so the pass is made once, at the first save or at load."""
         digest = hashlib.sha256()
         for _, block in self.W0_blocks():
             digest.update(block.astype("<f8", copy=False))
@@ -206,11 +200,11 @@ _FIELDS = {"rho": float, "seed": int, "step": int, "W0_sha256": str}
 
 
 def save_checkpoint(rnn, path):
-    """Writes W, A, B and A0; W0 is not stored, its re-draw is hashed into
-    the header's `W0_sha256`."""
+    """Writes W, A, B and A0; W0 is not stored, the header holds the
+    student's `W0_sha256`, hashed at its first save and kept after."""
     header = {"format_version": FORMAT_VERSION, "m": rnn.m, "d": rnn.d,
               "d_y": rnn.d_y, "rho": "%.17g" % rnn.rho, "seed": rnn.seed,
-              "step": rnn.step, "W0_sha256": rnn.W0_sha256()}
+              "step": rnn.step, "W0_sha256": rnn.W0_sha256}
     save_arrays(path, "checkpoint.json", header,
                 {name: getattr(rnn, name) for name in _SHAPES})
 
@@ -227,7 +221,7 @@ def load_checkpoint(path):
                                _SHAPES, _FIELDS)
     rnn = StudentRNN(rho=fields["rho"], seed=fields["seed"],
                      step=fields["step"], **mats)
-    if rnn.W0_sha256() != fields["W0_sha256"]:
+    if rnn.W0_sha256 != fields["W0_sha256"]:
         raise IOError(
             f"{path}: W0_sha256 differs from the digest of the W0 that seed "
             f"{rnn.seed}, m {rnn.m} and rho {rnn.rho!r} re-draw")

@@ -34,7 +34,6 @@ from .teacher import ParameterError
 @dataclass
 class TrainTrace:
     records: list = field(default_factory=list)
-    checkpoint_dirs: list = field(default_factory=list)
     aborted: bool = False
     # ||W - W0||_F and ||A - A0||_F at the iterate the run ends on; None
     # when not finite
@@ -59,8 +58,8 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
     drawn from an independent stream, so train and holdout curves are
     directly comparable.  The holdout may have another length T; both
     datasets must have the student's d and d_y.  The records of steps k
-    with k % checkpoint_every == 0 (k = 0 alone when that is 0) carry the
-    exact dW_frob at the pre-update iterate; `dW_frob_final` and
+    with k % checkpoint_every == 0 (k = 0 alone when it is K or more) carry
+    the exact dW_frob at the pre-update iterate; `dW_frob_final` and
     `dA_frob_final` are the distances after the last update, or at the
     iterate whose loss was not finite.
     """
@@ -68,6 +67,8 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
         raise ParameterError(f"eta must be finite and >= 0, got {eta}")
     if K < 1:
         raise ParameterError("K must be >= 1")
+    if checkpoint_every < 1:
+        raise ParameterError("checkpoint_every must be >= 1")
     for name, data in (("dataset", dataset), ("holdout", holdout)):
         if data is None:
             continue
@@ -82,7 +83,6 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
     buf = np.empty((min(64, rnn.m), rnn.m))
     blocks = [(slice(lo, lo + 64), buf[:min(64, rnn.m - lo)])
               for lo in range(0, rnn.m, 64)]
-    sample_every = checkpoint_every or K   # the steps that carry dW_frob
     rng = np.random.default_rng(seed)
     holdout_rng = np.random.default_rng([int(seed), 1])
     # at widths up to TWO_ROW_MAX_M the training and holdout sequences run
@@ -107,13 +107,12 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
             if not np.isfinite(pair.loss):
                 trace.aborted = True
                 if checkpoint_dir:
-                    path = os.path.join(checkpoint_dir, "abort_%06d" % k)
                     rnn.step = k
-                    save_checkpoint(rnn, path)
-                    trace.checkpoint_dirs.append(path)
+                    save_checkpoint(rnn, os.path.join(checkpoint_dir,
+                                                      "abort_%06d" % k))
                 break
             rec = {"k": k, "i": i, "loss": pair.loss}
-            if k % sample_every == 0:
+            if k % checkpoint_every == 0:
                 rec["dW_frob"] = rnn.dW_frob()
             rec.update(dA_frob=frob(rnn.A - rnn.A0),
                        grad_W_frob=pair.grad_W_frob,
@@ -132,10 +131,9 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
                 rnn.W[s] += out
             rnn.A -= eta * pair.grad_A
             rnn.step = k + 1
-            if checkpoint_dir and checkpoint_every and (k + 1) % checkpoint_every == 0:
-                path = os.path.join(checkpoint_dir, "step_%06d" % (k + 1))
-                save_checkpoint(rnn, path)
-                trace.checkpoint_dirs.append(path)
+            if checkpoint_dir and (k + 1) % checkpoint_every == 0:
+                save_checkpoint(rnn, os.path.join(checkpoint_dir,
+                                                  "step_%06d" % (k + 1)))
     finally:
         if writer:
             writer.close()

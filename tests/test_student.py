@@ -39,7 +39,8 @@ def test_init_student_is_sample_init_with_w_scaled(m, rho, seed):
     W0, A0, B = sample_init(np.random.default_rng(seed), m, 3, 2)
     W0 *= rho ** -0.5
     assert rnn.A0.tobytes() == A0.tobytes() and rnn.B.tobytes() == B.tobytes()
-    assert rnn.W0.tobytes() == W0.tobytes()
+    assert np.vstack([block.copy() for _, block in rnn.W0_blocks()]
+                     ).tobytes() == W0.tobytes()
     assert rnn.W.tobytes() == W0.tobytes() and rnn.A.tobytes() == A0.tobytes()
 
 
@@ -54,7 +55,7 @@ def test_redrawn_W0_is_the_stored_draw(tmp_path, m):
     rows = [(lo, block.copy()) for lo, block in rnn.W0_blocks()]
     assert [lo for lo, _ in rows] == list(range(0, m, DRAW_ROWS))
     assert np.vstack([b for _, b in rows]).tobytes() == W0.tobytes()
-    assert rnn.W0.tobytes() == W0.tobytes() == rnn.W.tobytes()
+    assert rnn.W.tobytes() == W0.tobytes()
     save_checkpoint(rnn, tmp_path / "ck")
     header = json.loads((tmp_path / "ck" / "checkpoint.json").read_text())
     assert header["W0_sha256"] == \
@@ -76,9 +77,10 @@ def test_init_student_holds_one_m_by_m_array():
 
 def test_dW_frob_is_the_exact_distance():
     rnn, _ = _setup(m=300)
+    W0 = rnn.W.copy()
     assert rnn.dW_frob() == 0.0
     rnn.W += np.random.default_rng(1).normal(size=rnn.W.shape) / 300
-    expected = frob(rnn.W - rnn.W0)
+    expected = frob(rnn.W - W0)
     assert abs(rnn.dW_frob() - expected) <= 1e-13 * expected
 
 
@@ -120,7 +122,7 @@ def test_block_forward_matches_one_call_per_sequence(K, factored):
 def test_linearized_forward_takes_one_sequence_only():
     rnn, x = _setup()
     with pytest.raises(DimensionError, match="inputs must be T x 3, got"):
-        linearized_forward(rnn.W0, rnn.A0, np.zeros_like(rnn.W0), rnn.A0,
+        linearized_forward(rnn.W, rnn.A0, np.zeros_like(rnn.W), rnn.A0,
                            rnn.B, rnn.rho, x[:, None], [2])
 
 
@@ -152,20 +154,22 @@ def test_truncated_rejects_negative_tau():
 
 def test_linearized_at_anchor_is_exact():
     rnn, x = _setup()
+    W0 = rnn.W.copy()
     F = forward_rescaled(rnn.W, rnn.A, rnn.B, rnn.rho, x)
-    Fl = linearized_forward(rnn.W0, rnn.A0, np.zeros_like(rnn.W0), rnn.A0,
+    Fl = linearized_forward(W0, rnn.A0, np.zeros_like(W0), rnn.A0,
                             rnn.B, rnn.rho, x, [len(x) - 1])[0]
     np.testing.assert_allclose(F, Fl, atol=1e-12)
 
 
 def test_linearized_is_affine_in_direction():
     rnn, x = _setup(m=24)
+    W0 = rnn.W.copy()
     rng = np.random.default_rng(7)
-    dW = rng.normal(size=rnn.W0.shape)
+    dW = rng.normal(size=W0.shape)
     dA = rng.normal(size=rnn.A0.shape)
 
     def lin(c):
-        return linearized_forward(rnn.W0, rnn.A0, c * dW, rnn.A0 + c * dA,
+        return linearized_forward(W0, rnn.A0, c * dW, rnn.A0 + c * dA,
                                   rnn.B, rnn.rho, x, [len(x) - 1])[0]
 
     F0, F1, F2 = lin(0.0), lin(1.0), lin(2.0)
@@ -174,13 +178,14 @@ def test_linearized_is_affine_in_direction():
 
 def test_linearized_truncated_matches_full_when_tau_large():
     rnn, x = _setup(m=24, T=7)
+    W0 = rnn.W.copy()
     rng = np.random.default_rng(8)
-    dW = 0.02 * rng.normal(size=rnn.W0.shape)
+    dW = 0.02 * rng.normal(size=W0.shape)
     A = rnn.A0 + 0.02 * rng.normal(size=rnn.A0.shape)
     # f is linear in A: the full expansion is the JVP at (W0, A0) along (dW, A)
-    full = jvp_f_all_t(rnn.W0, rnn.A0, rnn.B, rnn.rho, x, Z_W=dW, Z_A=A)
+    full = jvp_f_all_t(W0, rnn.A0, rnn.B, rnn.rho, x, Z_W=dW, Z_A=A)
     # tau = T - 1 and past it
-    truncs = linearized_forward(rnn.W0, rnn.A0, dW, A, rnn.B, rnn.rho, x,
+    truncs = linearized_forward(W0, rnn.A0, dW, A, rnn.B, rnn.rho, x,
                                 [len(x) - 1, len(x) + 3])
     for trunc in truncs:
         np.testing.assert_allclose(full, trunc, atol=1e-11)
@@ -189,14 +194,15 @@ def test_linearized_truncated_matches_full_when_tau_large():
 @pytest.mark.parametrize("tau", [1, 3])
 def test_truncated_forwards_match_per_lag_sums(tau):
     rnn, x = _setup(m=24, T=8)
+    W0 = rnn.W.copy()
     T = len(x)
     # tau alongside 0 and a tau past T, all served by one ladder
     taus = [0, tau, T + 2]
     rng = np.random.default_rng(9)
-    dW = 0.02 * rng.normal(size=rnn.W0.shape)
+    dW = 0.02 * rng.normal(size=W0.shape)
     A = rnn.A0 + 0.02 * rng.normal(size=rnn.A0.shape)
     rho, B = rnn.rho, rnn.B
-    P0 = [np.linalg.matrix_power(rnn.W0, j) for j in range(T)]
+    P0 = [np.linalg.matrix_power(W0, j) for j in range(T)]
     # lag-j transfer matrices of f^tau and of its linearization at (W0, A0)
     N = [rho**j * B @ P0[j] @ rnn.A0 for j in range(T)]
     N_lin = [rho**j * B @ (P0[j] @ A + sum((P0[i] @ dW @ P0[j - 1 - i]
@@ -204,7 +210,7 @@ def test_truncated_forwards_match_per_lag_sums(tau):
                                            np.zeros_like(dW)) @ rnn.A0)
              for j in range(T)]
     Fs = _truncated(rnn, x, taus)
-    F_lins = linearized_forward(rnn.W0, rnn.A0, dW, A, B, rho, x, taus)
+    F_lins = linearized_forward(W0, rnn.A0, dW, A, B, rho, x, taus)
     for tau, F, F_lin in zip(taus, Fs, F_lins):
         for t in range(len(x)):
             lags = range(min(tau, t) + 1)
@@ -223,9 +229,10 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rnn.A -= 0.01
     save_checkpoint(rnn, tmp_path / "ck")
     rnn2 = load_checkpoint(tmp_path / "ck")
-    for name in ("W", "A", "B", "W0", "A0"):
+    for name in ("W", "A", "B", "A0"):
         np.testing.assert_array_equal(getattr(rnn, name), getattr(rnn2, name))
     assert (rnn2.rho, rnn2.seed, rnn2.step) == (rnn.rho, rnn.seed, 17)
+    assert rnn2.W0_sha256 == rnn.W0_sha256
 
 
 def _edit_header(path, edit):

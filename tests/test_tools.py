@@ -181,11 +181,16 @@ def test_one_seed_runs_one_pair(tmp_path):
     assert doc["summary"]["certify"]["seeds"] == [5]
 
 
-def test_reversed_seed_range_is_an_argparse_error(tmp_path, capsys):
+@pytest.mark.parametrize("seeds, message", [
+    ("9-5", "reversed seed range '9-5'"),
+    ("5-", "empty bound in seed range '5-'"),
+    ("-5", "empty bound in seed range '-5'")])
+def test_malformed_seed_range_is_an_argparse_error(tmp_path, capsys, seeds,
+                                                   message):
     out = tmp_path / "bench.json"
     with pytest.raises(SystemExit) as exit_:
         bench_pairs.main(["--parent", "p", "--change", "c", "--workload",
-                          "certify", "--seeds", "9-5", "--out", str(out)])
+                          "certify", "--seeds", seeds, "--out", str(out)])
     assert exit_.value.code == 2
-    assert "reversed seed range '9-5'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from oracles import dense_grad_W
-from rnn_sysid import trainer
+from rnn_sysid import student, trainer
 from rnn_sysid.gradients import loss_gradients_bptt
 from rnn_sysid.linalg import TWO_ROW_MAX_M, DimensionError, frob
 from rnn_sysid.losses import make_loss, sequence_loss
-from rnn_sysid.student import forward_rescaled, init_student
+from rnn_sysid.student import (draw_W0_blocks, forward_rescaled, init_student,
+                               load_checkpoint, save_checkpoint)
 from rnn_sysid.teacher import ParameterError, generate_dataset, random_stable_system
 from rnn_sysid.trainer import averaged_loss, running_average, sgd_train
 
@@ -85,7 +86,7 @@ def test_tracked_dW_frob_matches_exact(monkeypatch):
     holdout = generate_dataset(sys, "iid_gaussian_unit", 0.0, 20, 4, seed=9)
     loss = make_loss("square", d_y=2)
     rnn = init_student(64, 2, 2, 0.9, 3)
-    W0, exact = rnn.W0, []
+    W0, exact = rnn.W.copy(), []
 
     def spy(W, *args):
         exact.append(frob(W - W0))
@@ -110,7 +111,7 @@ def test_dW_frob_at_step_zero_alone_without_checkpoints():
     _, ds = _problem()
     loss = make_loss("square", d_y=2)
     rnn = init_student(32, 2, 2, 0.9, 3)
-    trace = sgd_train(rnn, ds, loss, 1e-3, 30, seed=0, checkpoint_every=0)
+    trace = sgd_train(rnn, ds, loss, 1e-3, 30, seed=0, checkpoint_every=31)
     assert [r["k"] for r in trace.records if "dW_frob" in r] == [0]
     assert trace.dW_frob_final == rnn.dW_frob() > 0.0
 
@@ -146,7 +147,7 @@ def test_checkpoints_and_distances_allocate_no_m_by_m_array(tmp_path):
     # passes (steps 0 and 2, and the final one) fall under the same bound
     trace, peak = _three_steps_at_512(checkpoint_every=2,
                                       checkpoint_dir=str(tmp_path))
-    assert len(trace.checkpoint_dirs) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["step_000002"]
     assert [r["k"] for r in trace.records if "dW_frob" in r] == [0, 2]
     assert peak < 512 * 512 * 8
 
@@ -178,10 +179,40 @@ def test_checkpoints_written(tmp_path):
     _, ds = _problem()
     loss = make_loss("square", d_y=2)
     rnn = init_student(32, 2, 2, 0.9, 3)
-    trace = sgd_train(rnn, ds, loss, 1e-4, 40, seed=1,
-                      checkpoint_every=20, checkpoint_dir=str(tmp_path))
-    assert len(trace.checkpoint_dirs) == 2
+    sgd_train(rnn, ds, loss, 1e-4, 40, seed=1, checkpoint_every=20,
+              checkpoint_dir=str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["step_000020", "step_000040"]
     assert (tmp_path / "step_000020" / "checkpoint.json").exists()
+
+
+def test_anchor_is_hashed_once_per_student(monkeypatch, tmp_path):
+    # one W0 pass per dW_frob sample (k = 0, 2, 4 and the final one) and
+    # one for the digest at the first save; the saves after step 4 and 6
+    # reuse it, as does the save of a loaded student, whose load hashed W0
+    _, ds = _problem()
+    loss = make_loss("square", d_y=2)
+    rnn = init_student(32, 2, 2, 0.9, 3)
+    passes = []
+
+    def spy(*args):
+        passes.append(args[1])
+        return draw_W0_blocks(*args)
+
+    monkeypatch.setattr(student, "draw_W0_blocks", spy)
+    sgd_train(rnn, ds, loss, 1e-4, 6, seed=1, checkpoint_every=2,
+              checkpoint_dir=str(tmp_path))
+    assert len(passes) == 5
+    loaded = load_checkpoint(tmp_path / "step_000006")
+    save_checkpoint(loaded, tmp_path / "again")
+    assert len(passes) == 6
+
+    def digest(name):
+        header = (tmp_path / name / "checkpoint.json").read_text()
+        return json.loads(header)["W0_sha256"]
+
+    assert digest("again") == digest("step_000006") == digest("step_000002")
+    assert load_checkpoint(tmp_path / "again").W.tobytes() == rnn.W.tobytes()
 
 
 def test_divergence_aborts_with_checkpoint(tmp_path):
@@ -193,7 +224,8 @@ def test_divergence_aborts_with_checkpoint(tmp_path):
                           checkpoint_dir=str(tmp_path))
     assert trace.aborted
     assert len(trace.records) < 200
-    assert any(d.find("abort") >= 0 for d in trace.checkpoint_dirs)
+    assert [p.name for p in tmp_path.iterdir()] == \
+        ["abort_%06d" % len(trace.records)]
     assert trace.dW_frob_final is None or np.isfinite(trace.dW_frob_final)
 
 
@@ -214,6 +246,8 @@ def test_invalid_eta_and_K(tmp_path):
         sgd_train(rnn, ds, loss, -1.0, 10, seed=0)
     with pytest.raises(ParameterError):
         sgd_train(rnn, ds, loss, 1e-4, 0, seed=0)
+    with pytest.raises(ParameterError, match="checkpoint_every"):
+        sgd_train(rnn, ds, loss, 1e-4, 10, seed=0, checkpoint_every=0)
     # a non-finite step size is refused before the trace file is opened
     path = tmp_path / "trace.jsonl"
     for eta in (np.nan, np.inf):

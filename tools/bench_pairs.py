@@ -120,9 +120,11 @@ def summarize(pairs, bound):
 
 
 def seed_range(text):
-    """The seeds of `first-last`, inclusive, or of `N` alone; a reversed
-    range is refused as an argparse error."""
-    lo, _, hi = text.partition("-")
+    """The seeds of `first-last`, inclusive, or of `N` alone; a range with
+    an empty bound or reversed is refused as an argparse error."""
+    lo, dash, hi = text.partition("-")
+    if dash and not (lo and hi):
+        raise argparse.ArgumentTypeError(f"empty bound in seed range {text!r}")
     lo, hi = int(lo), int(hi or lo)
     if hi < lo:
         raise argparse.ArgumentTypeError(f"reversed seed range {text!r}")
