@@ -123,9 +123,12 @@ def operator_norm_fast(M):
     eps * sigma, eps of M's dtype (ARPACK's rule at tol = 0), or once the
     Krylov space is exhausted (beta_k = 0, or k = min(m, n)).  The products
     run in M's dtype (the vector is cast, never M); the bases grow with the
-    steps taken.  A zero matrix reads 0.0.
+    steps taken.  A zero or empty matrix reads 0.0, and anything but a
+    matrix raises DimensionError (both as in `operator_norm`).
     """
     M = np.asarray(M)
+    if M.ndim != 2 or not M.size:
+        return operator_norm(M)
     eps = np.finfo(M.dtype).eps
     v = np.random.default_rng(0).normal(size=M.shape[1])
     U = np.empty((0, M.shape[0]))
@@ -162,23 +165,6 @@ def power_dtype(m):
 # 1.03-1.71 from 704 to 2048 (CHANGES.md, "The holdout in the training
 # forward").
 TWO_ROW_MAX_M = 576
-
-
-TILE = 64  # transposed_copy's square tile: 32 KB of float64, 16 KB of float32
-
-
-def transposed_copy(W):
-    """A C-contiguous copy of W.T, the same bytes as `np.ascontiguousarray`.
-
-    It copies TILE x TILE tiles, each read and written while it sits in
-    cache; the whole-matrix strided copy misses cache on every write
-    (m = 4096, float32: ~75 ms against 250-320 ms).
-    """
-    Wt = np.empty(W.shape[::-1], dtype=W.dtype)
-    for i in range(0, W.shape[0], TILE):
-        for j in range(0, W.shape[1], TILE):
-            Wt[j:j + TILE, i:i + TILE] = W[i:i + TILE, j:j + TILE].T
-    return Wt
 
 
 def _next_block(V, c, Y):
@@ -229,39 +215,48 @@ def matrix_power_opnorm(W, k, iters=8, block=4, seed=0):
     The GEMMs run in `power_dtype(m)`, float32 from m = 2048 up (the
     round-off is orders of magnitude below the iteration's own slack); W
     already in it is not cast, and the blocks are stored in it.  W^T
-    products read one `transposed_copy`: on the strided view, narrow GEMMs
-    run ~2x slower (m = 4096, float32).
+    products run in row form, (Y^T W)^T, on W itself: no transposed copy is
+    made, and the bits are those of products with `np.ascontiguousarray(W.T)`
+    (seen at m >= 512, and at m = 256 with block 8).  W not square and
+    non-empty, or `iters` of another length than `k`, raises
+    DimensionError; `k`, `iters` not whole numbers >= 0 or `block` not one
+    >= 1 raise ValueError.
     """
     W = np.asarray(W)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {W.shape}")
+    if W.ndim != 2 or W.shape[0] != W.shape[1] or not W.size:
+        raise DimensionError(f"expected a non-empty square W, got {W.shape}")
+    if np.size(iters) not in (1, np.size(k)):
+        raise DimensionError(f"{np.size(iters)} iters for {np.size(k)} powers")
+    for name, x, lo in (("k", k, 0), ("iters", iters, 0), ("block", block, 1)):
+        if np.ndim(x) > 1 or np.any(np.mod(x, 1)) or np.any(np.less(x, lo)):
+            raise ValueError(f"{name} must be whole numbers >= {lo}, got {x}")
     ks = [int(x) for x in np.atleast_1d(k)]
     m = W.shape[0]
     dtype = power_dtype(m)
     W = W.astype(dtype, copy=False)
-    block = min(block, m)
+    block = min(int(block), m)
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.normal(size=(m, block)))[0].astype(dtype)
     est = [1.0] * len(ks)
     # the basis spans R^m after ceil(m / block) blocks
-    its = np.minimum(np.broadcast_to(iters, len(ks)), -(-m // block) - 1)
+    its = np.minimum(np.resize(np.int_(iters), len(ks)), (m - 1) // block)
     V = {j: np.empty((m, min((its[j] + 1) * block, m)), dtype)
          for j, kj in enumerate(ks) if kj}
     WV = {j: np.empty_like(Vj) for j, Vj in V.items()}
     Y = {j: Q for j in V}
     for Vj in V.values():
         Vj[:, :block] = Q
-    Wt = transposed_copy(W)
     for r in range(max(its, default=-1) + 1):
         c, w = r * block, min(block, m - r * block)
         deeper = [j for j in Y if its[j] > r]
-        for M, due in ((W, list(Y)), (Wt, deeper)):
+        for transpose, due in ((False, list(Y)), (True, deeper)):
             for step in range(max((ks[j] for j in due), default=0)):
                 now = [j for j in due if ks[j] > step]
-                out = M @ np.hstack([Y[j] for j in now])
+                out = ((np.vstack([Y[j].T for j in now]) @ W).T if transpose
+                       else W @ np.hstack([Y[j] for j in now]))
                 for n, j in enumerate(now):
                     Y[j] = out[:, n * w:(n + 1) * w]
-            if M is W:  # W^k V_r, kept for the Rayleigh-Ritz value
+            if not transpose:  # W^k V_r, kept for the Rayleigh-Ritz value
                 for j in due:
                     WV[j][:, c:c + w] = Y[j]
         for j in set(Y) - set(deeper):

@@ -7,11 +7,14 @@ form of a factored loss gradient, and the dense form and the spectrum of
 a factored comparator.  They share no code with the recurrences under
 test.  `jvp_f_all_t` is the exception: the package's tangent states read
 out through B, the one JVP of every f_t that the tests hold against them.
+So is `copied_transpose_power_opnorm`, the power-norm estimate with its
+own W^T products and the package's orthonormalization.
 """
 
 import numpy as np
 
 from rnn_sysid.gradients import tangent_states
+from rnn_sysid.linalg import _next_block, power_dtype
 
 
 def finite_difference_check(scalar_fn, params, direction, analytic,
@@ -143,3 +146,30 @@ def subspace_power_opnorm(W, k, iters, block, seed):
     for _ in range(k):
         Q = W @ Q
     return float(np.linalg.svd(Q, compute_uv=False)[0])
+
+
+def copied_transpose_power_opnorm(W, k, iters, block, seed):
+    """`matrix_power_opnorm`'s block Krylov estimate of ||W^k||_2 for one
+    power k >= 1, with every W^T product read from a C-contiguous copy,
+    `np.ascontiguousarray(W.T)`, in `power_dtype(m)`.  It shares only the
+    start block and `_next_block` with the package, so it pins the bits
+    of the package's W^T products in row form."""
+    m = len(W)
+    W = W.astype(power_dtype(m), copy=False)
+    Wt = np.ascontiguousarray(W.T)
+    rng = np.random.default_rng(seed)
+    Y = np.linalg.qr(rng.normal(size=(m, block)))[0].astype(W.dtype)
+    iters = min(iters, -(-m // block) - 1)
+    V = np.empty((m, min((iters + 1) * block, m)), W.dtype)
+    V[:, :block] = Y
+    WV = np.empty_like(V)
+    for r in range(iters + 1):
+        for _ in range(k):
+            Y = W @ Y
+        WV[:, r * block:r * block + Y.shape[1]] = Y
+        if r < iters:
+            for _ in range(k):
+                Y = Wt @ Y
+            Y = _next_block(V, (r + 1) * block, Y)
+    return float(np.linalg.svd(WV.astype(np.float64, copy=False),
+                               compute_uv=False)[0])

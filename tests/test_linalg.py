@@ -6,12 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import longdouble_forward, subspace_power_opnorm
+from oracles import (copied_transpose_power_opnorm, longdouble_forward,
+                     subspace_power_opnorm)
 from rnn_sysid.linalg import (DimensionError, causal_fir, frob,
                               haar_orthogonal, lag_ladder, log_slope,
                               matrix_power_opnorm, operator_norm,
                               operator_norm_fast, recurrence, spectral_radius,
-                              tangent_recurrence, transposed_copy)
+                              tangent_recurrence)
 from rnn_sysid.student import sample_W0
 from rnn_sysid.verify import POWER_ITERS
 
@@ -66,6 +67,17 @@ def test_operator_norm_fast_exact_beyond_square_gaussians(shape, rank):
 
 def test_operator_norm_fast_zero_matrix():
     assert operator_norm_fast(np.zeros((16, 16))) == 0.0
+
+
+@pytest.mark.parametrize("norm", [operator_norm, operator_norm_fast])
+def test_operator_norms_refuse_a_vector(norm):
+    with pytest.raises(DimensionError):
+        norm(np.ones(5))
+
+
+@pytest.mark.parametrize("norm", [operator_norm, operator_norm_fast])
+def test_operator_norms_of_an_empty_matrix_read_zero(norm):
+    assert norm(np.zeros((0, 5))) == 0.0
 
 
 def test_operator_norm_fast_never_casts_a_float32_matrix():
@@ -123,15 +135,15 @@ def test_matrix_power_opnorm_batch_equals_per_power_calls(m, dtype, block):
 
 def test_matrix_power_opnorm_gemm_count(monkeypatch):
     # lockstep rounds, one GEMM per step over the powers still that deep:
-    # 3 rounds of 14 W and 14 W^T steps, then 14 + 3 and 3
-    hstack = np.hstack
+    # 3 rounds of 14 W and 14 W^T steps, then 14 + 3 and 3.  A W step
+    # stacks its blocks side by side (hstack), a W^T step stacks their
+    # transposes as rows (vstack)
     calls = []
-
-    def counted(blocks):
-        calls.append(len(blocks))
-        return hstack(blocks)
-
-    monkeypatch.setattr(np, "hstack", counted)
+    for name in ("hstack", "vstack"):
+        def counted(blocks, stack=getattr(np, name)):
+            calls.append(len(blocks))
+            return stack(blocks)
+        monkeypatch.setattr(np, name, counted)
     W = np.random.default_rng(4).normal(0.0, 0.125, size=(64, 64))
     matrix_power_opnorm(W, [2, 3, 5, 7, 10, 14], iters=[4, 4, 3, 3, 3, 3],
                         block=8)
@@ -170,16 +182,44 @@ def test_matrix_power_opnorm_k_zero_is_identity_norm():
     assert matrix_power_opnorm(W, 0) == 1.0
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(200, 200), (200, 333), (333, 200),
-                                   (1, 70)])
-def test_transposed_copy_equals_numpy_copy(shape, dtype):
-    # sizes that are not a multiple of the tile
-    W = np.random.default_rng(5).normal(size=shape).astype(dtype)
-    Wt = transposed_copy(W)
-    assert Wt.flags.c_contiguous and Wt.dtype == dtype
-    assert Wt.shape == shape[::-1]
-    assert Wt.tobytes() == np.ascontiguousarray(W.T).tobytes()
+@pytest.mark.parametrize("m,dtype,block", [(256, np.float64, 8),
+                                           (1024, np.float64, 4),
+                                           (2048, np.float32, 8)])
+def test_matrix_power_opnorm_row_form_has_the_bits_of_a_transposed_copy(
+        m, dtype, block):
+    # W^T Y is computed as (Y^T W)^T on W itself, with no transposed copy
+    # of W: on verify_spectral's powers, iteration counts and seed-0 draw
+    # each estimate equals, bit for bit, the one whose W^T products read
+    # np.ascontiguousarray(W.T).  Smaller sizes are left out: there OpenBLAS
+    # may take another kernel for one orientation, and the last bits move
+    # (at m = 64 with block 4, 2.4682912992748953 read 2.468291299274893)
+    ks = [2, 3, 5, 7, 10, 14]
+    iters = [POWER_ITERS if k <= 3 else POWER_ITERS - 1 for k in ks]
+    W = sample_W0(np.random.default_rng([0, 0]), m).astype(dtype)
+    assert (matrix_power_opnorm(W, ks, iters=iters, block=block, seed=1000)
+            == [copied_transpose_power_opnorm(W, k, it, block, 1000)
+                for k, it in zip(ks, iters)])
+
+
+W_256 = np.random.default_rng(6).normal(0.0, 1.0 / 16.0, size=(256, 256))
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"k": -1}, "k"), ({"k": 2.5}, "k"), ({"k": [2, -3]}, "k"),
+    ({"k": 2, "block": 0}, "block"), ({"k": 2, "iters": -1}, "iters")])
+def test_matrix_power_opnorm_refuses_a_bad_count(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        matrix_power_opnorm(W_256, **kwargs)
+
+
+def test_matrix_power_opnorm_refuses_an_empty_matrix():
+    with pytest.raises(DimensionError):
+        matrix_power_opnorm(np.zeros((0, 0)), 2)
+
+
+def test_matrix_power_opnorm_refuses_iters_of_another_length():
+    with pytest.raises(DimensionError, match="iters"):
+        matrix_power_opnorm(W_256, [2, 3, 5], iters=[4, 4])
 
 
 def test_haar_orthogonal_is_orthogonal():
