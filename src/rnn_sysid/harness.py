@@ -16,7 +16,6 @@ import inspect
 import json
 import math
 import os
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -294,7 +293,7 @@ def _train_cell(c, sched, loss, sys, dataset, out, seed):
         "loss_ratio": float(avg[-1] / max(avg[window - 1], 1e-300)),
     })
     if holdout is not None:
-        gap = generalization_gap(trace, dataset, holdout, loss)
+        gap = generalization_gap(trace, dataset, holdout)
         summary["gap_exponent"] = gap["exponent"]
         summary["final_gap"] = gap["gaps"][-1]
         ho_avg = running_average(trace.holdout_losses(), window)
@@ -304,7 +303,7 @@ def _train_cell(c, sched, loss, sys, dataset, out, seed):
     return summary
 
 
-def generalization_gap(trace, train_dataset, holdout_dataset, loss):
+def generalization_gap(trace, train_dataset, holdout_dataset):
     """|running train loss - running holdout loss| at 20 log-spaced step counts.
 
     Both curves are online means over the same steps, so the gap isolates
@@ -380,11 +379,11 @@ def _run_existence(c, sys, out):
         "fit": (_at_most, [(cell["fit_error"], cell["theorem_error_bound"])
                            for cell in cells]),
         "slope": (_within, [] if slope is None else [(-slope, (0.3, 0.7))])}
-    verdict = _finish(SimpleNamespace(checks={}, threshold=EXISTENCE_THRESHOLD),
-                      table, ("distance",))
     rows = [{key: cell[key] for key in _EXISTENCE_COLUMNS} for cell in cells]
     return {"format_version": 2, "rows": rows,
-            "observed": {"fit_error_slope_vs_m": slope}, **vars(verdict)}
+            "observed": {"fit_error_slope_vs_m": slope},
+            "threshold": EXISTENCE_THRESHOLD,
+            **_finish(table, ("distance",), EXISTENCE_THRESHOLD)}
 
 
 def _run_sweep(c, cells, sys, out):

@@ -207,6 +207,10 @@ _DATASET_FIELDS = {"rho_C": float, "c_rho": float, "noise_sigma": float,
 
 
 def save_dataset(ds, sys, path):
+    """Writes `ds` and its teacher `sys` to directory `path`; a `sys` other
+    than the one that generated `ds` is refused before any write."""
+    if ds.system_hash != sys.system_hash():
+        raise ParameterError("the dataset was not generated by this system")
     meta = {"format_version": DATASET_FORMAT_VERSION, "d_p": sys.d_p,
             "d": sys.d, "d_y": sys.d_y, "T": ds.T, "K": ds.K,
             "noise_sigma": "%.17g" % ds.noise_sigma, "seed": ds.seed,

@@ -29,20 +29,20 @@ THRESHOLD = 0.95  # every report's pass fraction is scored against it
 POWER_ITERS = 4   # block Krylov iterations of (c) at k <= 3; one fewer above
 
 
-@dataclass
-class LemmaReport:
+@dataclass(kw_only=True)
+class LemmaReport:  # its verdict, `checks` to `passed`, comes from `_finish`
     lemma_id: str
     m: int
     trials: int
     seed: int
     tau: int = 0
     params: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
+    checks: dict
     observed: dict = field(default_factory=dict)
     bound_formula: str = ""
-    pass_fraction: float = 0.0
+    pass_fraction: float
     threshold: float = field(default=THRESHOLD, init=False)
-    passed: bool = False
+    passed: bool
     format_version: int = REPORT_FORMAT_VERSION
 
     def to_dict(self):
@@ -65,38 +65,38 @@ def _exceeds(o, b):  # a negative control must break its bound
     return o > b, b / o
 
 
-def _finish(report, table, asserted):
-    """Each check's entry from its (test, [(observed, bound), ...]), then
-    the verdict.  A test gives an instance its flag and its margin, above 1
-    where the instance went the wrong way.  A check without instances is
-    skipped; one whose every observed value is 0 or not finite measured
-    nothing: it is degenerate, with pass fraction 0.  `worst_margin` is an
-    ok check's largest margin, null if not finite.  Checks outside
-    `asserted`, but for a negative control, carry `asserted: false`.  The
-    report's pass fraction is its worst asserted check, skipped ones
-    ignored (0, a failure, when all were: it tested nothing).  The
-    existence run's verdict comes from here too: `report` needs only
-    `checks` (filled in) and `threshold`.
+def _finish(table, asserted, threshold=THRESHOLD):
+    """The verdict {"checks", "pass_fraction", "passed"}: each check's entry
+    from its (test, [(observed, bound), ...]), then the pass fraction.  A
+    test gives an instance its flag and its margin, above 1 where the
+    instance went the wrong way.  A check without instances is skipped;
+    one whose every observed value is 0 or not finite measured nothing: it
+    is degenerate, with pass fraction 0.  `worst_margin` is an ok check's
+    largest margin, null if not finite.  Checks outside `asserted`, but
+    for a negative control, carry `asserted: false`.  The pass fraction is
+    the worst asserted check's, skipped ones ignored (0, a failure, when
+    all were: it tested nothing); it passes at `threshold`.
     """
+    checks = {}
     for name, (test, pairs) in table.items():
         observed = np.array([o for o, _ in pairs], dtype=float)
         flags, margins = np.array([test(o, b) for o, b in pairs],
                                   dtype=float).reshape(-1, 2).T
         ok = np.any(np.isfinite(observed) & (observed != 0))
         worst = float(np.max(margins)) if ok else np.nan
-        report.checks[name] = {
+        checks[name] = {
             "n_instances": len(pairs),
             "pass_fraction": (float(np.mean(flags)) if ok
                               else 0.0 if pairs else None),
             "status": "ok" if ok else "degenerate" if pairs else "skipped",
             "worst_margin": worst if np.isfinite(worst) else None}
         if name not in asserted and test is not _exceeds:
-            report.checks[name]["asserted"] = False
-    fractions = [report.checks[n]["pass_fraction"] for n in asserted
-                 if report.checks[n]["status"] != "skipped"]
-    report.pass_fraction = float(min(fractions)) if fractions else 0.0
-    report.passed = bool(fractions) and report.pass_fraction >= report.threshold
-    return report
+            checks[name]["asserted"] = False
+    fractions = [checks[n]["pass_fraction"] for n in asserted
+                 if checks[n]["status"] != "skipped"]
+    pass_fraction = float(min(fractions)) if fractions else 0.0
+    return {"checks": checks, "pass_fraction": pass_fraction,
+            "passed": bool(fractions) and pass_fraction >= threshold}
 
 
 def _unit_frob(rng, shape):
@@ -166,22 +166,20 @@ def verify_spectral(m=1024, rho_0=0.9, trials=20, seed=0, grid_points=8):
         for name in inst:
             inst[name] += obs[name]
 
-    report = LemmaReport(
-        lemma_id="spectral", m=int(m), trials=int(trials), seed=int(seed),
-        params={"rho_0": rho_0, "rho_1": rho_1, "rho": rho, "L": L,
-                "omega_0": omega_0, "k_grid": ks_ab},
-        bound_formula="||W0^k|| <= min(rho_1^{-max(k,L)}, 2 sqrt(k)); "
-                      "||rho^t W^t|| <= 2 sqrt(t) rho_0^t",
-    )
     neg = [(2.0 ** k * o, 2.0 * np.sqrt(k))  # doubling W0 must break (c)'s bound
            for k, (o, _) in zip(ks_c * trials, inst.pop("lower_c"))]
     per_trial_c = np.reshape([o <= b for o, b in inst["c"]], (trials, -1))
-    report.observed = {"trial_level_c_pass_fraction":
-                       float(np.mean(np.all(per_trial_c, axis=1)))}
-    return _finish(report, {**{name: (_at_most, pairs)
-                               for name, pairs in inst.items()},
-                            "negative_control_c": (_exceeds, neg)},
-                   ("a", "b", "c", "d"))
+    return LemmaReport(
+        lemma_id="spectral", m=int(m), trials=int(trials), seed=int(seed),
+        params={"rho_0": rho_0, "rho_1": rho_1, "rho": rho, "L": L,
+                "omega_0": omega_0, "k_grid": ks_ab},
+        observed={"trial_level_c_pass_fraction":
+                  float(np.mean(np.all(per_trial_c, axis=1)))},
+        bound_formula="||W0^k|| <= min(rho_1^{-max(k,L)}, 2 sqrt(k)); "
+                      "||rho^t W^t|| <= 2 sqrt(t) rho_0^t",
+        **_finish({**{name: (_at_most, pairs) for name, pairs in inst.items()},
+                   "negative_control_c": (_exceeds, neg)},
+                  ("a", "b", "c", "d")))
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +233,15 @@ def verify_concentration(m=4096, tau=8, d=4, d_y=2, trials=20, seed=0,
         inst["c_b_side"] += [(o * (d_y / m), cross_bound)
                              for o in np.abs((Ps @ u1) @ (Ps @ v1).T)[off]]
 
-    report = LemmaReport(
+    return LemmaReport(
         lemma_id="concentration", m=int(m), trials=int(trials), seed=int(seed),
         tau=int(tau),
         params={"d": d, "d_y": d_y, "delta": delta,
                 "regime_ok": bool(m > tau**3 * d)},
         bound_formula="norms in [0.9,1.1]; ||B W0^t A0|| <= sqrt(d log(tau d/delta)); "
                       "cross <= 24 tau d^2 log m / sqrt(m); ||F^T F - I|| <= log m/sqrt(m)",
-    )
-    return _finish(report, {name: (_within if name == "a" else _at_most, pairs)
-                            for name, pairs in inst.items()},
-                   ("a", "b", "c", "d"))
+        **_finish({name: (_within if name == "a" else _at_most, pairs)
+                   for name, pairs in inst.items()}, ("a", "b", "c", "d")))
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +308,15 @@ def verify_tail(m=256, tau_grid=(1, 2, 4, 8, 16, 30), trials=20, seed=0,
             inst["monotone"].append(((single, double), prev))
             prev = (single * (1 + 1e-12), double * (1 + 1e-12))
 
-    report = LemmaReport(
+    return LemmaReport(
         lemma_id="tail", m=int(m), trials=int(trials), seed=int(seed),
         tau=int(max(tau_grid)),
         params={"rho_0": rho_0, "rho": rho, "tau_grid": list(tau_grid),
                 "d": d, "d_y": d_y, "series_cap": N},
         bound_formula="4 sqrt(m) tau rho_0^tau/(1-rho_0)^2; "
                       "32 sqrt(m) tau^2 rho_0^tau/(1-rho_0)^3",
-    )
-    return _finish(report, {name: (_at_most, pairs)
-                            for name, pairs in inst.items()}, tuple(inst))
+        **_finish({name: (_at_most, pairs) for name, pairs in inst.items()},
+                  tuple(inst)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +373,16 @@ def verify_linearization(m=1024, omega_grid=(1e-3, 3e-3, 1e-2, 3e-2),
         if slope is not None:
             inst["slope"].append((slope, (1.8, 2.2)))
 
-    report = LemmaReport(
+    slopes = [o for o, _ in inst["slope"]]
+    return LemmaReport(
         lemma_id="linearization", m=int(m), trials=int(trials), seed=int(seed),
         params={"rho_0": rho_0, "rho": rho_0, "omega_grid": list(omega_grid),
                 "T": T, "d": d, "d_y": d_y},
+        observed={"slopes": slopes,
+                  "mean_slope": float(np.mean(slopes)) if slopes else None},
         bound_formula="768 sqrt(m) omega^2 / (1-rho_0)^5; slope 2.0 +- 0.2",
-    )
-    slopes = [o for o, _ in inst["slope"]]
-    report.observed = {"slopes": slopes,
-                       "mean_slope": float(np.mean(slopes)) if slopes else None}
-    return _finish(report, {"bound": (_at_most, inst["bound"]),
-                            "slope": (_within, inst["slope"])}, tuple(inst))
+        **_finish({"bound": (_at_most, inst["bound"]),
+                   "slope": (_within, inst["slope"])}, tuple(inst)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,28 +433,27 @@ def verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20, 24, 28, 32),
         inst["app"].append((np.max(np.linalg.norm(tail, axis=1)),
                             sched.epsilon / sched.b))
 
-    report = LemmaReport(
+    # The asserted slope is fit on the per-tau median error across trials;
+    # single-trial slopes wobble ~0.015 around it and are recorded only.
+    pooled_slope = log_slope(tau_grid, np.median(err_rows, axis=0))
+    slopes = [-o for o, _ in inst["slope_per_trial"]]
+    return LemmaReport(
         lemma_id="truncation", m=int(m), trials=int(trials), seed=int(seed),
         tau=int(max(tau_grid)),
         params={"rho_0": rho_0, "tau_grid": list(tau_grid), "omega": omega,
                 "T": T, "d": d, "d_y": d_y, "epsilon": epsilon, "delta": delta,
                 "T_max": sched.T_max, "b": sched.b, "rho_theory": sched.rho},
+        observed={"slopes": slopes,
+                  "pooled_slope": pooled_slope,
+                  "mean_slope": float(np.mean(slopes)) if slopes else None,
+                  "target_slope": float(np.log(rho_0))},
         bound_formula="8 sqrt(m) tau rho_0^tau/(1-rho_0)^3; slope log(rho_0) "
                       "+- 20%; error at tau=T_max <= epsilon/b",
-    )
-    # The asserted slope is fit on the per-tau median error across trials;
-    # single-trial slopes wobble ~0.015 around it and are recorded only.
-    pooled_slope = log_slope(tau_grid, np.median(err_rows, axis=0))
-    slopes = [-o for o, _ in inst["slope_per_trial"]]
-    report.observed = {"slopes": slopes,
-                       "pooled_slope": pooled_slope,
-                       "mean_slope": float(np.mean(slopes)) if slopes else None,
-                       "target_slope": float(np.log(rho_0))}
-    return _finish(report, {
-        "bound": (_at_most, inst["bound"]),
-        "slope": (_within, [] if pooled_slope is None else [(-pooled_slope, window)]),
-        "slope_per_trial": (_within, inst["slope_per_trial"]),
-        "app": (_at_most, inst["app"])}, ("bound", "slope", "app"))
+        **_finish({
+            "bound": (_at_most, inst["bound"]),
+            "slope": (_within, [] if pooled_slope is None else [(-pooled_slope, window)]),
+            "slope_per_trial": (_within, inst["slope_per_trial"]),
+            "app": (_at_most, inst["app"])}, ("bound", "slope", "app")))
 
 
 ALL_LEMMAS = {

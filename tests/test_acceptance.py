@@ -203,7 +203,7 @@ def test_09_generalization_gap():
         rnn = init_student(256, 2, 2, 0.9, s + 1)
         trace = sgd_train(rnn, train, loss, 1e-2 / 256, 2000, seed=s,
                           holdout=hold)
-        gap = generalization_gap(trace, train, hold, loss)
+        gap = generalization_gap(trace, train, hold)
         curves.append(gap)
     ks = curves[0]["ks"]
     mean_gaps = np.mean([c["gaps"] for c in curves], axis=0)

@@ -910,7 +910,7 @@ def test_gap_zero_when_holdout_equals_train():
     loss = make_loss("square", d_y=2)
     rnn = init_student(24, 2, 2, 0.9, 2)
     trace = sgd_train(rnn, ds, loss, 0.0, 40, seed=0, holdout=ds)
-    gap = generalization_gap(trace, ds, ds, loss)
+    gap = generalization_gap(trace, ds, ds)
     assert max(gap["gaps"]) == 0.0
 
 
@@ -921,7 +921,7 @@ def test_gap_counts_stop_at_the_run_length():
     loss = make_loss("square", d_y=2)
     rnn = init_student(16, 2, 2, 0.9, 2)
     trace = sgd_train(rnn, ds, loss, 1e-3, 6, seed=0, holdout=hold)
-    gap = generalization_gap(trace, ds, hold, loss)
+    gap = generalization_gap(trace, ds, hold)
     assert gap["ks"] == [6] and gap["gaps"][0] > 0
     # one step count gives no slope
     assert gap["exponent"] is None
@@ -936,7 +936,7 @@ def test_gap_refuses_mismatched_teacher():
     rnn = init_student(16, 2, 2, 0.9, 2)
     trace = sgd_train(rnn, ds1, loss, 1e-4, 20, seed=0, holdout=ds1)
     with pytest.raises(ValueError):
-        generalization_gap(trace, ds1, ds2, loss)
+        generalization_gap(trace, ds1, ds2)
 
 
 def test_cli_train_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
-"""What the package imports: its declared dependencies, and no more."""
+"""What the package imports, its declared dependencies and no more, and
+what its functions take: no parameter that nothing reads."""
 
 import ast
 import os
@@ -12,17 +13,21 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PACKAGE = os.path.join(ROOT, "src", "rnn_sysid")
 
 
+def _modules():
+    """(file name, parsed tree) of each module of the package."""
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as f:
+                yield name, ast.parse(f.read())
+
+
 def test_every_third_party_import_is_a_declared_dependency():
     tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
         deps = tomllib.load(f)["project"]["dependencies"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps}
     roots = set()
-    for name in os.listdir(PACKAGE):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE, name)) as f:
-            tree = ast.parse(f.read())
+    for _, tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 roots |= {alias.name.split(".")[0] for alias in node.names}
@@ -31,6 +36,27 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = roots - set(sys.stdlib_module_names) - {"rnn_sysid"}
     # equal, not a subset: a declared dependency no module imports is stale
     assert third_party == declared
+
+
+def test_every_parameter_is_read():
+    # a parameter whose body never reads it makes every caller pass a
+    # value that changes nothing; closures count as reads
+    unread = []
+    for module, tree in _modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            a = fn.args
+            params = [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                          a.vararg, a.kwarg) if arg]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            unread += [f"{module}:{getattr(fn, 'name', '<lambda>')}({p})"
+                       for p in params if p != "self" and p not in read]
+    assert not unread, f"parameters never read: {unread}"
 
 
 _CERTIFY_SCRIPT = """

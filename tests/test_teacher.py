@@ -116,6 +116,18 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
     assert ds.system_hash == ds2.system_hash == sys2.system_hash()
 
 
+@pytest.mark.parametrize("other", [{"seed": 1}, {"d_p": 3}])
+def test_save_dataset_refuses_another_system(tmp_path, other):
+    # one teacher's data beside another's matrices would make a directory
+    # that load_dataset always refuses, so none is written
+    ds = generate_dataset(_sys(seed=0), "iid_gaussian_unit", 0.0, 5, 2, seed=0)
+    sys = random_stable_system(**{"d_p": 4, "d": 3, "d_y": 2, "rho_C": 0.8,
+                                  "seed": 0, **other})
+    with pytest.raises(ParameterError, match="not generated by this system"):
+        save_dataset(ds, sys, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
 def _saved_dataset(path):
     sys = _sys(seed=9)
     ds = generate_dataset(sys, "iid_gaussian_unit", 0.1, 9, 5, seed=4)

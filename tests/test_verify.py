@@ -53,13 +53,13 @@ def test_report_is_strict_json(tmp_path):
 def test_check_that_measured_nothing_is_degenerate_and_fails(observed):
     # all zeros pass an upper bound, but a check that read nothing tests
     # nothing: a healthy check beside it does not rescue the report
-    rep = _finish(LemmaReport(lemma_id="demo", m=8, trials=1, seed=0),
-                  {"x": (_at_most, [(o, 1.0) for o in observed]),
-                   "y": (_at_most, [(0.5, 1.0)])}, ("x", "y"))
-    assert rep.checks["x"] == {"n_instances": 3, "pass_fraction": 0.0,
-                               "status": "degenerate", "worst_margin": None}
-    assert rep.checks["y"]["worst_margin"] == 0.5
-    assert rep.pass_fraction == 0.0 and rep.passed is False
+    verdict = _finish({"x": (_at_most, [(o, 1.0) for o in observed]),
+                       "y": (_at_most, [(0.5, 1.0)])}, ("x", "y"))
+    assert verdict["checks"]["x"] == {"n_instances": 3, "pass_fraction": 0.0,
+                                      "status": "degenerate",
+                                      "worst_margin": None}
+    assert verdict["checks"]["y"]["worst_margin"] == 0.5
+    assert verdict["pass_fraction"] == 0.0 and verdict["passed"] is False
 
 
 def test_every_asserted_check_reports_a_finite_margin():
@@ -352,6 +352,38 @@ def test_truncation_slope_catches_sums_taken_at_rho_1(monkeypatch):
     assert not rep.passed
 
 
+def test_spectral_d_catches_the_ball_taken_at_rho_0(monkeypatch):
+    # injected defect: the omega_0-ball scaled by rho_0 instead of
+    # rho = rho_1 rho_0^2, so ||rho^t W^t|| loses its rho_1 rho_0 factor.
+    # Only (d) reads rho
+    real = rnn_sysid.verify.decay_split
+
+    def at_rho_0(rho_0, m):
+        rho_1, _, omega_0, L = real(rho_0, m)
+        return rho_1, rho_0, omega_0, L
+
+    monkeypatch.setattr(rnn_sysid.verify, "decay_split", at_rho_0)
+    rep = verify_spectral(m=256, trials=3, seed=0)
+    assert rep.checks["d"]["pass_fraction"] < 0.95
+    assert all(rep.checks[n]["pass_fraction"] == 1.0 for n in "abc")
+    assert not rep.passed
+
+
+def test_tail_catches_series_summed_at_rho_1(monkeypatch):
+    # injected defect: both tails summed at rho = 1, so their terms stop
+    # decaying; each asserted check sees it
+    real = rnn_sysid.verify.tail_norms
+
+    def undamped(W, A0, B, Q, Q2, Z, rho, tau_grid):
+        return real(W, A0, B, Q, Q2, Z, 1.0, tau_grid)
+
+    monkeypatch.setattr(rnn_sysid.verify, "tail_norms", undamped)
+    rep = verify_tail(m=64, trials=3, seed=0)
+    for name in ("single", "double", "monotone"):
+        assert rep.checks[name]["pass_fraction"] < 0.95
+    assert not rep.passed
+
+
 def test_truncation_slope_and_schedule_level_error():
     rep = verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20), trials=4,
                             seed=0)
@@ -412,10 +444,21 @@ def test_threshold_is_fixed():
     # no caller can score a lemma against a lower pass fraction than 0.95
     for fn in ALL_LEMMAS.values():
         assert "threshold" not in inspect.signature(fn).parameters
+    verdict = _finish({"x": (_at_most, [(0.5, 1.0)])}, ("x",))
     with pytest.raises(TypeError):
-        LemmaReport(lemma_id="demo", m=8, trials=1, seed=0, threshold=0.0)
-    assert LemmaReport(lemma_id="demo", m=8, trials=1,
-                       seed=0).to_dict()["threshold"] == 0.95
+        LemmaReport(lemma_id="demo", m=8, trials=1, seed=0, threshold=0.0,
+                    **verdict)
+    assert LemmaReport(lemma_id="demo", m=8, trials=1, seed=0,
+                       **verdict).to_dict()["threshold"] == 0.95
+
+
+@pytest.mark.parametrize("key", ["checks", "pass_fraction", "passed"])
+def test_no_report_without_a_verdict(key):
+    # a report's verdict is `_finish`'s, never a placeholder
+    verdict = _finish({"x": (_at_most, [(0.5, 1.0)])}, ("x",))
+    del verdict[key]
+    with pytest.raises(TypeError, match=key):
+        LemmaReport(lemma_id="demo", m=8, trials=1, seed=0, **verdict)
 
 
 def test_pass_fraction_is_worst_asserted_check():
