@@ -37,17 +37,14 @@ class ConfigError(ValueError):
     pass
 
 
-class Only(dict):
-    """A mapping field: keys and value types as in these defaults, none filled in."""
-
-
 # Every config field and its default.  A dict is a section: it accepts its
 # own keys only and fills in the missing ones.  A None default is worked
 # out at run time: `seeds` is [seed], `_derive` sets train.eta and
 # train.K_steps from m or the theory schedule, `out_dir` comes from the
-# config hash, and verify's `m` and `trials` are left to each verifier.
-# Sections are named after the keyword arguments of the function they
-# feed, given in the comments.
+# config hash.  Verify's `m` and `trials`, when given, fill each lemma's
+# section where it leaves them out (`resolve_config`).  Sections are named
+# after the keyword arguments of the function they feed, given in the
+# comments.
 TEACHER = {"d_p": 4, "d": 2, "d_y": 2, "rho_C": 0.8, "seed": 0}  # random_stable_system
 DATA = {"input_spec": "iid_gaussian_unit", "noise_sigma": 0.0,    # generate_dataset
         "T": 20, "K": 64}
@@ -68,9 +65,9 @@ SCHEMA = {
                   "probe": {"K": 4}},                             # generate_dataset
     "verify": {**COMMON, "lemmas": "all", "m": None, "trials": None,
                "lemma_params": {
-                   name: Only({key: p.default for key, p in
-                               inspect.signature(fn).parameters.items()
-                               if key != "seed"})  # the run's seed
+                   name: {key: p.default for key, p in
+                          inspect.signature(fn).parameters.items()
+                          if key != "seed"}  # the run's seed
                    for name, fn in ALL_LEMMAS.items()}},
 }
 
@@ -113,10 +110,6 @@ def _fill(spec, section, path):
     unknown = [path + key for key in section if key not in spec]
     if unknown:
         raise ConfigError(f"unknown config field {', '.join(unknown)}")
-    if isinstance(spec, Only):
-        for key, value in section.items():
-            _check_type(value, spec[key], path + key)
-        return dict(section)
     filled = {}
     for key, sub in spec.items():
         if isinstance(sub, dict):
@@ -171,6 +164,11 @@ def resolve_config(config, seed_override=None):
         if bad:
             raise ConfigError(f"unknown lemmas {bad}; choose from "
                               f"{list(ALL_LEMMAS)} or 'all'")
+        given = config.get("lemma_params", {})
+        for name, params in c["lemma_params"].items():
+            for key in ("m", "trials"):
+                if c[key] is not None and key not in given.get(name, {}):
+                    params[key] = c[key]
     return c
 
 
@@ -447,9 +445,8 @@ def run_experiment(config, out_dir=None, seed_override=None):
                                                        "_meta": stamp})
         return 0, out
     if kind == "verify":
-        calls = {name: lemma_kwargs(name, **{"m": c["m"], "trials": c["trials"],
-                                             "seed": c["seed"],
-                                             **c["lemma_params"][name]})
+        calls = {name: lemma_kwargs(name, seed=c["seed"],
+                                    **c["lemma_params"][name])
                  for name in c["lemmas"]}
         _begin(out, cfg, c, stamp)
         results = _run_verify(calls, out)

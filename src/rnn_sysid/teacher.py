@@ -16,6 +16,7 @@ from .store import load_arrays, save_arrays
 # rho(C) == rho_C exactly for the orthogonal teacher construction, so the
 # certificate accepts equality up to roundoff.
 _RADIUS_SLACK = 1e-9
+CERTIFIED_LAGS = 200  # the horizon every teacher's c_rho is certified over
 
 
 class ParameterError(ValueError):
@@ -62,7 +63,10 @@ def stability_certificate(sys, horizon):
     """max_{0<=k<=horizon} ||C^k D|| / rho_C^k and a decay-rate flag.
 
     ok means the spectral radius of C does not exceed rho_C (up to
-    roundoff), so the maximum over the certified horizon is the global one.
+    roundoff).  For a normal C, such as every teacher `random_stable_system`
+    builds, ||C^k D|| / rho_C^k then never grows with k, so the maximum over
+    the horizon is the global one.  For a non-normal C it need not be: the
+    ratio can peak past any fixed horizon.
     """
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
@@ -90,7 +94,7 @@ def random_stable_system(d_p, d, d_y, rho_C, seed):
     G = rng.normal(size=(d_y, d_p))
     G /= operator_norm(G)
     sys = StableLinearSystem(C=C, D=D, G=G, rho_C=rho_C)
-    sys.c_rho, ok = stability_certificate(sys, 200)
+    sys.c_rho, ok = stability_certificate(sys, CERTIFIED_LAGS)
     if not ok:
         raise ParameterError(
             f"spectral radius of C exceeds rho_C = {rho_C} (seed {seed})")
@@ -206,11 +210,21 @@ _DATASET_FIELDS = {"rho_C": float, "c_rho": float, "noise_sigma": float,
                    "seed": int, "input_spec": str, "system_hash": str}
 
 
+def _c_rho_certified(sys):
+    """Whether C decays at rho_C and sys.c_rho is its certificate's value."""
+    c_rho, ok = stability_certificate(sys, CERTIFIED_LAGS)
+    return ok and c_rho == sys.c_rho
+
+
 def save_dataset(ds, sys, path):
-    """Writes `ds` and its teacher `sys` to directory `path`; a `sys` other
-    than the one that generated `ds` is refused before any write."""
+    """Writes `ds` and its teacher `sys` to directory `path`.  A `sys`
+    other than the one that generated `ds`, or whose c_rho is not its
+    certificate's, is refused before any write."""
     if ds.system_hash != sys.system_hash():
         raise ParameterError("the dataset was not generated by this system")
+    if not _c_rho_certified(sys):
+        raise ParameterError(f"c_rho = {sys.c_rho} is not the system's "
+                             f"{CERTIFIED_LAGS}-lag certificate")
     meta = {"format_version": DATASET_FORMAT_VERSION, "d_p": sys.d_p,
             "d": sys.d, "d_y": sys.d_y, "T": ds.T, "K": ds.K,
             "noise_sigma": "%.17g" % ds.noise_sigma, "seed": ds.seed,
@@ -226,8 +240,10 @@ def load_dataset(path):
     """Returns (dataset, system) from a directory written by save_dataset.
 
     Raises IOError as `store.load_arrays` does (a format-1 directory, with
-    its data.csv, is refused by its format_version), or when the stored
-    system does not hash to meta.json's system_hash.
+    its data.csv, is refused by its format_version), when the stored
+    system does not hash to meta.json's system_hash, or when meta.json's
+    c_rho, which the hash does not cover, is not the stored system's
+    certificate.
     """
     meta, arrays = load_arrays(path, "meta.json", DATASET_FORMAT_VERSION,
                                _DATASET_SHAPES, _DATASET_FIELDS)
@@ -235,6 +251,9 @@ def load_dataset(path):
                              rho_C=meta["rho_C"], c_rho=meta["c_rho"])
     if sys.system_hash() != meta["system_hash"]:
         raise IOError(f"{path}: stored system does not match its system_hash")
+    if not _c_rho_certified(sys):
+        raise IOError(f"{path}: c_rho = {sys.c_rho} is not the stored "
+                      f"system's {CERTIFIED_LAGS}-lag certificate")
     ds = SequenceDataset(
         inputs=arrays["inputs"],
         clean_outputs=arrays["clean_outputs"],

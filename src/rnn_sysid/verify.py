@@ -466,17 +466,16 @@ ALL_LEMMAS = {
 
 
 def lemma_kwargs(name, **kwargs):
-    """The keywords `run_lemma` passes to lemma `name`, those given as None
-    dropped (each takes its default).  `trials`, `m` and `seed` must be
-    integers of at least 1, 2 and 0 (no trials test nothing, below m = 2
-    log m is zero or undefined, numpy's generators take no negative seed)
-    and every grid (`*_grid`, `grid_points`) must hold a point.  On every
-    keyword, defaults bound, each domain's owner runs as in the verifier:
-    `decay_split` on `rho_0`, `check_targets` on `epsilon` and `delta`
-    (else `check_decay` on `delta`), `_check_omega_grid` on `omega_grid`."""
+    """The keywords `run_lemma` passes to lemma `name`.  `trials`, `m` and
+    `seed` must be integers of at least 1, 2 and 0 (no trials test nothing,
+    below m = 2 log m is zero or undefined, numpy's generators take no
+    negative seed) and every grid (`*_grid`, `grid_points`) must hold a
+    point.  On every keyword, defaults bound, each domain's owner runs as
+    in the verifier: `decay_split` on `rho_0`, `check_targets` on `epsilon`
+    and `delta` (else `check_decay` on `delta`), `_check_omega_grid` on
+    `omega_grid`."""
     if name not in ALL_LEMMAS:
         raise ValueError(f"unknown lemma {name!r}; choose from {sorted(ALL_LEMMAS)}")
-    kwargs = {k: v for k, v in kwargs.items() if v is not None}
     for key, value in kwargs.items():  # a grid of no points tests nothing
         if "grid" in key and (len(value) if key.endswith("_grid") else value) < 1:
             raise ParameterError(f"{key} must hold at least one point, got {value!r}")

@@ -243,14 +243,33 @@ def test_empty_sections_match_written_out_defaults(tmp_path):
         k: v for k, v in written.items() if k != "out_dir"}
 
 
+def _lemma_defaults(verifier):
+    return {key: p.default for key, p in
+            inspect.signature(verifier).parameters.items() if key != "seed"}
+
+
 def test_resolved_config_reruns_the_run(tmp_path):
-    run_experiment(TRAIN_CFG, out_dir=str(tmp_path / "a"))
-    resolved = json.loads((tmp_path / "a" / "resolved_config.json").read_text())
-    run_experiment(resolved, out_dir=str(tmp_path / "b"))
-    assert (tmp_path / "a" / "trace.jsonl").read_bytes() == \
-        (tmp_path / "b" / "trace.jsonl").read_bytes()
-    again = json.loads((tmp_path / "b" / "resolved_config.json").read_text())
-    assert again == {**resolved, "out_dir": str(tmp_path / "b")}
+    # a verify config's top-level m and trials fill each lemma's section,
+    # under the section's own values and over the verifier's defaults
+    verify_cfg = {"kind": "verify", "lemmas": ["spectral", "tail"],
+                  "m": 32, "trials": 1,
+                  "lemma_params": {"spectral": {"m": 48}, "tail": {"trials": 2}}}
+    for kind, cfg in (("train", TRAIN_CFG), ("verify", verify_cfg)):
+        a, b = tmp_path / kind / "a", tmp_path / kind / "b"
+        run_experiment(cfg, out_dir=str(a))
+        resolved = json.loads((a / "resolved_config.json").read_text())
+        run_experiment(resolved, out_dir=str(b))
+        outputs = sorted(p.name for p in a.iterdir()
+                         if p.name == "trace.jsonl" or p.name.startswith("report_"))
+        assert len(outputs) == (1 if kind == "train" else 2)
+        for name in outputs:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        again = json.loads((b / "resolved_config.json").read_text())
+        assert again == {**resolved, "out_dir": str(b)}
+    assert resolved["lemma_params"] == json.loads(json.dumps({
+        name: {**_lemma_defaults(fn), "m": 32, "trials": 1,
+               **verify_cfg["lemma_params"].get(name, {})}
+        for name, fn in ALL_LEMMAS.items()}))
 
 
 def test_theory_run_outside_its_regime_is_refused(tmp_path, monkeypatch):
@@ -368,23 +387,30 @@ def _recording_lemma(monkeypatch):
 
 
 def test_verify_passes_trials_and_m_only_when_given(tmp_path, monkeypatch):
+    # every keyword reaches the lemma: its section's, else the top-level
+    # m or trials when given, else the verifier's default
     seen = _recording_lemma(monkeypatch)
     run_experiment({"kind": "verify", "lemmas": ["tail"]},
                    out_dir=str(tmp_path / "a"))
     run_experiment({"kind": "verify", "lemmas": ["tail"], "m": 8, "trials": 2,
                     "lemma_params": {"tail": {"trials": 3}}},
                    out_dir=str(tmp_path / "b"))
-    assert seen == [{"seed": 0}, {"m": 8, "trials": 3, "seed": 0}]
+    tail = _lemma_defaults(verify_tail)
+    assert seen == [{**tail, "seed": 0},
+                    {**tail, "m": 8, "trials": 3, "seed": 0}]
 
 
 def test_cli_direct_lemma_passes_trials_only_when_given(tmp_path, monkeypatch,
                                                          capsys):
-    # a direct run is a verify config run, whose seed defaults to 0
+    # a direct run is a verify config run, whose seed defaults to 0; a flag
+    # left out leaves the verifier's default
     monkeypatch.chdir(tmp_path)
     seen = _recording_lemma(monkeypatch)
     main(["verify", "--lemma", "tail", "--m", "8"])
     main(["verify", "--lemma", "tail", "--trials", "2", "--seed", "5"])
-    assert seen == [{"m": 8, "seed": 0}, {"trials": 2, "seed": 5}]
+    tail = _lemma_defaults(verify_tail)
+    assert seen == [{**tail, "m": 8, "seed": 0},
+                    {**tail, "trials": 2, "seed": 5}]
 
 
 def test_train_kind_writes_artifacts(tmp_path):
@@ -761,7 +787,8 @@ _WORKLOADS.loader.exec_module(workloads)
 
 # config_hash of each shipped config as resolved before the floor rule
 # (seed 0): the benchmark's workloads, full and small, and the README's
-# train example
+# train example.  The verify configs' hashes are those of the resolved
+# config that lists every keyword of every lemma
 _SHIPPED = {
     "readme": "f541782f0f6023466cd1c15cdfdc46a48d1b69326334097aeae841ed4dfeb115",
     "train_small-full-train":
@@ -773,11 +800,11 @@ _SHIPPED = {
     "train_large-small-train":
         "b44555adfa8c4066eb8fee40ab3a3d4745fae295bc134126fb56087a09e2d6fb",
     "certify-full-verify":
-        "ba1893a378a0568e0f39e50784b0bcf2859fa15701ceaf05e877452d27014ab3",
+        "b93c4c946a223bac7a648dd4484e417c1c97853e4c79c9f72a5d2a948ffff495",
     "certify-full-existence":
         "1ada4486a5d274469514576769f0772dbce20fde10c6b1eacc3ad20d97c926b3",
     "certify-small-verify":
-        "2408cf38a0ebb680a98ee1d056e0b6f657e10e83c8880d29f0ba33e7bde56f48",
+        "83c0e9376975b865865fe92b9b4513eea61b8995c74aef43d277619f9e9da410",
     "certify-small-existence":
         "f0d6394407caf98211ffb0c2bf5849bf2e9100ef504b18186ba978eb25840476",
 }
@@ -802,6 +829,30 @@ def test_shipped_configs_resolve_as_before(monkeypatch):
             run_experiment(cfg, out_dir="unused")
         (resolved,) = started.value.args
         assert config_hash(resolved) == _SHIPPED[key], (key, resolved)
+
+
+def test_each_workload_enters_its_main_compute(tmp_path, monkeypatch):
+    # the benchmark's setup_s ends where a run first enters one of these
+    # harness bindings; a run that bypassed one would fold its compute
+    # into setup_s
+    entered = set()
+
+    def recorder(name, real):
+        def call(*args, **kwargs):
+            entered.add(name)
+            return real(*args, **kwargs)
+        return call
+
+    for names in workloads.MAIN_COMPUTE.values():
+        for name in names:
+            monkeypatch.setattr(harness, name,
+                                recorder(name, getattr(harness, name)))
+    for workload in workloads.WORKLOADS:
+        for name, cfg in workloads.configs(workload, 0, small=True):
+            entered.clear()
+            run_experiment(cfg, out_dir=str(tmp_path / workload / name))
+            assert entered == set(workloads.MAIN_COMPUTE[name]), \
+                (workload, name)
 
 
 def test_json_artifacts_are_strict(tmp_path):

@@ -114,6 +114,7 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
     np.testing.assert_array_equal(ds.clean_outputs, ds2.clean_outputs)
     np.testing.assert_array_equal(sys.C, sys2.C)
     assert ds.system_hash == ds2.system_hash == sys2.system_hash()
+    assert sys2.c_rho == sys.c_rho
 
 
 @pytest.mark.parametrize("other", [{"seed": 1}, {"d_p": 3}])
@@ -159,6 +160,35 @@ def test_load_dataset_rejects_edited_system(tmp_path):
     C.tofile(path / "C.bin")
     with pytest.raises(IOError, match="system_hash"):
         load_dataset(path)
+
+
+def test_load_dataset_rejects_edited_c_rho(tmp_path, monkeypatch):
+    # system_hash does not cover c_rho, which a theory schedule reads, so
+    # the loader re-derives it from the stored system
+    ds = generate_dataset(_sys(), "iid_gaussian_unit", 0.0, 5, 2, seed=0)
+    save_dataset(ds, _sys(), tmp_path / "ds")
+    meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
+    (tmp_path / "ds" / "meta.json").write_text(
+        json.dumps({**meta, "c_rho": "25.0"}))
+    with pytest.raises(IOError, match="c_rho = 25.0 is not the stored"):
+        load_dataset(tmp_path / "ds")
+    # the honest header, read back beside a C whose radius fails
+    (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
+    monkeypatch.setattr(teacher, "stability_certificate",
+                        lambda sys, horizon: (sys.c_rho, False))
+    with pytest.raises(IOError, match="certificate"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_save_dataset_refuses_an_uncertified_c_rho(tmp_path):
+    # a hand-built system left at the default c_rho = 0.0
+    sys = _sys()
+    bare = teacher.StableLinearSystem(C=sys.C, D=sys.D, G=sys.G,
+                                      rho_C=sys.rho_C)
+    ds = generate_dataset(bare, "iid_gaussian_unit", 0.0, 5, 2, seed=0)
+    with pytest.raises(ParameterError, match="c_rho = 0.0 is not"):
+        save_dataset(ds, bare, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
 
 
 def _negative_K_T(meta):

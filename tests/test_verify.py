@@ -384,6 +384,34 @@ def test_tail_catches_series_summed_at_rho_1(monkeypatch):
     assert not rep.passed
 
 
+def _student_law(monkeypatch):
+    # injected defect: W0 drawn from the law the student trains from,
+    # N(0, 1/(rho m)) with rho = 0.9, not the lemmas' N(0, 1/m)
+    def student_init(rng, m, d, d_y):
+        W0, A0, B = sample_init(rng, m, d, d_y)
+        return W0 * 0.9 ** -0.5, A0, B
+
+    def student_W0(rng, m, dtype):
+        return sample_W0(rng, m, dtype) * 0.9 ** -0.5
+
+    monkeypatch.setattr(rnn_sysid.verify, "sample_init", student_init)
+    monkeypatch.setattr(rnn_sysid.verify, "sample_W0", student_W0)
+
+
+def test_concentration_a_catches_the_student_law(monkeypatch):
+    _student_law(monkeypatch)
+    rep = verify_concentration(m=256, tau=4, d=3, trials=3, seed=0)
+    assert rep.checks["a"]["pass_fraction"] < 0.95
+    assert not rep.passed
+
+
+def test_spectral_c_catches_the_student_law(monkeypatch):
+    _student_law(monkeypatch)
+    rep = verify_spectral(m=256, trials=3, seed=0)
+    assert rep.checks["c"]["pass_fraction"] < 0.95
+    assert not rep.passed
+
+
 def test_truncation_slope_and_schedule_level_error():
     rep = verify_truncation(m=1024, tau_grid=(4, 8, 12, 16, 20), trials=4,
                             seed=0)
