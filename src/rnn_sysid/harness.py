@@ -445,11 +445,13 @@ def run_experiment(config, out_dir=None, seed_override=None):
                                                        "_meta": stamp})
         return 0, out
     if kind == "verify":
-        calls = {name: lemma_kwargs(name, seed=c["seed"],
-                                    **c["lemma_params"][name])
-                 for name in c["lemmas"]}
+        # every section is checked, run or not: resolved_config.json records
+        # them all
+        calls = {name: lemma_kwargs(name, seed=c["seed"], **params)
+                 for name, params in c["lemma_params"].items()}
         _begin(out, cfg, c, stamp)
-        results = _run_verify(calls, out)
+        results = _run_verify({name: calls[name] for name in c["lemmas"]},
+                              out)
         ok = all(r["passed"] for r in results.values())
         write_json(os.path.join(out, "summary.json"),
                    {"results": results, "all_passed": ok, "_meta": stamp})

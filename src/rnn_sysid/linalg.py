@@ -167,6 +167,27 @@ def power_dtype(m):
 TWO_ROW_MAX_M = 576
 
 
+# The rows of W that one GEMM of `matrix_power_opnorm`'s W products takes:
+# the largest slab that adds nothing to the peak of the benchmark's certify
+# workload.  With the whole of W as OpenBLAS's packed operand, one float32
+# product at m = 4096 leaves 7.4-8.1 MB resident for the rest of the
+# process; 1024-row slabs leave 2.1-2.9 MB and 512-row slabs 1.2-2.0 MB
+# (widths 8 and 48, a fresh process each, 2-core VM).  Certify then peaks
+# at 178.5-178.7 MB with 1024 rows, 177.8-178.0 MB with 512 or 256 rows
+# and 183.1 MB with whole-W products.  A slab costs no time: a product
+# took 5.2-5.5 ms at width 8 and 12.3-14.8 ms at width 48 in 512-row
+# slabs, against 6.3-6.6 and 12.5-15.3 ms whole (medians of 40 calls).
+SLAB_ROWS = 512
+
+
+def _slab_product(W, X):
+    """W @ X, SLAB_ROWS rows of W per GEMM, written into one output."""
+    out = np.empty_like(X)
+    for lo in range(0, len(W), SLAB_ROWS):
+        np.matmul(W[lo:lo + SLAB_ROWS], X, out=out[lo:lo + SLAB_ROWS])
+    return out
+
+
 def _next_block(V, c, Y):
     """Stores in V[:, c:c + w] an orthonormal basis of the part of Y's
     first w columns orthogonal to V[:, :c], with w = V.shape[1] - c capped
@@ -204,23 +225,25 @@ def matrix_power_opnorm(W, k, iters=8, block=4, seed=0):
     one for all; the result is then a list of estimates.  They start from
     the same seeded block and run in lockstep rounds: in round r, a power
     with iters > r applies W k times, W^T k times and orthonormalizes, one
-    with iters == r W k times and takes the SVD.  Each step is one GEMM
-    over the side-by-side blocks of the powers still that deep: 104 GEMMs
-    for powers [2, 3, 5, 7, 10, 14] at iters [4, 4, 3, 3, 3, 3].  A
-    blocked GEMM computes each column alike whatever stands beside it, so
+    with iters == r W k times and takes the SVD.  Each step is one product
+    over the side-by-side blocks of the powers still that deep: 104
+    products for powers [2, 3, 5, 7, 10, 14] at iters [4, 4, 3, 3, 3, 3].
+    A blocked GEMM computes each column alike whatever stands beside it, so
     each estimate equals its one-power call's; below m^2 * block ~ 1e6
     OpenBLAS may take its small-matrix kernel for the lone product only,
     and the last bits then differ (seen at m <= 256 with block 4).
 
-    The GEMMs run in `power_dtype(m)`, float32 from m = 2048 up (the
+    The products run in `power_dtype(m)`, float32 from m = 2048 up (the
     round-off is orders of magnitude below the iteration's own slack); W
-    already in it is not cast, and the blocks are stored in it.  W^T
-    products run in row form, (Y^T W)^T, on W itself: no transposed copy is
-    made, and the bits are those of products with `np.ascontiguousarray(W.T)`
-    (seen at m >= 512, and at m = 256 with block 8).  W not square and
-    non-empty, or `iters` of another length than `k`, raises
-    DimensionError; `k`, `iters` not whole numbers >= 0 or `block` not one
-    >= 1 raise ValueError.
+    already in it is not cast, and the blocks are stored in it.  A W
+    product is one GEMM per `SLAB_ROWS` rows of W, written into one
+    output, with the bits of one whole-W GEMM (seen at m = 2048 and 4096).
+    W^T products run in row form, (Y^T W)^T, on W itself, one GEMM each: no
+    transposed copy is made, and the bits are those of products with
+    `np.ascontiguousarray(W.T)` (seen at m >= 512, and at m = 256 with
+    block 8).  W not square and non-empty, or `iters` of another length
+    than `k`, raises DimensionError; `k`, `iters` not whole numbers >= 0 or
+    `block` not one >= 1 raise ValueError.
     """
     W = np.asarray(W)
     if W.ndim != 2 or W.shape[0] != W.shape[1] or not W.size:
@@ -253,7 +276,7 @@ def matrix_power_opnorm(W, k, iters=8, block=4, seed=0):
             for step in range(max((ks[j] for j in due), default=0)):
                 now = [j for j in due if ks[j] > step]
                 out = ((np.vstack([Y[j].T for j in now]) @ W).T if transpose
-                       else W @ np.hstack([Y[j] for j in now]))
+                       else _slab_product(W, np.hstack([Y[j] for j in now])))
                 for n, j in enumerate(now):
                     Y[j] = out[:, n * w:(n + 1) * w]
             if not transpose:  # W^k V_r, kept for the Rayleigh-Ritz value

@@ -73,21 +73,26 @@ class StudentRNN:
 
     def dW_frob(self):
         """||W - W0||_F in one block pass: each re-drawn block of W0 has W's
-        rows subtracted in place and is then reduced, so no m x m
-        temporary is made."""
-        sq = 0.0
+        rows subtracted and squared in place and is then summed row by row,
+        so no m x m temporary is made, and the m row sums are summed last:
+        the value does not depend on the block size."""
+        sq = np.empty(self.m)
         for lo, block in self.W0_blocks():
             block -= self.W[lo:lo + len(block)]
-            sq += np.einsum("ij,ij->", block, block)
-        return float(np.sqrt(sq))
+            np.square(block, out=block)
+            np.add.reduce(block, axis=1, out=sq[lo:lo + len(block)])
+        return float(np.sqrt(sq.sum()))
 
 
-DRAW_ROWS = 256   # W0's row block: 8 MB of float64 at m = 4096
+# The row block of every pass over W0 or W: each re-draw of W0 and the SGD
+# update of W.  1 MB of float64 at m = 2048
+BLOCK_ROWS = 64
 
 
 def draw_W0_blocks(rng, m, into=None):
     """Row blocks of one W0 ~ N(0, 1/m) drawn from `rng`: yields (lo, block),
-    block holding rows lo.. of the draw, DRAW_ROWS rows at a time.
+    block holding rows lo.. of the draw, BLOCK_ROWS rows at a time (the
+    SGD update's block, so a re-draw holds no more than an update does).
 
     The generator fills values in order, so any block size gives the values
     of one (m, m) draw.  Each block is filled by `standard_normal` and scaled
@@ -98,9 +103,9 @@ def draw_W0_blocks(rng, m, into=None):
     drawing loop: `sample_W0` fills its array from it, and the student's
     anchor is re-drawn from it.
     """
-    buf = np.empty((min(DRAW_ROWS, m), m)) if into is None else None
-    for lo in range(0, m, DRAW_ROWS):
-        n = min(DRAW_ROWS, m - lo)
+    buf = np.empty((min(BLOCK_ROWS, m), m)) if into is None else None
+    for lo in range(0, m, BLOCK_ROWS):
+        n = min(BLOCK_ROWS, m - lo)
         block = buf[:n] if into is None else into[lo:lo + n]
         rng.standard_normal(out=block)
         block *= np.sqrt(1.0 / m)

@@ -27,7 +27,7 @@ import numpy as np
 from .gradients import loss_gradients_bptt
 from .linalg import TWO_ROW_MAX_M, DimensionError, frob
 from .losses import sequence_loss
-from .student import forward_rescaled, save_checkpoint
+from .student import BLOCK_ROWS, forward_rescaled, save_checkpoint
 from .teacher import ParameterError
 
 
@@ -78,11 +78,12 @@ def sgd_train(rnn, dataset, loss, eta, K, seed, trace_path=None,
                                  f"({rnn.d}, {rnn.d_y})")
     rho = rnn.rho
     eta_W = eta / rho**2
-    # W is updated 64 rows at a time through one buffer: a fresh temporary
-    # per block made the update up to three times slower at m = 2048
-    buf = np.empty((min(64, rnn.m), rnn.m))
-    blocks = [(slice(lo, lo + 64), buf[:min(64, rnn.m - lo)])
-              for lo in range(0, rnn.m, 64)]
+    # W is updated BLOCK_ROWS rows at a time through one buffer: a fresh
+    # temporary per block made the update up to three times slower at
+    # m = 2048
+    buf = np.empty((min(BLOCK_ROWS, rnn.m), rnn.m))
+    blocks = [(slice(lo, lo + BLOCK_ROWS), buf[:min(BLOCK_ROWS, rnn.m - lo)])
+              for lo in range(0, rnn.m, BLOCK_ROWS)]
     rng = np.random.default_rng(seed)
     holdout_rng = np.random.default_rng([int(seed), 1])
     # at widths up to TWO_ROW_MAX_M the training and holdout sequences run

@@ -897,6 +897,15 @@ def test_verify_refuses_a_later_lemma_before_any_report(tmp_path):
     assert not (tmp_path / "d").exists()
 
 
+def test_verify_refuses_a_bad_section_of_a_lemma_it_does_not_run(tmp_path):
+    # resolved_config.json records every lemma's section, so a section
+    # outside the domain is refused even when its lemma does not run
+    cfg = {"kind": "verify", "lemmas": "tail", "m": 16, "trials": 1,
+           "lemma_params": {"spectral": {"rho_0": 1.5}}}
+    _refused_before_writing(tmp_path, cfg, r"^rho_0 must lie in \(0, 1\)",
+                            error=ParameterError)
+
+
 @pytest.mark.parametrize("params", [
     {"omega_grid": [0.5]},
     # the default grid reaches 0.03, past omega_0 = 1/0.99 - 1

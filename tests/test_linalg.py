@@ -8,11 +8,12 @@ import pytest
 
 from oracles import (copied_transpose_power_opnorm, longdouble_forward,
                      subspace_power_opnorm)
+from rnn_sysid import linalg
 from rnn_sysid.linalg import (DimensionError, causal_fir, frob,
                               haar_orthogonal, lag_ladder, log_slope,
                               matrix_power_opnorm, operator_norm,
-                              operator_norm_fast, recurrence, spectral_radius,
-                              tangent_recurrence)
+                              operator_norm_fast, power_dtype, recurrence,
+                              spectral_radius, tangent_recurrence)
 from rnn_sysid.student import sample_W0
 from rnn_sysid.verify import POWER_ITERS
 
@@ -134,10 +135,11 @@ def test_matrix_power_opnorm_batch_equals_per_power_calls(m, dtype, block):
 
 
 def test_matrix_power_opnorm_gemm_count(monkeypatch):
-    # lockstep rounds, one GEMM per step over the powers still that deep:
-    # 3 rounds of 14 W and 14 W^T steps, then 14 + 3 and 3.  A W step
-    # stacks its blocks side by side (hstack), a W^T step stacks their
-    # transposes as rows (vstack)
+    # lockstep rounds, one product per step over the powers still that
+    # deep: 3 rounds of 14 W and 14 W^T steps, then 14 + 3 and 3.  A W
+    # step stacks its blocks side by side (hstack) and takes that stack
+    # SLAB_ROWS rows of W per GEMM, a W^T step stacks their transposes as
+    # rows (vstack) for one GEMM: one stack per step
     calls = []
     for name in ("hstack", "vstack"):
         def counted(blocks, stack=getattr(np, name)):
@@ -199,6 +201,25 @@ def test_matrix_power_opnorm_row_form_has_the_bits_of_a_transposed_copy(
     assert (matrix_power_opnorm(W, ks, iters=iters, block=block, seed=1000)
             == [copied_transpose_power_opnorm(W, k, it, block, 1000)
                 for k, it in zip(ks, iters)])
+
+
+def test_matrix_power_opnorm_slabs_have_the_bits_of_one_whole_W_product(
+        monkeypatch):
+    # a W product is taken SLAB_ROWS rows of W per GEMM into one output;
+    # slabs of 1024, 512 and 300 rows (a ragged last slab) give, bit for
+    # bit, the estimates of one whole-W GEMM per product, on verify_spectral's
+    # powers, iteration counts and float32 width
+    m, ks = 2048, [2, 3, 5, 7, 10, 14]
+    iters = [POWER_ITERS if k <= 3 else POWER_ITERS - 1 for k in ks]
+    W = sample_W0(np.random.default_rng([0, 0]), m, power_dtype(m))
+
+    def estimates(slab):
+        monkeypatch.setattr(linalg, "SLAB_ROWS", slab)
+        return matrix_power_opnorm(W, ks, iters=iters, block=8, seed=1000)
+
+    whole = estimates(m)
+    for slab in (1024, 512, 300):
+        assert estimates(slab) == whole
 
 
 W_256 = np.random.default_rng(6).normal(0.0, 1.0 / 16.0, size=(256, 256))

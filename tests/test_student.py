@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -8,7 +9,8 @@ import pytest
 from oracles import jvp_f_all_t
 from rnn_sysid.existence import FactoredW
 from rnn_sysid.linalg import DimensionError, frob
-from rnn_sysid.student import (DRAW_ROWS, forward_rescaled, init_student,
+import rnn_sysid.student as student
+from rnn_sysid.student import (BLOCK_ROWS, forward_rescaled, init_student,
                                linearized_forward, load_checkpoint,
                                sample_init, sample_W0, save_checkpoint)
 from rnn_sysid.teacher import ParameterError
@@ -44,22 +46,52 @@ def test_init_student_is_sample_init_with_w_scaled(m, rho, seed):
     assert rnn.W.tobytes() == W0.tobytes() and rnn.A.tobytes() == A0.tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 100, DRAW_ROWS, 300, 512])
+@pytest.mark.parametrize("m", [1, 40, BLOCK_ROWS, 100, 300, 512])
 def test_redrawn_W0_is_the_stored_draw(tmp_path, m):
-    # widths below DRAW_ROWS and past it, multiples of it and not: the
+    # widths below BLOCK_ROWS and past it, multiples of it and not: the
     # re-drawn blocks are the bytes of sample_W0's array scaled by
     # rho^(-1/2), and a checkpoint's W0_sha256 is the digest of those bytes
     rho, seed = 0.7, 11
     rnn = init_student(m, 2, 2, rho, seed)
     W0 = sample_W0(np.random.default_rng(seed), m) * rho ** -0.5
     rows = [(lo, block.copy()) for lo, block in rnn.W0_blocks()]
-    assert [lo for lo, _ in rows] == list(range(0, m, DRAW_ROWS))
+    assert [lo for lo, _ in rows] == list(range(0, m, BLOCK_ROWS))
     assert np.vstack([b for _, b in rows]).tobytes() == W0.tobytes()
     assert rnn.W.tobytes() == W0.tobytes()
     save_checkpoint(rnn, tmp_path / "ck")
     header = json.loads((tmp_path / "ck" / "checkpoint.json").read_text())
     assert header["W0_sha256"] == \
         hashlib.sha256(W0.astype("<f8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("m", [1, 100, 300])
+def test_redraw_has_the_same_bits_at_every_block_size(monkeypatch, m):
+    # the generator fills values in order and dW_frob sums row by row, so
+    # the block size moves no bit of W0, its digest or the distance
+    rnn = init_student(m, 2, 2, 0.8, 5)
+    rnn.W += np.random.default_rng(2).normal(size=rnn.W.shape) / m
+    seen = set()
+    for rows in (1, 7, 64, 256):
+        monkeypatch.setattr(student, "BLOCK_ROWS", rows)
+        fresh = dataclasses.replace(rnn)  # no cached W0_sha256
+        W0 = np.vstack([block.copy() for _, block in fresh.W0_blocks()])
+        seen.add((W0.tobytes(), fresh.W0_sha256, fresh.dW_frob().hex()))
+    assert len(seen) == 1
+
+
+def test_dW_frob_allocates_one_row_block():
+    # one BLOCK_ROWS-row float64 block of W0 (0.5 MB at m = 1024) and the
+    # m row sums; a 256-row block held 2 MB
+    m = 1024
+    rnn = init_student(m, 2, 2, 0.9, 3)
+    rnn.dW_frob()  # first-call allocations, untraced
+    tracemalloc.start()
+    try:
+        rnn.dW_frob()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (BLOCK_ROWS + 8) * m * 8
 
 
 def test_init_student_holds_one_m_by_m_array():
