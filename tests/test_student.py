@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from oracles import jvp_f_all_t
+from rnn_sysid import student
 from rnn_sysid.existence import FactoredW
 from rnn_sysid.linalg import DimensionError, frob
-import rnn_sysid.student as student
 from rnn_sysid.student import (BLOCK_ROWS, forward_rescaled, init_student,
                                linearized_forward, load_checkpoint,
                                sample_init, sample_W0, save_checkpoint)
@@ -46,7 +46,7 @@ def test_init_student_is_sample_init_with_w_scaled(m, rho, seed):
     assert rnn.W.tobytes() == W0.tobytes() and rnn.A.tobytes() == A0.tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 40, BLOCK_ROWS, 100, 300, 512])
+@pytest.mark.parametrize("m", [1, BLOCK_ROWS, 100, 256, 300, 512])
 def test_redrawn_W0_is_the_stored_draw(tmp_path, m):
     # widths below BLOCK_ROWS and past it, multiples of it and not: the
     # re-drawn blocks are the bytes of sample_W0's array scaled by
